@@ -25,7 +25,6 @@ from .codes import (
     CodeParameters,
     LinearCode,
     WeightDistribution,
-    code_from_generator,
     krawtchouk,
     macwilliams_transform,
     random_code,

@@ -6,15 +6,24 @@ full-rank regime where every wide-enough column selection has maximal rank.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .codes import LinearCode, WeightDistribution
 from .errors import BudgetExceededError, RegimeViolationError
-from .matrices import GFMatrix, binom
+from .matrices import GFMatrix, binom, gf_kernel_basis, gf_row_reduce
 
 DEFAULT_SUBSET_BUDGET = 10 ** 7
 
-_census_cache: dict[tuple[GFMatrix, int], "RankCensus"] = {}
+# q x q multiplication and subtraction tables are built for fields up to this
+# order; larger fields are looked up through their Field methods instead.
+_TABLE_ORDER_LIMIT = 256
+
+# A census walks the whole table, which every later width then reads, only
+# when that walk is estimated to visit at most this many subsets (one table of
+# a 16-column matrix); otherwise it walks the width asked for alone, so a lone
+# census of a small width on a large matrix does not pay for the table.
+_WHOLE_TABLE_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -33,65 +42,184 @@ class RankCensus:
 def census(M: GFMatrix, nu: int, budget: int | None = DEFAULT_SUBSET_BUDGET) -> RankCensus:
     """Exhaustive rank census over all binom(cols, nu) column subsets.
 
-    Subsets are walked in lexicographic order by a DFS that extends a reduced
-    column basis one column at a time, so shared prefixes share their
-    elimination work.  Results are cached per (matrix, nu).
+    The row for nu is read from a table counts[size][rank] that one DFS over
+    column subsets builds for every size at once (the Whitney
+    rank-generating function of the column matroid), so every later width is
+    a lookup.  The whole table is walked only when the budget covers all
+    2^cols subsets and the walk is estimated to stay small (see
+    _WHOLE_TABLE_NODES); otherwise the walk covers width nu alone: it
+    descends only into prefixes that can still reach nu and counts its last
+    level at once.
+
+    Each DFS node extends a reduced basis by one column and keeps the other
+    remaining columns reduced modulo its span.  Once the basis has full rank
+    every superset does too, so the node adds binomial counts for its subtree
+    without descending; one rank short of full, it does the same from the
+    number of remaining columns already in the span.  Over GF(2) columns are
+    int bitmasks reduced by XOR; over larger fields, vectors of field
+    encodings reduced through q x q tables built once per field.  A whole
+    table is walked on the kernel of M instead when that has fewer rows,
+    and mapped back by the dual-matroid rank rule
+    r_M(S) = |S| - r_K(E) + r_K(E \\ S).  Tables are kept in a small LRU
+    cache keyed by (matrix, window), so a run's checks share one walk.
     """
     t = M.cols
     if not 1 <= nu <= t:
         raise ValueError(f"need 1 <= nu <= {t}, got {nu}")
-    key = (M, nu)
-    cached = _census_cache.get(key)
-    if cached is not None:
-        return cached
     n_subsets = binom(t, nu)
     if budget is not None and n_subsets > budget:
         raise BudgetExceededError(
             f"census over {n_subsets} subsets exceeds budget {budget}")
+    table = _rank_table(M, *_window(M, nu, budget))
+    counts = {r: c for r, c in enumerate(table[nu]) if c}
+    return RankCensus(nu=nu, counts=counts, source_dims=(M.rows, t))
 
-    f = M.field
-    s = M.rows
-    columns = [list(M.column(j)) for j in range(t)]
-    counts: dict[int, int] = {}
 
-    # reduced basis of the currently selected columns; each entry is
-    # (leading position, column vector normalized to leading 1)
-    basis: list[tuple[int, list[int]]] = []
+def _window(M: GFMatrix, nu: int, budget: int | None) -> tuple[int, int]:
+    """Subset sizes (lo, hi) the walk for width nu counts: the whole table
+    (0, cols) when the budget covers every subset and the walk's estimated
+    nodes are at most _WHOLE_TABLE_NODES, else (nu, nu)."""
+    t = M.cols
+    if budget is not None and 2 ** t > budget:
+        return nu, nu
+    # nodes rarely lie deeper than full rank, which a whole table walked on
+    # the side with fewer rows reaches after min(rank, t - rank) columns
+    rank = _reduced(M).rows
+    stop = min(rank, t - rank)
+    if sum(binom(t, j) for j in range(stop + 1)) <= _WHOLE_TABLE_NODES:
+        return 0, t
+    return nu, nu
 
-    def reduce(col: list[int]) -> list[int] | None:
-        v = col[:]
-        for lead, b in basis:
-            c = v[lead]
-            if c:
-                for i in range(lead, s):
-                    v[i] = f.sub(v[i], f.mul(c, b[i]))
-        lead = next((i for i in range(s) if v[i]), None)
-        if lead is None:
-            return None
-        inv = f.inv(v[lead])
-        if inv != 1:
-            v = [f.mul(inv, x) for x in v]
-        return v
 
-    def walk(start: int, size: int) -> None:
-        if size == nu:
-            r = len(basis)
-            counts[r] = counts.get(r, 0) + 1
+@functools.lru_cache(maxsize=16)
+def _reduced(M: GFMatrix) -> GFMatrix:
+    """The nonzero rows of M's reduced row echelon form: a basis of its row
+    space, with as many rows as M has rank."""
+    rref, pivots = gf_row_reduce(M)
+    return GFMatrix(M.field, tuple(map(tuple, rref[:len(pivots)])), M.cols)
+
+
+@functools.lru_cache(maxsize=16)
+def _rank_table(M: GFMatrix, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
+    """counts[size][rank] for every column subset with lo <= size <= hi;
+    rows outside the window are zero."""
+    t = M.cols
+    basis = _reduced(M)
+    rank = basis.rows
+    if (lo, hi) == (0, t) and t - rank < rank:
+        K = gf_kernel_basis(M)
+        dual = _walk(K, K.rows, 0, t)
+        counts = [[0] * (rank + 1) for _ in range(t + 1)]
+        for size, row in enumerate(dual):
+            for r, c in enumerate(row):
+                if c:
+                    counts[t - size][t - size - K.rows + r] += c
+    else:
+        counts = _walk(basis, rank, lo, hi)
+    return tuple(map(tuple, counts))
+
+
+def _walk(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
+    """The DFS over the column subsets of a matrix whose R rows are
+    independent; counts[size][rank] for lo <= size <= hi."""
+    t = M.cols
+    counts = [[0] * (R + 1) for _ in range(t + 1)]
+    pascal = [[binom(m, j) for j in range(t + 1)] for m in range(t + 1)]
+    columns, reduce = _kernel(M)
+
+    def node(rest: list, size: int, rank: int) -> None:
+        m = len(rest)
+        if rank >= R - 1:
+            # every superset of a full-rank set is full rank; one short of
+            # full, a superset stays short iff its new columns are in the span
+            z = m if rank == R else rest.count(0)
+            low, full = pascal[z], pascal[m]
+            for j in range(max(lo - size, 0), min(m, hi - size) + 1):
+                row = counts[size + j]
+                row[rank] += low[j]
+                if rank < R:
+                    row[R] += full[j] - low[j]
             return
-        for c in range(start, t - (nu - size) + 1):
-            v = reduce(columns[c])
-            if v is None:
-                walk(c + 1, size + 1)
+        if size >= lo:
+            counts[size][rank] += 1
+        if size == hi:
+            return
+        if size + 1 == hi:
+            # the children are leaves: count the nonzero residuals at once
+            zeros = rest.count(0)
+            counts[hi][rank] += zeros
+            counts[hi][rank + 1] += m - zeros
+            return
+        for i in range(min(m, m + size + 1 - lo)):
+            v = rest[i]
+            if v:
+                node(reduce(rest[i + 1:], v), size + 1, rank + 1)
             else:
-                lead = next(i for i in range(s) if v[i])
-                basis.append((lead, v))
-                walk(c + 1, size + 1)
-                basis.pop()
+                node(rest[i + 1:], size + 1, rank)
 
-    walk(0, 0)
-    result = RankCensus(nu=nu, counts=counts, source_dims=(s, t))
-    _census_cache[key] = result
-    return result
+    node(columns, 0, 0)
+    return counts
+
+
+def _kernel(M: GFMatrix):
+    """The columns of M in the walk's representation, with the function that
+    reduces a list of them modulo one more nonzero column v.  A zero column
+    is always the int 0, so a falsy test and list.count(0) find them."""
+    f = M.field
+    if f.q == 2:
+        columns = [sum(bit << i for i, bit in enumerate(M.column(j))) for j in range(M.cols)]
+
+        def reduce(rest: list, v: int) -> list:
+            low = v & -v
+            return [r ^ v if r & low else r for r in rest]
+
+        return columns, reduce
+
+    mul, sub, inv = _tables(f)
+
+    def reduce(rest: list, v: tuple) -> list:
+        lead = next(i for i, x in enumerate(v) if x)
+        scale = mul[inv[v[lead]]]
+        v = [scale[x] for x in v]
+        out = []
+        for r in rest:
+            c = r[lead] if r else 0
+            if c:
+                mc = mul[c]
+                r = tuple([sub[x][mc[y]] for x, y in zip(r, v)])
+                if not any(r):
+                    r = 0
+            out.append(r)
+        return out
+
+    columns = [col if any(col) else 0 for col in map(M.column, range(M.cols))]
+    return columns, reduce
+
+
+@functools.lru_cache(maxsize=8)
+def _tables(f):
+    """mul[a][b], sub[a][b] and inv[a] for the field's encodings."""
+    if f.q > _TABLE_ORDER_LIMIT:
+        return _FieldOp(f.mul, 2), _FieldOp(f.sub, 2), _FieldOp(f.inv, 1)
+    elems = range(f.q)
+    mul = [[f.mul(a, b) for b in elems] for a in elems]
+    sub = [[f.sub(a, b) for b in elems] for a in elems]
+    inv = [0] + [f.inv(a) for a in elems[1:]]
+    return mul, sub, inv
+
+
+class _FieldOp:
+    """A field operation indexed like a table, for fields too large to
+    tabulate: op[a][b] == op(a, b), or op[a] == op(a) when unary."""
+
+    __slots__ = ("op", "arity", "args")
+
+    def __init__(self, op, arity, args=()):
+        self.op, self.arity, self.args = op, arity, args
+
+    def __getitem__(self, x):
+        args = self.args + (x,)
+        return self.op(*args) if len(args) == self.arity else _FieldOp(self.op, self.arity, args)
 
 
 def verify_counting_identity(C: LinearCode, A: WeightDistribution, nu: int,

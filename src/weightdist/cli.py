@@ -200,6 +200,10 @@ def cmd_verify(args) -> int:
     code = _load_code(args.codefile)
     if args.inject_distribution:
         A = distribution_from_json(_load_json_arg(args.inject_distribution))
+        if (A.n, A.k, A.q) != (code.n, code.k, code.field.q):
+            raise CodeFileFormatError(
+                f"injected distribution is for [{A.n}, {A.k}]_{A.q}, "
+                f"the code is [{code.n}, {code.k}]_{code.field.q}")
     else:
         A = code.weight_distribution(budget=cfg.budget, workers=cfg.workers)
     which = args.which

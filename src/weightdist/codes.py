@@ -113,10 +113,6 @@ class LinearCode:
                 raise ValueError("G H^T != 0")
         self._distribution: Optional[WeightDistribution] = None
 
-    @classmethod
-    def from_generator(cls, G: GFMatrix) -> "LinearCode":
-        return cls(G)
-
     def dual(self) -> "LinearCode":
         return LinearCode(self.H, self.G, check=False)
 
@@ -183,10 +179,6 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n}, {self.k}] over {self.field!r})"
-
-
-def code_from_generator(G: GFMatrix) -> LinearCode:
-    return LinearCode.from_generator(G)
 
 
 def krawtchouk(n: int, q: int, j: int, i: int) -> int:

@@ -104,18 +104,6 @@ def gf_matmul(A: GFMatrix, B: GFMatrix) -> GFMatrix:
     return GFMatrix(f, tuple(out), B.cols)
 
 
-def gf_matvec(A: GFMatrix, v: Sequence[int]) -> tuple[int, ...]:
-    f = A.field
-    out = []
-    for r in A.entries:
-        acc = 0
-        for x, y in zip(r, v):
-            if x and y:
-                acc = f.add(acc, f.mul(x, y))
-        out.append(acc)
-    return tuple(out)
-
-
 def gf_row_reduce(M: GFMatrix) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over GF(q); returns (rows, pivot columns)."""
     f = M.field

@@ -2,8 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from weightdist.census import census, check_full_rank_regime, verify_counting_identity
+from weightdist.census import (DEFAULT_SUBSET_BUDGET, _window, census, check_full_rank_regime,
+                               verify_counting_identity)
 from weightdist.codes import LinearCode, random_code
 from weightdist.errors import BudgetExceededError, RegimeViolationError
 from weightdist.fields import GF
@@ -109,3 +112,109 @@ def test_small_width_census_detects_distance():
     for delta in range(1, d):
         cen = census(c.H, delta)
         assert cen.counts == {delta: binom(c.n, delta)}
+
+
+# -- differential tests against the naive oracle ------------------------------
+
+CENSUS_FIELDS = (2, 3, 4, 5, 7, 8, 9)  # GF(2) bitmasks; prime and extension tables
+
+
+def naive_census(M, nu):
+    """The oracle: rank every nu-column selection on its own."""
+    out = {}
+    for idx in itertools.combinations(range(M.cols), nu):
+        r = gf_rank(select_columns(M, idx))
+        out[r] = out.get(r, 0) + 1
+    return out
+
+
+@st.composite
+def gf_matrices(draw, max_rows=5, max_cols=7):
+    """Tall, square and wide matrices; sparse rows and repeated rows make
+    many of them rank deficient."""
+    q = draw(st.sampled_from(CENSUS_FIELDS))
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    density = draw(st.sampled_from((0.3, 1.0)))
+    entry = st.integers(1, q - 1) if density == 1.0 else st.sampled_from(
+        (0, 0, 1, q - 1))
+    M = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        M[-1] = list(M[0])
+    return GFMatrix.from_rows(GF(q), M, cols=cols)
+
+
+# a 5x6 matrix of rank 5, walked through its 1-row kernel (the dual route),
+# and a 2x7 matrix of rank 2, walked directly
+TALL = GFMatrix.from_rows(GF(3), [[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 2],
+                                  [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 1],
+                                  [0, 0, 0, 0, 1, 2]])
+WIDE = GFMatrix.from_rows(GF(4), [[1, 2, 3, 0, 1, 1, 0], [0, 1, 1, 1, 2, 3, 0]])
+# a field too large for q x q tables
+LARGE = GFMatrix.from_rows(GF(257), [[1, 256, 3, 0, 7], [2, 255, 6, 1, 0], [5, 9, 0, 1, 1]])
+
+
+@settings(max_examples=120, deadline=None)
+@given(gf_matrices())
+@example(TALL)
+@example(WIDE)
+@example(LARGE)
+def test_census_whole_table_matches_oracle(M):
+    for nu in range(1, M.cols + 1):
+        assert census(M, nu, budget=None).counts == naive_census(M, nu)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gf_matrices(), st.integers(1, 40))
+@example(TALL, 7)
+@example(WIDE, 30)
+def test_census_budget_limited_walk_matches_oracle(M, budget):
+    # a budget below 2^cols rules out the whole table, so each width within
+    # the budget is walked alone
+    for nu in range(1, M.cols + 1):
+        if binom(M.cols, nu) > budget:
+            with pytest.raises(BudgetExceededError):
+                census(M, nu, budget=budget)
+        else:
+            assert census(M, nu, budget=budget).counts == naive_census(M, nu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CENSUS_FIELDS), st.integers(2, 7), st.data())
+def test_dual_matroid_rank_rule(q, n, data):
+    # r_H(S) = |S| - k + r_G(E \ S) for every column subset S, with both
+    # sides ranked on their own, never through the census
+    k = data.draw(st.integers(1, n - 1))
+    code = random_code(GF(q), n, k, seed=data.draw(st.integers(0, 2 ** 30)))
+    for size in range(n + 1):
+        for S in itertools.combinations(range(n), size):
+            rest = [j for j in range(n) if j not in S]
+            assert (gf_rank(select_columns(code.H, S))
+                    == size - k + gf_rank(select_columns(code.G, rest)))
+
+
+def test_census_small_width_of_wide_matrix():
+    # a whole table of a 10 x 20 matrix is far more work than width 1..3, so
+    # these widths are walked alone
+    rng = random.Random(8)
+    for q in (2, 3, 4):
+        M = GFMatrix.from_rows(GF(q), [[rng.randrange(q) for _ in range(20)]
+                                       for _ in range(10)])
+        for nu in (1, 2, 3):
+            assert census(M, nu).counts == naive_census(M, nu)
+
+
+def test_census_small_width_of_rank_deficient_square_matrix():
+    # 23 x 23 of rank 11: a whole table would visit millions of subsets, so
+    # width 3 is walked alone; the estimate must come from the rank, not from
+    # the row count
+    rng = random.Random(11)
+    top = [[rng.randrange(2) for _ in range(23)] for _ in range(11)]
+    while gf_rank(GFMatrix.from_rows(GF(2), top)) < 11:
+        top = [[rng.randrange(2) for _ in range(23)] for _ in range(11)]
+    rows = top + [[a ^ b for a, b in zip(top[i], top[i + 1])] for i in range(10)]
+    M = GFMatrix.from_rows(GF(2), rows + [top[0], [0] * 23])
+    assert (M.rows, M.cols, gf_rank(M)) == (23, 23, 11)
+    assert _window(M, 3, DEFAULT_SUBSET_BUDGET) == (3, 3)
+    assert _window(M, 3, None) == (3, 3)
+    assert census(M, 3).counts == naive_census(M, 3)

@@ -100,6 +100,18 @@ def test_verify_corrupted_distribution_fails(code_files, capsys):
     assert "FAIL" in out
 
 
+def test_verify_rejects_injected_distribution_of_another_code(code_files, capsys):
+    fa, _ = code_files  # an [8,4]_4 code
+    shorter = WeightDistribution((1, 0, 0, 0, 255), q=4, k=4)
+    other_field = WeightDistribution(NMDS_844_DISTRIBUTION_A, q=3, k=4)
+    for dist in (shorter, other_field):
+        rc, out, err = run(capsys, "verify", fa, "--inject-distribution",
+                           json.dumps(distribution_to_json(dist)))
+        assert rc == 2
+        assert out == ""  # rejected before any check runs
+        assert "injected distribution" in err
+
+
 def test_solve_reference(code_files, capsys):
     fa, _ = code_files
     rc, out, _ = run(capsys, "solve", "--code", fa, "--knowns",
