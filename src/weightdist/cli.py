@@ -34,6 +34,7 @@ from . import (
     verify_pless_full,
 )
 from .census import DEFAULT_SUBSET_BUDGET
+from .closed_forms import check_nonnegative
 from .codes import CodeParameters, WeightDistribution
 from .enumeration import DEFAULT_ENUMERATION_BUDGET
 from .errors import (
@@ -305,7 +306,10 @@ def cmd_mds(args) -> int:
 
 def cmd_nmds(args) -> int:
     cfg = _config(args)
-    _emit(cfg, _render_distribution(cfg, nmds_distribution(args.n, args.k, args.q, args.a_d)))
+    dist = nmds_distribution(args.n, args.k, args.q, args.a_d)
+    check_nonnegative(dist.counts, f"A_{args.n - args.k} = {args.a_d} matches no "
+                                   f"[{args.n},{args.k},{args.n - args.k}]_{args.q} code")
+    _emit(cfg, _render_distribution(cfg, dist))
     return EXIT_OK
 
 

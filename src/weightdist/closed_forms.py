@@ -76,6 +76,13 @@ def nmds_distribution(n: int, k: int, q: int, a_d: int) -> WeightDistribution:
     return WeightDistribution(tuple(counts), q, k)
 
 
+def check_nonnegative(counts: Sequence[int], reason: str) -> None:
+    """Raise NegativeEntryError naming the first negative count."""
+    for i, c in enumerate(counts):
+        if c < 0:
+            raise NegativeEntryError(f"A_{i} = {c} is negative; {reason}")
+
+
 @dataclass(frozen=True)
 class AmdsInput:
     """Parameters of an almost-MDS [n, k, n-k]_q code whose dual has
@@ -133,12 +140,8 @@ def amds_distribution(inp: AmdsInput) -> WeightDistribution:
     NegativeEntryError when the seeds are inconsistent with any code.  At
     sigma = 2 this coincides with nmds_distribution."""
     counts = amds_counts(inp)
-    for i, c in enumerate(counts):
-        if c < 0:
-            raise NegativeEntryError(
-                f"A_{i} = {c} is negative; seeds match no [{inp.n},{inp.k},"
-                f"{inp.n - inp.k}]_{inp.q} code with dual distance "
-                f"{inp.k - inp.sigma + 2}")
+    check_nonnegative(counts, f"seeds match no [{inp.n},{inp.k},{inp.n - inp.k}]_{inp.q} "
+                              f"code with dual distance {inp.k - inp.sigma + 2}")
     return WeightDistribution(counts, inp.q, inp.k)
 
 

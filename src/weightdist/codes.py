@@ -29,13 +29,30 @@ from .matrices import (
 @dataclass(frozen=True)
 class CodeParameters:
     """The scalar invariants [n, k, d]_q plus the dual distance and the sum
-    of the two Singleton defects."""
+    of the two Singleton defects.  Construction checks the Singleton bounds
+    d <= n-k+1 and d_perp <= k+1, which also make every moment-system
+    right-hand side an integer."""
 
     n: int
     k: int
     d: int
     d_perp: int
     q: int
+
+    def __post_init__(self):
+        for name in ("n", "k", "d", "d_perp", "q"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        n, k, d, dp = self.n, self.k, self.d, self.d_perp
+        if not 1 <= k <= n:
+            raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
+        if not 1 <= d <= n - k + 1:
+            raise ValueError(f"need 1 <= d <= n-k+1 = {n - k + 1}, got d={d}")
+        if not 1 <= dp <= k + 1:
+            raise ValueError(f"need 1 <= d_perp <= k+1 = {k + 1}, got d_perp={dp}")
+        if self.q < 2:
+            raise ValueError(f"field order must be >= 2, got q={self.q}")
 
     @property
     def sigma(self) -> int:

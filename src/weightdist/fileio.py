@@ -11,12 +11,15 @@ Distribution JSON: ``{"n": ..., "k": ..., "q": ..., "A": ["1", "0", ...]}``
 with every count a decimal string, since counts outgrow 64-bit integers at
 moderate parameters.  A knowns map is ``{"index": "value", ...}``; a full
 distribution object is also accepted wherever knowns are, every entry
-becoming a known.
+becoming a known.  On reading, every count, index, n, k and q must be a
+JSON integer or a decimal-integer string; booleans, floats and other
+strings are rejected with CodeFileFormatError.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Mapping
 
 from .census import RankCensus
@@ -24,6 +27,8 @@ from .codes import LinearCode, WeightDistribution
 from .errors import CodeFileFormatError
 from .fields import Field
 from .matrices import GFMatrix, binom
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_field_line(line: str) -> Field:
@@ -108,12 +113,23 @@ def distribution_to_json(dist: WeightDistribution, extra: Mapping | None = None)
     return obj
 
 
+def _integer(value) -> int:
+    """A JSON integer (not a boolean) or a decimal-integer string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise CodeFileFormatError(f"expected an integer or a decimal string, got {value!r}")
+
+
 def distribution_from_json(obj: Mapping) -> WeightDistribution:
+    if not isinstance(obj, Mapping) or not isinstance(obj.get("A"), list):
+        raise CodeFileFormatError("a distribution must be an object with a list A")
     try:
-        counts = tuple(int(c) for c in obj["A"])
-        n, k, q = int(obj["n"]), int(obj["k"]), int(obj["q"])
-    except (KeyError, ValueError, TypeError) as e:
-        raise CodeFileFormatError(f"bad distribution object: {e}") from e
+        n, k, q = (_integer(obj[key]) for key in ("n", "k", "q"))
+    except KeyError as e:
+        raise CodeFileFormatError(f"bad distribution object: missing {e}") from e
+    counts = tuple(_integer(c) for c in obj["A"])
     if len(counts) != n + 1:
         raise CodeFileFormatError(f"A has {len(counts)} entries, expected n+1 = {n + 1}")
     return WeightDistribution(counts, q, k)
@@ -126,12 +142,7 @@ def knowns_from_json(obj) -> dict[int, int]:
     if "A" in obj:
         dist = distribution_from_json(obj)
         return {i: c for i, c in enumerate(dist.counts)}
-    out = {}
-    try:
-        for key, val in obj.items():
-            out[int(key)] = int(val)
-    except (ValueError, TypeError) as e:
-        raise CodeFileFormatError(f"bad knowns map: {e}") from e
+    out = {_integer(key): _integer(val) for key, val in obj.items()}
     if any(v < 0 for v in out.values()):
         raise CodeFileFormatError("known counts must be nonnegative")
     return out

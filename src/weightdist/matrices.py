@@ -1,8 +1,10 @@
 """Matrices over GF(q) (rank, kernel, column selection) and exact rational
 dense linear algebra for the moment systems.
 
-No floating point anywhere: GF entries are canonical integer encodings,
-rational work uses fractions.Fraction.
+No floating point anywhere: GF entries are canonical integer encodings;
+rational systems are cleared of denominators row by row and eliminated
+fraction-free over the integers, with fractions.Fraction formed only at
+back-substitution.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DuplicateIndexError,
@@ -216,46 +218,84 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-def _rref_rational(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+class Echelon(NamedTuple):
+    """Fraction-free row echelon form: rows[i] is zero left of column
+    pivots[i], where it holds the i-th Bareiss pivot.  det is the determinant
+    of a square matrix (0 when singular) and 0 for any other shape."""
+
+    rank: int
+    pivots: tuple[int, ...]
+    det: int
+    rows: list[list[int]]
+
+
+def echelon(rows: Iterable[Sequence]) -> Echelon:
+    """Fraction-free Gaussian elimination over the integers (Bareiss 1968).
+
+    Each row is first multiplied by the LCM of its denominators, which keeps
+    the rank, the pivot columns, the kernel and the solution set (det is
+    then that of the cleared matrix).  Each update (p * a_ij - a_ic * a_rj)
+    / previous pivot divides exactly by Sylvester's identity.  Each column's
+    pivot is its first nonzero row and columns with none are skipped, so the
+    pivot columns are the leftmost ones, as in Gauss-Jordan."""
+    m = []
+    for row in rows:
+        lcm = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (lcm // x.denominator) for x in row])
+    nrows, ncols = len(m), len(m[0]) if m else 0
     pivots: list[int] = []
-    r = 0
+    sign = prev = 1
     for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        r = len(pivots)
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv != 1:
-            rows[r] = [x / piv for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                coeff = rows[i][c]
-                rows[i] = [x - coeff * y for x, y in zip(rows[i], rows[r])]
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
+        p, tail, lead = m[r][c], m[r][c + 1:], [0] * (c + 1)
+        for i in range(r + 1, nrows):
+            a, row = m[i][c], m[i][c + 1:]
+            m[i] = lead + [(p * x - a * y) // prev for x, y in zip(row, tail)]
         pivots.append(c)
-        r += 1
-    return rows, pivots
+        prev = p
+    rank = len(pivots)
+    det = sign * prev if rank == nrows == ncols else 0
+    return Echelon(rank, tuple(pivots), det, m[:rank])
+
+
+def _back_substitute(E: Echelon, column: Sequence[int]) -> tuple[list[int], int]:
+    """Solve the leading triangle of E against `column` without fractions.
+    Returns (y, d) with solution y / d; d, the len(column)-th pivot, is a
+    determinant, so by Cramer's rule each y_i and each division is exact."""
+    piv, size = E.pivots, len(column)
+    d = E.rows[size - 1][piv[size - 1]] if size else 1
+    y = [0] * size
+    for i in reversed(range(size)):
+        row = E.rows[i]
+        s = d * column[i] - sum(row[piv[j]] * y[j] for j in range(i + 1, size))
+        y[i] = s // row[piv[i]]
+    return y, d
+
+
+def _kernel_vector(E: Echelon, cols: int) -> tuple[Fraction, ...] | None:
+    """The kernel vector that is 1 at the first free column and 0 at every
+    other free column; it is unique once the pivot columns are fixed."""
+    free = next((c for c in range(cols) if c not in E.pivots), None)
+    if free is None:
+        return None
+    # columns 0..free-1 are the first `free` pivots
+    y, d = _back_substitute(E, [row[free] for row in E.rows[:free]])
+    return tuple([Fraction(-v, d) for v in y] + [Fraction(1)] + [Fraction(0)] * (cols - free - 1))
 
 
 def rational_rank(A: RationalMatrix) -> int:
-    return len(_rref_rational([list(r) for r in A.entries])[1])
+    return echelon(A.entries).rank
 
 
 def rational_kernel_vector(A: RationalMatrix) -> tuple[Fraction, ...] | None:
     """A nonzero vector x with A x = 0, or None if the kernel is trivial."""
-    rref, pivots = _rref_rational([list(r) for r in A.entries])
-    free = [c for c in range(A.cols) if c not in pivots]
-    if not free:
-        return None
-    fc = free[0]
-    v = [Fraction(0)] * A.cols
-    v[fc] = Fraction(1)
-    for r, pc in enumerate(pivots):
-        v[pc] = -rref[r][fc]
-    return tuple(v)
+    return _kernel_vector(echelon(A.entries), A.cols)
 
 
 def solve_exact(A: RationalMatrix, b: Sequence) -> tuple[Fraction, ...]:
@@ -271,18 +311,15 @@ def solve_exact(A: RationalMatrix, b: Sequence) -> tuple[Fraction, ...]:
     bs = [Fraction(v) for v in b]
     if len(bs) != n:
         raise ValueError("right-hand side length mismatch")
-    aug = [list(r) + [bs[i]] for i, r in enumerate(A.entries)]
-    rref, pivots = _rref_rational(aug)
-    pivots = [c for c in pivots if c < n]
-    if len(pivots) < n:
+    E = echelon([*r, v] for r, v in zip(A.entries, bs))
+    rank = sum(c < n for c in E.pivots)
+    if rank < n:
         raise SingularMatrixError(
-            f"matrix is singular (rank {len(pivots)} of {n})",
-            rank=len(pivots),
-            kernel_vector=rational_kernel_vector(A))
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = rref[r][n]
-    return tuple(x)
+            f"matrix is singular (rank {rank} of {n})",
+            rank=rank,
+            kernel_vector=_kernel_vector(E, n))
+    y, d = _back_substitute(E, [row[n] for row in E.rows])
+    return tuple(Fraction(v, d) for v in y)
 
 
 # ---------------------------------------------------------------------------
@@ -297,34 +334,12 @@ def truncated_pascal(r: int, t: int) -> RationalMatrix:
         [[binom(t - j, i) for j in range(t + 1)] for i in range(r)])
 
 
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c]), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return det
-
-
 def pascal_minor_check(r: int, t: int) -> bool:
     """Exhaustively verify that every r x r minor of the truncated Pascal
     matrix is nonzero (the property that makes the moment systems uniquely
     solvable for any choice of known weights)."""
     import itertools
 
-    P = truncated_pascal(r, t)
-    for cols in itertools.combinations(range(t + 1), r):
-        sub = [[P.entries[i][j] for j in cols] for i in range(r)]
-        if _det(sub) == 0:
-            return False
-    return True
+    P = [[int(x) for x in row] for row in truncated_pascal(r, t).entries]
+    return all(echelon([[row[j] for j in cols] for row in P]).det
+               for cols in itertools.combinations(range(t + 1), r))

@@ -29,6 +29,7 @@ from .errors import (
 from .matrices import (
     RationalMatrix,
     binom,
+    echelon,
     rational_rank,
     solve_exact,
 )
@@ -56,8 +57,6 @@ def build_pascal_system(params: CodeParameters) -> MomentSystem:
     and right-hand side binom(n, nu) q^(nu+k-n); the nu = n row is the total
     count sum_s A_s = q^k."""
     n, k, q, dp = params.n, params.k, params.q, params.d_perp
-    if dp < 1:
-        raise ValueError("dual distance must be >= 1")
     rows, rhs, labels = [], [], []
     for nu in range(n - dp + 1, n + 1):
         rows.append([binom(n - s, nu - s) for s in range(n + 1)])
@@ -71,8 +70,6 @@ def build_pless_system(params: CodeParameters) -> MomentSystem:
     """One row per nu in [0, d_perp): the dual-distribution-free power
     moments sum_i binom(i, nu) A_i = q^(k-nu) binom(n, nu) (q-1)^nu."""
     n, k, q, dp = params.n, params.k, params.q, params.d_perp
-    if dp < 1:
-        raise ValueError("dual distance must be >= 1")
     rows, rhs, labels = [], [], []
     for nu in range(0, dp):
         rows.append([binom(i, nu) for i in range(n + 1)])
@@ -101,40 +98,24 @@ def _solve_reduced(matrix: RationalMatrix, rhs: Sequence[Fraction],
                    n_unknowns: int) -> tuple[Fraction, ...]:
     """Solve a possibly overdetermined consistent system exactly.
 
-    A maximal nonsingular square subsystem is solved and every remaining row
-    is checked against the solution; a residual means the constraints admit
-    no common solution."""
+    The square subsystem of the first rows that extend the row space is
+    solved and every row is checked against the solution; a residual means
+    the constraints admit no common solution."""
     if matrix.rows == n_unknowns:
         try:
             return solve_exact(matrix, rhs)
         except SingularMatrixError as e:
             raise SingularReducedSystemError(
                 str(e), rank=e.rank, kernel_vector=e.kernel_vector) from e
-    # overdetermined: greedily collect rows that extend the row space
-    pivot_rows: list[int] = []
-    reduced: list[tuple[int, list[Fraction]]] = []
-    for ridx, row in enumerate(matrix.entries):
-        v = list(row)
-        for lead, b in reduced:
-            c = v[lead]
-            if c:
-                v = [x - c * y for x, y in zip(v, b)]
-        lead = next((i for i in range(n_unknowns) if v[i]), None)
-        if lead is not None:
-            piv = v[lead]
-            v = [x / piv for x in v]
-            reduced.append((lead, v))
-            pivot_rows.append(ridx)
-        if len(pivot_rows) == n_unknowns:
-            break
+    # the rows that are not combinations of earlier rows: the transpose's pivot columns
+    pivot_rows = echelon(zip(*matrix.entries)).pivots
     if len(pivot_rows) < n_unknowns:
         raise SingularReducedSystemError(
             f"reduced system has rank {len(pivot_rows)} < {n_unknowns} unknowns",
             rank=len(pivot_rows), kernel_vector=None)
-    square = RationalMatrix.from_rows([matrix.entries[i] for i in pivot_rows])
+    square = RationalMatrix(tuple(matrix.entries[i] for i in pivot_rows), n_unknowns)
     x = solve_exact(square, [rhs[i] for i in pivot_rows])
-    for i, row in enumerate(matrix.entries):
-        lhs = sum((a * b for a, b in zip(row, x)), Fraction(0))
+    for i, lhs in enumerate(matrix.matvec(x)):
         if lhs != rhs[i]:
             raise InconsistentKnownsError(
                 f"surplus equation {i} off by {lhs - rhs[i]}; "

@@ -112,6 +112,37 @@ def test_verify_rejects_injected_distribution_of_another_code(code_files, capsys
         assert "injected distribution" in err
 
 
+def test_verify_rejects_non_integer_injected_counts(code_files, capsys):
+    fa, _ = code_files
+    for A in ([True, False, 0, 0, 27, 72, 66, 60, 30], [1, 0, 0, 0, 27, 60, 78, 60, 30.0]):
+        injected = json.dumps({"n": "8", "k": "4", "q": "4", "A": A})
+        rc, out, err = run(capsys, "verify", fa, "--inject-distribution", injected)
+        assert rc == 2
+        assert out == "" and "CodeFileFormatError" in err
+
+
+def test_solve_rejects_non_integer_knowns(capsys):
+    for bad in ('0.9', 'true', '"0.9"', '"3 "'):
+        rc, out, err = run(capsys, "solve", "--n", "8", "--k", "4", "--q", "5", "--d", "5",
+                           "--dperp", "5", "--knowns", '{"0":"1","1":0,"2":0,"3":%s}' % bad)
+        assert rc == 2, bad
+        assert out == "" and "CodeFileFormatError" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--n", "8", "--k", "4", "--q", "5", "--d", "5", "--dperp", "9"),  # d_perp > k+1
+    ("--n", "8", "--k", "4", "--q", "5", "--d", "6", "--dperp", "5"),  # d > n-k+1
+    ("--n", "4", "--k", "6", "--q", "5", "--d", "1", "--dperp", "1"),  # k > n
+    ("--n", "8", "--k", "4", "--q", "1", "--d", "5", "--dperp", "5"),  # q < 2
+    ("--n", "8", "--k", "4", "--q", "5", "--d", "0", "--dperp", "5"),  # d < 1
+])
+def test_invalid_code_parameters_are_input_errors(capsys, flags):
+    for command in ("solve", "crosscheck"):
+        rc, out, err = run(capsys, command, *flags, "--knowns", '{"0":"1"}')
+        assert rc == 2, (command, flags)
+        assert out == "" and "ValueError" in err
+
+
 def test_solve_reference(code_files, capsys):
     fa, _ = code_files
     rc, out, _ = run(capsys, "solve", "--code", fa, "--knowns",
@@ -185,6 +216,14 @@ def test_closed_form_commands(capsys):
     obj = json.loads(out)
     for i, c in GOLAY_FREE_COUNTS.items():
         assert int(obj["A"][i]) == c
+
+
+def test_negative_closed_form_counts_are_math_errors(capsys):
+    for argv in (("nmds", "8", "4", "4", "1000"), ("amds", "8", "4", "4", "2", "1000")):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1, argv
+        assert out == ""
+        assert "NegativeEntryError: A_5 = -3832 is negative" in err
 
 
 def test_amds_bad_seed_count_is_input_error(capsys):

@@ -1,6 +1,7 @@
 import pytest
 
 from weightdist.codes import (
+    CodeParameters,
     LinearCode,
     WeightDistribution,
     krawtchouk,
@@ -192,3 +193,14 @@ def test_validate_rejects_bad_distributions():
         WeightDistribution((1, -1, 2), q=2, k=1).validate()
     with pytest.raises(ValueError):
         WeightDistribution((1, 0, 0), q=2, k=1).validate()
+
+
+def test_code_parameters_invariants():
+    CodeParameters(n=8, k=4, d=5, d_perp=5, q=5)  # MDS: both Singleton bounds met
+    CodeParameters(n=1, k=1, d=1, d_perp=1, q=2)
+    for bad in [dict(d_perp=6), dict(d_perp=0), dict(d=6), dict(d=0), dict(k=0), dict(k=9),
+                dict(n=0, k=0), dict(q=1), dict(q=True), dict(k=4.0), dict(d="5"),
+                dict(n=True, k=True, d=True, d_perp=True)]:
+        with pytest.raises(ValueError):
+            CodeParameters(**dict(dict(n=8, k=4, d=5, d_perp=5, q=5), **bad))
+

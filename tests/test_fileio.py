@@ -81,6 +81,29 @@ def test_distribution_json_validates_length():
         distribution_from_json({"n": 3, "k": 1, "q": 2, "A": ["1", "0"]})
 
 
+def test_distribution_json_accepts_only_integers():
+    good = {"n": 2, "k": "1", "q": "2", "A": ["1", 0, "+1"]}
+    assert distribution_from_json(good) == WeightDistribution((1, 0, 1), q=2, k=1)
+    for key, bad in [("A", [True, False, 1]), ("A", ["1", 0, 1.0]), ("A", ["1", "0", "1.5"]),
+                     ("A", ["1", "0", " 1"]), ("A", "101"), ("n", True), ("n", 2.0),
+                     ("k", "one"), ("q", None)]:
+        with pytest.raises(CodeFileFormatError):
+            distribution_from_json(dict(good, **{key: bad}))
+    with pytest.raises(CodeFileFormatError):
+        distribution_from_json({"k": 1, "q": 2, "A": ["1"]})
+    with pytest.raises(CodeFileFormatError):
+        distribution_from_json(["1", "0"])
+
+
+def test_knowns_accept_only_integers():
+    assert knowns_from_json({"0": 1, "4": "27"}) == {0: 1, 4: 27}
+    for bad in (True, False, 0.9, 3.0, "0.9", "1e3", None, [1]):
+        with pytest.raises(CodeFileFormatError):
+            knowns_from_json({"0": "1", "3": bad})
+    with pytest.raises(CodeFileFormatError):
+        knowns_from_json({"3.0": "1"})
+
+
 def test_knowns_accepts_map_and_distribution():
     assert knowns_from_json({"4": "27", "0": "1"}) == {4: 27, 0: 1}
     d = WeightDistribution((1, 0, 1), q=2, k=1)
