@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import (
@@ -79,40 +78,19 @@ _MATH_ERRORS = (
 )
 
 
-@dataclass
-class RunConfig:
-    budget: int
-    census_budget: int
-    workers: int
-    fmt: str
-    seed: int
-    output: str | None
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        budget=args.budget,
-        census_budget=args.census_budget,
-        workers=args.workers,
-        fmt=args.format,
-        seed=args.seed,
-        output=args.output,
-    )
-
-
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        Path(cfg.output).write_text(text)
+def _emit(args, text: str) -> None:
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _render_distribution(cfg: RunConfig, dist: WeightDistribution,
+def _render_distribution(args, dist: WeightDistribution,
                          extra: dict | None = None) -> str:
-    if cfg.fmt == "json":
+    if args.format == "json":
         return dumps(distribution_to_json(dist, extra))
     lines = []
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         lines.append("i,A_i")
         lines.extend(f"{i},{c}" for i, c in enumerate(dist.counts))
     else:
@@ -136,9 +114,9 @@ def _load_json_arg(text: str):
     return json.loads(Path(text).read_text())
 
 
-def _params_from_args(args, cfg: RunConfig) -> CodeParameters:
+def _params_from_args(args) -> CodeParameters:
     if args.code:
-        return _load_code(args.code).parameters(budget=cfg.budget)
+        return _load_code(args.code).parameters(budget=args.budget)
     missing = [f for f in ("n", "k", "q", "d", "dperp") if getattr(args, f) is None]
     if missing:
         raise CodeFileFormatError(
@@ -151,37 +129,34 @@ def _params_from_args(args, cfg: RunConfig) -> CodeParameters:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    cfg = _config(args)
     code = _load_code(args.codefile)
-    dist = code.weight_distribution(budget=cfg.budget, workers=cfg.workers)
+    dist = code.weight_distribution(budget=args.budget, workers=args.workers)
     extra = {}
     try:
-        p = code.parameters(budget=cfg.budget)
+        p = code.parameters(budget=args.budget)
         extra = {"d": p.d, "d_perp": p.d_perp, "sigma": p.sigma}
     except ZeroCodeError:
         pass  # degenerate k = 0 or k = n: distribution still valid
-    _emit(cfg, _render_distribution(cfg, dist, extra))
+    _emit(args, _render_distribution(args, dist, extra))
     return EXIT_OK
 
 
 def cmd_dual(args) -> int:
-    cfg = _config(args)
     code = _load_code(args.codefile)
-    _emit(cfg, format_code_file(code.dual()))
+    _emit(args, format_code_file(code.dual()))
     return EXIT_OK
 
 
 def cmd_census(args) -> int:
-    cfg = _config(args)
     code = _load_code(args.codefile)
     M = code.G if args.matrix == "g" else code.H
-    cen = census(M, args.nu, budget=cfg.census_budget)
-    if cfg.fmt == "json":
-        _emit(cfg, dumps(census_to_json(cen)))
+    cen = census(M, args.nu, budget=args.census_budget)
+    if args.format == "json":
+        _emit(args, dumps(census_to_json(cen)))
     else:
         lines = [f"nu = {cen.nu}"]
         lines += [f"rank {r}: {c}" for r, c in sorted(cen.counts.items())]
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -197,7 +172,6 @@ def _trivial_plus_seed_knowns(A: WeightDistribution, params: CodeParameters) -> 
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
     code = _load_code(args.codefile)
     if args.inject_distribution:
         A = distribution_from_json(_load_json_arg(args.inject_distribution))
@@ -206,7 +180,7 @@ def cmd_verify(args) -> int:
                 f"injected distribution is for [{A.n}, {A.k}]_{A.q}, "
                 f"the code is [{code.n}, {code.k}]_{code.field.q}")
     else:
-        A = code.weight_distribution(budget=cfg.budget, workers=cfg.workers)
+        A = code.weight_distribution(budget=args.budget, workers=args.workers)
     which = args.which
     results: list[tuple[str, bool, str]] = []
 
@@ -220,7 +194,7 @@ def cmd_verify(args) -> int:
     if which in ("identity", "all"):
         def check_identity():
             for nu in range(1, code.n + 1):
-                lhs, rhs, ok = verify_counting_identity(code, A, nu, budget=cfg.census_budget)
+                lhs, rhs, ok = verify_counting_identity(code, A, nu, budget=args.census_budget)
                 if not ok:
                     return False, f"nu={nu}: {lhs} != {rhs}"
             return True, f"all nu in 1..{code.n}"
@@ -236,16 +210,16 @@ def cmd_verify(args) -> int:
         run("pless", check_pless)
     if which in ("regime", "all"):
         def check_regime():
-            params = code.parameters(budget=cfg.budget)
+            params = code.parameters(budget=args.budget)
             for nu in range(code.n - params.d_perp + 1, code.n + 1):
                 if not check_full_rank_regime(code, nu, d_perp=params.d_perp,
-                                              budget=cfg.census_budget):
+                                              budget=args.census_budget):
                     return False, f"nu={nu} not concentrated at rank n-k"
             return True, f"all nu > {code.n - params.d_perp}"
         run("regime", check_regime)
     if which in ("crosscheck", "all"):
         def check_crosscheck():
-            params = code.parameters(budget=cfg.budget)
+            params = code.parameters(budget=args.budget)
             knowns = _trivial_plus_seed_knowns(A, params)
             ap, al, agree = cross_check_systems(params, knowns)
             if not agree:
@@ -258,7 +232,7 @@ def cmd_verify(args) -> int:
     width = max(len(n) for n, _, _ in results)
     lines = [f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}"
              for name, ok, detail in results]
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_MATH
 
 
@@ -269,8 +243,7 @@ def _solve_from(params: CodeParameters, knowns: dict[int, int], system: str) -> 
 
 
 def cmd_solve(args) -> int:
-    cfg = _config(args)
-    params = _params_from_args(args, cfg)
+    params = _params_from_args(args)
     knowns = knowns_from_json(_load_json_arg(args.knowns))
     try:
         dist = _solve_from(params, knowns, args.system)
@@ -280,13 +253,12 @@ def cmd_solve(args) -> int:
             msg += f"; kernel vector {tuple(str(x) for x in e.kernel_vector)}"
         print(msg, file=sys.stderr)
         return EXIT_MATH
-    _emit(cfg, _render_distribution(cfg, dist))
+    _emit(args, _render_distribution(args, dist))
     return EXIT_OK
 
 
 def cmd_crosscheck(args) -> int:
-    cfg = _config(args)
-    params = _params_from_args(args, cfg)
+    params = _params_from_args(args)
     knowns = knowns_from_json(_load_json_arg(args.knowns))
     ap, al, agree = cross_check_systems(params, knowns)
     obj = {
@@ -294,42 +266,37 @@ def cmd_crosscheck(args) -> int:
         "pless": distribution_to_json(al),
         "agree": agree,
     }
-    _emit(cfg, dumps(obj))
+    _emit(args, dumps(obj))
     return EXIT_OK if agree else EXIT_MATH
 
 
 def cmd_mds(args) -> int:
-    cfg = _config(args)
-    _emit(cfg, _render_distribution(cfg, mds_distribution(args.n, args.k, args.q)))
+    _emit(args, _render_distribution(args, mds_distribution(args.n, args.k, args.q)))
     return EXIT_OK
 
 
 def cmd_nmds(args) -> int:
-    cfg = _config(args)
     dist = nmds_distribution(args.n, args.k, args.q, args.a_d)
     check_nonnegative(dist.counts, f"A_{args.n - args.k} = {args.a_d} matches no "
                                    f"[{args.n},{args.k},{args.n - args.k}]_{args.q} code")
-    _emit(cfg, _render_distribution(cfg, dist))
+    _emit(args, _render_distribution(args, dist))
     return EXIT_OK
 
 
 def cmd_amds(args) -> int:
-    cfg = _config(args)
     seeds = tuple(int(s) for s in args.seeds.split(","))
     dist = amds_distribution(AmdsInput(args.n, args.k, args.q, args.sigma, seeds))
-    _emit(cfg, _render_distribution(cfg, dist))
+    _emit(args, _render_distribution(args, dist))
     return EXIT_OK
 
 
 def cmd_extremal(args) -> int:
-    cfg = _config(args)
-    _emit(cfg, _render_distribution(cfg, extremal_distribution(args.m)))
+    _emit(args, _render_distribution(args, extremal_distribution(args.m)))
     return EXIT_OK
 
 
 def cmd_pless_report(args) -> int:
-    cfg = _config(args)
-    params = _params_from_args(args, cfg)
+    params = _params_from_args(args)
     rep = rank_relationship_report(params)
     obj = {
         "pascal_rank": rep.pascal_rank,
@@ -338,22 +305,21 @@ def cmd_pless_report(args) -> int:
         "rows_each": rep.rows_each,
         "n_unknowns": rep.n_unknowns,
     }
-    _emit(cfg, dumps(obj))
+    _emit(args, dumps(obj))
     return EXIT_OK
 
 
 def cmd_fixtures(args) -> int:
     """Regenerate the golden files the test suite cross-references."""
-    cfg = _config(args)
-    outdir = Path(cfg.output or "fixtures")
+    outdir = Path(args.output or "fixtures")
     outdir.mkdir(parents=True, exist_ok=True)
     a, b = nmds_844_codes()
     (outdir / "nmds_844_a.code").write_text(format_code_file(a))
     (outdir / "nmds_844_b.code").write_text(format_code_file(b))
     (outdir / "nmds_844_a.dist.json").write_text(
-        dumps(distribution_to_json(a.weight_distribution(budget=cfg.budget))))
+        dumps(distribution_to_json(a.weight_distribution(budget=args.budget))))
     (outdir / "nmds_844_b.dist.json").write_text(
-        dumps(distribution_to_json(b.weight_distribution(budget=cfg.budget))))
+        dumps(distribution_to_json(b.weight_distribution(budget=args.budget))))
 
     reports = {}
     for name, nus in (("independent", [22, 24]), ("dependent", [23, 24])):
@@ -400,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=int, default=1,
                         help="parallel workers for enumeration")
     common.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized corpora (reserved)")
     common.add_argument("--output", help="write to this path instead of stdout")
 
     params_help = argparse.ArgumentParser(add_help=False)

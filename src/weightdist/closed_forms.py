@@ -61,6 +61,8 @@ def nmds_distribution(n: int, k: int, q: int, a_d: int) -> WeightDistribution:
     returned as computed, never clamped."""
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+    if q < 2:
+        raise ValueError("field order must be >= 2")
     if a_d < 0:
         raise ValueError("minimum-weight count must be >= 0")
     counts = [0] * (n + 1)
@@ -98,6 +100,8 @@ class AmdsInput:
     def __post_init__(self):
         if not 0 < self.k < self.n:
             raise ValueError(f"need 0 < k < n, got k={self.k}, n={self.n}")
+        if self.q < 2:
+            raise ValueError("field order must be >= 2")
         if not 2 <= self.sigma <= self.k + 1:
             raise ValueError(f"need 2 <= sigma <= k+1, got sigma={self.sigma}")
         if len(self.seed_weights) != self.sigma - 1:

@@ -7,209 +7,119 @@ offset loop, and with several workers the outer loop is partitioned into
 disjoint ranges whose histograms are merged by exact addition.
 
 The block table is stored coordinate-major, one contiguous row per code
-position, so the hot loop is a few full-SIMD passes per position rather
-than short per-codeword strides.  Symbol layout per characteristic p:
+position.  A position of (table word) + c is zero exactly where the table
+holds the word of -c, so the hot loop is one full-SIMD compare per position.
+Each symbol is one unsigned word, in the smallest dtype that holds it; the
+layout depends on the characteristic p:
   - p = 2: the canonical encoding itself; vector addition is XOR.
-  - p odd, small: base-p digits packed into power-of-two fields wide enough
-    that digitwise sums never carry; a sum encodes the zero symbol exactly
-    when every digit field lands in {0, p}.
-  - otherwise: one array per base-p digit plane.
+  - p odd: the base-p digits, each in a field of w bits whose top bit is a
+    guard bit.  The table stores every digit offset by 2^(w-1) - p, so after
+    a canonical digit is added the guard bit is set exactly when the digit
+    sum reached p; subtracting p from those fields re-canonicalises the
+    whole word at once (SWAR: SIMD within a register).
 """
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError
-from .fields import Field
+from .errors import BudgetExceededError, UnsupportedOrderError
+from .fields import Field, _digits
 from .matrices import GFMatrix
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 8
 _BLOCK_ROWS = 1 << 16
-_PACKED_LUT_LIMIT = 1 << 16
-
-_rep_cache: dict[Field, "_Representation"] = {}
+_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 class _Representation:
-    """Field-specific symbol layout plus the block operations on it.
-
-    A block is a list of arrays, one per code position, each of shape
-    (block_size,); 'planes' layout nests that per base-p digit.
-    """
+    """Field-specific symbol layout: one word per symbol, and the vector
+    addition on it.  Table words carry the offset `zero`, the word of the
+    zero symbol; the packed encodings added to them carry none."""
 
     def __init__(self, field: Field):
-        p, m, q = field.p, field.m, field.q
+        p, m = field.p, field.m
         self.field = field
         if p == 2:
-            self.kind = "xor"
-            self.dtype = np.uint8 if q <= 256 else np.uint64
-            return
-        B = 1 << (2 * p - 2).bit_length()
-        if B ** m <= _PACKED_LUT_LIMIT:
-            self.kind = "packed"
-            self.B = B
-            size = B ** m
-            self.dtype = np.uint8 if size <= 256 else np.uint16
-            canon = np.zeros(size, dtype=self.dtype)
-            for v in range(size):
-                digits, r = [], v
-                for _ in range(m):
-                    digits.append(r % B)
-                    r //= B
-                c = 0
-                for d in reversed(digits):
-                    c = c * B + d % p
-                canon[v] = c
-            self.canon_lut = canon
-            # digit sums of two canonical symbols encode zero iff every
-            # digit field is 0 or p
-            self.zero_sums = tuple(
-                sum(z * B ** i for i, z in enumerate(combo))
-                for combo in itertools.product((0, p), repeat=m))
+            self.kind, bits, zero = "xor", m, 0
         else:
-            self.kind = "planes"
-            self.dtype = np.int64
+            self.kind = "packed"
+            self.w = w = (2 * p - 2).bit_length() + 1
+            bits = m * w
+            low = sum(1 << (w * i) for i in range(m))
+            zero = ((1 << (w - 1)) - p) * low
+        if bits > 64:
+            raise UnsupportedOrderError(
+                f"GF({field.q}) symbols need {bits} bits; enumeration packs at most 64")
+        self.dtype = next(t for t in _DTYPES if np.dtype(t).itemsize * 8 >= bits)
+        self.zero = self.dtype(zero)
+        if p != 2:
+            self.guard, self.low, self.p = self.dtype(w - 1), self.dtype(low), self.dtype(p)
 
-    def pack(self, enc: int) -> int:
-        p, B = self.field.p, self.B
-        out, shift = 0, 1
-        for _ in range(self.field.m):
-            out += (enc % p) * shift
-            enc //= p
-            shift *= B
-        return out
-
-    def scalars(self, encs: Sequence[int]) -> list:
-        """Per-position scalar representation of a canonical encoding vector."""
+    def pack(self, encs: Sequence[int]) -> np.ndarray:
+        """Canonical encodings as words, base-p digit i in bits [w*i, w*i + w)."""
         if self.kind == "xor":
-            return [self.dtype(e) for e in encs]
-        if self.kind == "packed":
-            return [self.dtype(self.pack(e)) for e in encs]
-        p = self.field.p
-        return [tuple((e // p ** d) % p for d in range(self.field.m)) for e in encs]
+            return np.array(encs, dtype=self.dtype)
+        p, m, w = self.field.p, self.field.m, self.w
+        return np.array([sum(d << (w * i) for i, d in enumerate(_digits(e, p, m)))
+                         for e in encs], dtype=self.dtype)
 
-    def zero_block(self, n: int) -> list:
-        if self.kind == "planes":
-            return [[np.zeros(1, dtype=self.dtype) for _ in range(self.field.m)]
-                    for _ in range(n)]
-        return [np.zeros(1, dtype=self.dtype) for _ in range(n)]
-
-    def shift_canonical(self, block: list, vec: list) -> list:
-        """block + vec, re-canonicalized (used only to grow the table)."""
+    def add(self, col: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Table words col plus packed words v, again as table words."""
         if self.kind == "xor":
-            return [col ^ v for col, v in zip(block, vec)]
-        if self.kind == "packed":
-            return [self.canon_lut[col + v] for col, v in zip(block, vec)]
-        p = self.field.p
-        out = []
-        for col, v in zip(block, vec):
-            planes = []
-            for pl, d in zip(col, v):
-                s = pl + d
-                s[s >= p] -= p
-                planes.append(s)
-            out.append(planes)
-        return out
-
-    def concat(self, blocks: list) -> list:
-        n = len(blocks[0])
-        if self.kind == "planes":
-            return [[np.concatenate([b[j][d] for b in blocks])
-                     for d in range(self.field.m)] for j in range(n)]
-        return [np.concatenate([b[j] for b in blocks]) for j in range(n)]
-
-    def block_weights(self, block: list, vec: list, wbuf: np.ndarray) -> np.ndarray:
-        """Hamming weights of every entry of block + vec, accumulated
-        position by position into wbuf."""
-        wbuf[:] = 0
-        if self.kind == "xor":
-            for col, v in zip(block, vec):
-                wbuf += (col ^ v) != 0
-            return wbuf
-        if self.kind == "packed":
-            z = self.zero_sums
-            for col, v in zip(block, vec):
-                s = col + v
-                nz = s != z[0]
-                for zv in z[1:]:
-                    nz &= s != zv
-                wbuf += nz
-            return wbuf
-        p = self.field.p
-        for col, v in zip(block, vec):
-            nz = None
-            for pl, d in zip(col, v):
-                s = pl + d
-                pnz = (s != 0) & (s != p)
-                nz = pnz if nz is None else (nz | pnz)
-            wbuf += nz
-        return wbuf
+            return col ^ v
+        s = col + v
+        return s - ((s >> self.guard) & self.low) * self.p
 
 
-def _rep_for(field: Field) -> _Representation:
-    rep = _rep_cache.get(field)
-    if rep is None:
-        rep = _rep_cache[field] = _Representation(field)
-    return rep
-
-
-def _scalar_row(field: Field, lam: int, row: Sequence[int]) -> list[int]:
-    return [field.mul(lam, e) for e in row]
-
-
-def _histogram_range(field: Field, rows: Sequence[Sequence[int]], n: int,
+def _histogram_range(rep: _Representation, inner: Sequence[Sequence[int]],
+                     outer: Sequence[Sequence[int]], n: int,
                      outer_start: int, outer_stop: int) -> np.ndarray:
     """Weight histogram of { sum_i m_i row_i } for outer message indices in
     [outer_start, outer_stop), each combined with every inner-block message."""
+    field = rep.field
     q = field.q
-    k = len(rows)
-    k_inner = 0
-    while k_inner < k and q ** (k_inner + 1) <= _BLOCK_ROWS:
-        k_inner += 1
-    inner, outer = rows[k - k_inner:], rows[:k - k_inner]
-
-    rep = _rep_for(field)
-    table = rep.zero_block(n)
+    table = [np.full(1, rep.zero) for _ in range(n)]
     for row in inner:
-        table = rep.concat([
-            rep.shift_canonical(table, rep.scalars(_scalar_row(field, lam, row)))
-            for lam in range(q)
-        ])
+        mults = rep.pack([field.mul(lam, e) for lam in range(q) for e in row])
+        mults = mults.reshape(q, n, 1)
+        table = [rep.add(col, mults[:, j]).ravel() for j, col in enumerate(table)]
 
-    block_size = q ** k_inner
     wdtype = np.uint8 if n <= 255 else np.int64
-    wbuf = np.zeros(block_size, dtype=wdtype)
+    wbuf = np.zeros(q ** len(inner), dtype=wdtype)
     hist = np.zeros(n + 1, dtype=np.int64)
     for idx in range(outer_start, outer_stop):
-        enc = [0] * n
+        neg = [0] * n  # minus the outer codeword
         rem = idx
         for row in reversed(outer):
             lam = rem % q
             rem //= q
             if lam:
-                mult = _scalar_row(field, lam, row)
-                enc = [field.add(a, b) for a, b in zip(enc, mult)]
-        weights = rep.block_weights(table, rep.scalars(enc), wbuf)
-        hist += np.bincount(weights, minlength=n + 1)
+                nlam = field.neg(lam)
+                neg = [field.add(a, field.mul(nlam, b)) for a, b in zip(neg, row)]
+        wbuf[:] = 0
+        for col, t in zip(table, rep.pack(neg) + rep.zero):
+            wbuf += col != t
+        hist += np.bincount(wbuf, minlength=n + 1)
     return hist
 
 
 def _worker(args) -> list[int]:
-    p, m, modulus, rows, n, start, stop = args
-    field = Field(p, m, modulus or None)
-    return _histogram_range(field, rows, n, start, stop).tolist()
+    p, m, modulus, inner, outer, n, start, stop = args
+    rep = _Representation(Field(p, m, modulus or None))
+    return _histogram_range(rep, inner, outer, n, start, stop).tolist()
 
 
 def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_ENUMERATION_BUDGET,
                      workers: int = 1) -> list[int]:
     """Exact weight histogram (A_0..A_n) of the row space of G, by full
-    enumeration of all q^rows(G) messages."""
+    enumeration of all q^rows(G) messages.  Raises UnsupportedOrderError
+    for a field whose symbols need more than 64 bits (only q >= 3^17)."""
     field, n, k = G.field, G.cols, G.rows
+    rep = _Representation(field)
     total = field.q ** k
     if budget is not None and total > budget:
         raise BudgetExceededError(
@@ -221,14 +131,15 @@ def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_ENUMERATION_BUDGE
     k_inner = 0
     while k_inner < k and field.q ** (k_inner + 1) <= _BLOCK_ROWS:
         k_inner += 1
-    n_outer = field.q ** (k - k_inner)
+    inner, outer = rows[k - k_inner:], rows[:k - k_inner]
+    n_outer = field.q ** len(outer)
 
     if workers <= 1 or n_outer < 2 * workers:
-        return _histogram_range(field, rows, n, 0, n_outer).tolist()
+        return _histogram_range(rep, inner, outer, n, 0, n_outer).tolist()
 
     bounds = [n_outer * i // workers for i in range(workers + 1)]
     modulus = tuple(field.modulus_poly)
-    jobs = [(field.p, field.m, modulus, rows, n, bounds[i], bounds[i + 1])
+    jobs = [(field.p, field.m, modulus, inner, outer, n, bounds[i], bounds[i + 1])
             for i in range(workers) if bounds[i] < bounds[i + 1]]
     hist = [0] * (n + 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -231,6 +231,19 @@ def test_amds_bad_seed_count_is_input_error(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("mds", "8", "4", "1"),
+    ("nmds", "8", "4", "1", "0"),
+    ("nmds", "8", "4", "0", "0"),
+    ("amds", "8", "4", "1", "3", "1,2"),
+])
+def test_closed_form_field_order_below_two_is_input_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2, argv
+    assert out == ""
+    assert "field order must be >= 2" in err
+
+
 def test_pless_report(capsys):
     rc, out, _ = run(capsys, "pless-report", "--n", "8", "--k", "4", "--q", "4",
                      "--d", "4", "--dperp", "4")
