@@ -102,6 +102,17 @@ def _render_distribution(args, dist: WeightDistribution,
     return "\n".join(lines) + "\n"
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count flag: a decimal integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _load_code(path: str):
     return parse_code_file(Path(path).read_text())
 
@@ -359,12 +370,12 @@ def cmd_fixtures(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET,
+    common.add_argument("--budget", type=_positive_int, default=DEFAULT_ENUMERATION_BUDGET,
                         help="max codewords to enumerate (default 1e8)")
-    common.add_argument("--census-budget", type=int, default=DEFAULT_SUBSET_BUDGET,
+    common.add_argument("--census-budget", type=_positive_int, default=DEFAULT_SUBSET_BUDGET,
                         help="max column subsets per census (default 1e7)")
-    common.add_argument("--workers", type=int, default=1,
-                        help="parallel workers for enumeration")
+    common.add_argument("--workers", type=_positive_int, default=1,
+                        help="parallel workers for enumeration, capped at the core count")
     common.add_argument("--format", choices=("json", "csv", "table"), default="json")
     common.add_argument("--output", help="write to this path instead of stdout")
 

@@ -168,7 +168,8 @@ class LinearCode:
 
     def weight_distribution(self, budget: int | None = DEFAULT_ENUMERATION_BUDGET,
                             workers: int = 1) -> WeightDistribution:
-        """Exact distribution by full enumeration of all q^k messages."""
+        """Exact distribution by enumeration, one message per line of
+        nonzero multiples (see `weight_histogram`)."""
         if self._distribution is None:
             counts = weight_histogram(self.G, budget=budget, workers=workers)
             dist = WeightDistribution(tuple(counts), self.field.q, self.k)

@@ -1,16 +1,23 @@
 """Exhaustive codeword enumeration for exact weight counting.
 
-Every one of the q^k messages is encoded and its Hamming weight tallied, so
-the result is exact by construction; numpy integer arrays are only the
-carrier.  The message space splits into an inner block table and an outer
-offset loop, and with several workers the outer loop is partitioned into
+The weight of every one of the q^k messages is tallied, so the result is
+exact by construction; numpy integer arrays are only the carrier.  A nonzero
+codeword c and its q - 1 nonzero multiples share one weight, so only one
+message per line of multiples is encoded.  The message space splits into an
+inner block table and an outer part: the block is histogrammed once with the
+outer part zero, and then once for each outer message whose first nonzero
+coefficient is 1, counted q - 1 times.  This is exact at the message level,
+also for a rank-deficient generator: m -> lam*m keeps the first nonzero
+position, maps the inner block onto itself and scales every word by lam.
+With several workers the normalised outer messages are partitioned into
 disjoint ranges whose histograms are merged by exact addition.
 
 The block table is stored coordinate-major, one contiguous row per code
-position.  A position of (table word) + c is zero exactly where the table
-holds the word of -c, so the hot loop is one full-SIMD compare per position.
-Each symbol is one unsigned word, in the smallest dtype that holds it; the
-layout depends on the characteristic p:
+position.  The word of table entry u against outer codeword c is compared
+position by position with c itself, which counts the weight of u - c; over
+the whole block that is the histogram of the outer message -m, the same as
+that of m.  Each symbol is one unsigned word, in the smallest dtype that
+holds it; the layout depends on the characteristic p:
   - p = 2: the canonical encoding itself; vector addition is XOR.
   - p odd: the base-p digits, each in a field of w bits whose top bit is a
     guard bit.  The table stores every digit offset by 2^(w-1) - p, so after
@@ -21,13 +28,14 @@ layout depends on the characteristic p:
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError, UnsupportedOrderError
-from .fields import Field, _digits
+from .fields import TABLE_ORDER_LIMIT, Field
 from .matrices import GFMatrix
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 8
@@ -38,7 +46,9 @@ _DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 class _Representation:
     """Field-specific symbol layout: one word per symbol, and the vector
     addition on it.  Table words carry the offset `zero`, the word of the
-    zero symbol; the packed encodings added to them carry none."""
+    zero symbol; the packed encodings added to them carry none.  A field of
+    order at most 2^16 holds the word of every element and, for m > 1, its
+    exp/log tables as arrays; a larger one holds nothing of size q."""
 
     def __init__(self, field: Field):
         p, m = field.p, field.m
@@ -58,14 +68,40 @@ class _Representation:
         self.zero = self.dtype(zero)
         if p != 2:
             self.guard, self.low, self.p = self.dtype(w - 1), self.dtype(low), self.dtype(p)
+        self.words = None
+        if field.q <= TABLE_ORDER_LIMIT:
+            self.words = self.pack(np.arange(field.q))
+            if m > 1:
+                # exp spans two periods, so a sum of two logs needs no
+                # reduction; the log of 0 is a sentinel 2(q-1), and every
+                # sum that contains it reads 0 from the zeros past them.
+                order = field.q - 1
+                self.log = np.array(field._log)
+                self.log[0] = 2 * order
+                self.exp = np.concatenate([field._exp, field._exp, np.zeros(2 * order + 1, int)])
 
-    def pack(self, encs: Sequence[int]) -> np.ndarray:
+    def pack(self, encs) -> np.ndarray:
         """Canonical encodings as words, base-p digit i in bits [w*i, w*i + w)."""
+        e = np.asarray(encs, dtype=np.uint64)
         if self.kind == "xor":
-            return np.array(encs, dtype=self.dtype)
-        p, m, w = self.field.p, self.field.m, self.w
-        return np.array([sum(d << (w * i) for i, d in enumerate(_digits(e, p, m)))
-                         for e in encs], dtype=self.dtype)
+            return e.astype(self.dtype)
+        p, w = self.field.p, self.w
+        out = np.zeros(e.shape, dtype=self.dtype)
+        for i in range(self.field.m):
+            out |= (e % p).astype(self.dtype) << self.dtype(w * i)
+            e = e // p
+        return out
+
+    def multiples(self, row: Sequence[int], lams: Sequence[int]) -> np.ndarray:
+        """Packed words of lam * row, one row of the result per lam."""
+        field = self.field
+        if self.words is None:
+            return self.pack([[field.mul(lam, e) for e in row] for lam in lams])
+        lam = np.asarray(lams, dtype=np.int64)[:, None]
+        e = np.asarray(row, dtype=np.int64)[None, :]
+        if field.m == 1:
+            return self.words[lam * e % field.p]
+        return self.words[self.exp[self.log[lam] + self.log[e]]]
 
     def add(self, col: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Table words col plus packed words v, again as table words."""
@@ -75,35 +111,56 @@ class _Representation:
         return s - ((s >> self.guard) & self.low) * self.p
 
 
+def _normalised_messages(q: int, k: int, start: int, stop: int) -> Iterator[int]:
+    """Outer messages [start, stop) of the list: the zero message, then for
+    t = 0..k-1 every v in [q^t, 2 q^t).  Read in base q with the first outer
+    row's coefficient most significant, these are the messages whose first
+    nonzero coefficient is 1, one from each line of nonzero multiples."""
+    if start == 0 < stop:
+        yield 0
+    first = 1  # list index of q^t
+    for t in range(k):
+        size = q ** t
+        for idx in range(max(start, first), min(stop, first + size)):
+            yield size + idx - first
+        first += size
+
+
 def _histogram_range(rep: _Representation, inner: Sequence[Sequence[int]],
                      outer: Sequence[Sequence[int]], n: int,
                      outer_start: int, outer_stop: int) -> np.ndarray:
-    """Weight histogram of { sum_i m_i row_i } for outer message indices in
-    [outer_start, outer_stop), each combined with every inner-block message."""
-    field = rep.field
-    q = field.q
+    """Weight histogram of { sum_i m_i row_i } over the normalised outer
+    messages [outer_start, outer_stop) (see `_normalised_messages`), each
+    combined with every inner-block message; every nonzero outer message
+    stands for its q - 1 multiples."""
+    q = rep.field.q
     table = [np.full(1, rep.zero) for _ in range(n)]
     for row in inner:
-        mults = rep.pack([field.mul(lam, e) for lam in range(q) for e in row])
-        mults = mults.reshape(q, n, 1)
-        table = [rep.add(col, mults[:, j]).ravel() for j, col in enumerate(table)]
+        mults = rep.multiples(row, range(q))
+        table = [rep.add(col, mults[:, j, None]).ravel() for j, col in enumerate(table)]
+    # Every multiple of each outer row up front when the field is small;
+    # beyond 2^16 one at a time, so nothing of size q is allocated.
+    outer_mults = None
+    if rep.words is not None:
+        outer_mults = [rep.multiples(row, range(q)) for row in outer]
 
     wdtype = np.uint8 if n <= 255 else np.int64
     wbuf = np.zeros(q ** len(inner), dtype=wdtype)
     hist = np.zeros(n + 1, dtype=np.int64)
-    for idx in range(outer_start, outer_stop):
-        neg = [0] * n  # minus the outer codeword
-        rem = idx
-        for row in reversed(outer):
+    for v in _normalised_messages(q, len(outer), outer_start, outer_stop):
+        target = np.full(n, rep.zero)
+        rem = v
+        for i in reversed(range(len(outer))):
             lam = rem % q
             rem //= q
             if lam:
-                nlam = field.neg(lam)
-                neg = [field.add(a, field.mul(nlam, b)) for a, b in zip(neg, row)]
+                mult = (outer_mults[i][lam] if outer_mults is not None
+                        else rep.multiples(outer[i], [lam])[0])
+                target = rep.add(target, mult)
         wbuf[:] = 0
-        for col, t in zip(table, rep.pack(neg) + rep.zero):
+        for col, t in zip(table, target):
             wbuf += col != t
-        hist += np.bincount(wbuf, minlength=n + 1)
+        hist += np.bincount(wbuf, minlength=n + 1) * (q - 1 if v else 1)
     return hist
 
 
@@ -115,12 +172,17 @@ def _worker(args) -> list[int]:
 
 def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_ENUMERATION_BUDGET,
                      workers: int = 1) -> list[int]:
-    """Exact weight histogram (A_0..A_n) of the row space of G, by full
-    enumeration of all q^rows(G) messages.  Raises UnsupportedOrderError
+    """Exact weight histogram (A_0..A_n) of the row space of G, by
+    enumeration of one message per line of nonzero multiples (see the
+    module docstring).  The budget caps all q^rows(G) messages.  At most
+    `os.cpu_count()` worker processes run.  Raises UnsupportedOrderError
     for a field whose symbols need more than 64 bits (only q >= 3^17)."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     field, n, k = G.field, G.cols, G.rows
     rep = _Representation(field)
-    total = field.q ** k
+    q = field.q
+    total = q ** k
     if budget is not None and total > budget:
         raise BudgetExceededError(
             f"enumeration of {total} codewords exceeds budget {budget}")
@@ -129,18 +191,19 @@ def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_ENUMERATION_BUDGE
     rows = [list(r) for r in G.entries]
 
     k_inner = 0
-    while k_inner < k and field.q ** (k_inner + 1) <= _BLOCK_ROWS:
+    while k_inner < k and q ** (k_inner + 1) <= _BLOCK_ROWS:
         k_inner += 1
     inner, outer = rows[k - k_inner:], rows[:k - k_inner]
-    n_outer = field.q ** len(outer)
+    n_outer = 1 + (q ** len(outer) - 1) // (q - 1)
 
-    if workers <= 1 or n_outer < 2 * workers:
+    workers = min(workers, os.cpu_count() or 1)
+    if workers == 1 or n_outer < 2 * workers:
         return _histogram_range(rep, inner, outer, n, 0, n_outer).tolist()
 
     bounds = [n_outer * i // workers for i in range(workers + 1)]
     modulus = tuple(field.modulus_poly)
     jobs = [(field.p, field.m, modulus, inner, outer, n, bounds[i], bounds[i + 1])
-            for i in range(workers) if bounds[i] < bounds[i + 1]]
+            for i in range(workers)]
     hist = [0] * (n + 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_worker, jobs):

@@ -58,6 +58,18 @@ def test_enumerate_budget_exceeded(code_files, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--workers", "0"), ("--workers", "-3"), ("--budget", "0"), ("--budget", "-5"),
+    ("--census-budget", "-1"), ("--workers", "two"),
+])
+def test_count_flags_must_be_positive_integers(code_files, capsys, flags):
+    fa, _ = code_files
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "enumerate", fa, *flags)
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
 def test_enumerate_formats(code_files, capsys):
     fa, _ = code_files
     rc, out, _ = run(capsys, "enumerate", fa, "--format", "csv")

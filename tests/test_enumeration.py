@@ -1,9 +1,11 @@
 """Enumeration checked against the codeword oracle.
 
 `LinearCode.codewords()` encodes every message with plain `Field.add` and
-`Field.mul`, so its histogram shares no code with the packed block tables.
+`Field.mul`, so its histogram shares no code with the packed block tables
+and scans every message, not one per line of nonzero multiples.
 """
 
+import random
 from unittest.mock import patch
 
 import numpy as np
@@ -60,10 +62,119 @@ def test_weight_histogram_matches_codeword_oracle(field, data):
         assert weight_histogram(G, budget=None) == oracle_histogram(G)
 
 
+def _patched_split(field: Field, k_inner: int):
+    return patch.object(enumeration, "_BLOCK_ROWS", field.q ** k_inner)
+
+
+@pytest.mark.parametrize("q", [4, 9, 27])
+@pytest.mark.parametrize("defect", ["zero", "repeat", "multiple"])
+def test_rank_deficient_generators(q, defect):
+    """A zero row, a repeated row or a scalar multiple of another row, first
+    in G so that every split puts it in the outer part."""
+    field = GF(q)
+    rng = random.Random(q)
+    n, k = 5, {4: 4, 9: 3, 27: 2}[q]
+    rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k - 1)]
+    extra = {"zero": [0] * n, "repeat": rows[-1],
+             "multiple": [field.mul(q - 1, e) for e in rows[-1]]}[defect]
+    G = GFMatrix.from_rows(field, [extra] + rows)
+    expected = oracle_histogram(G)
+    for k_inner in range(k + 1):
+        with _patched_split(field, k_inner):
+            assert weight_histogram(G, budget=None) == expected, k_inner
+
+
+@pytest.mark.parametrize("defect", ["zero", "repeat", "multiple"])
+def test_rank_deficient_generators_large_field(defect):
+    """Over GF(3^7) a two-row generator already has 4.8 M messages, too many
+    for the oracle; G = [extra; r] has rank 1, and each codeword of the
+    one-row code [r] then has q messages."""
+    field = GF(3 ** 7)
+    row = [0, 5, 2186, 1000, 1]
+    extra = {"zero": [0] * 5, "repeat": row, "multiple": [field.mul(77, e) for e in row]}[defect]
+    G = GFMatrix.from_rows(field, [extra, row])
+    expected = [field.q * a for a in oracle_histogram(GFMatrix.from_rows(field, [row]))]
+    for k_inner in range(3):
+        with _patched_split(field, k_inner):
+            assert weight_histogram(G, budget=None) == expected, k_inner
+
+
+@pytest.mark.parametrize("q, k_inner", [(4, 1), (3, 1)])
+def test_two_workers_odd_normalised_range(q, k_inner):
+    """k = 3: the outer part has 2 rows, so (q^2 - 1)/(q - 1) = q + 1 normalised
+    messages, odd over GF(4) (5), and odd with the zero message over GF(3) (5)."""
+    field = GF(q)
+    rng = random.Random(q)
+    G = GFMatrix.from_rows(field, [[rng.randrange(q) for _ in range(6)] for _ in range(3)])
+    with _patched_split(field, k_inner), patch.object(enumeration.os, "cpu_count", lambda: 2):
+        assert weight_histogram(G, budget=None, workers=2) == oracle_histogram(G)
+
+
+def test_field_beyond_tables_prime():
+    """GF(65537) has q > 2^16: no inner table and no whole-field arrays."""
+    field = GF(65537)
+    G = GFMatrix.from_rows(field, [[1, 0, 65536, 3, 40000]])
+    assert _Representation(field).words is None
+    assert weight_histogram(G, budget=None) == oracle_histogram(G)
+
+
+def test_field_beyond_tables_explicit_modulus():
+    """GF(3^11) with a caller-supplied modulus has no log tables, and its
+    oracle costs 10 s; every nonzero multiple of the one row has the row's
+    support, so the histogram is 1 at weight 0 and q - 1 at the row's weight."""
+    field = Field(3, 11, (2, 0, 1) + (0,) * 8 + (1,))
+    G = GFMatrix.from_rows(field, [[1, 0, 177146, 3 ** 10, 2, 0]])
+    with patch.object(enumeration, "_histogram_range", wraps=enumeration._histogram_range) as run:
+        assert weight_histogram(G, budget=None) == [1, 0, 0, 0, field.q - 1, 0, 0]
+    (call,) = run.call_args_list
+    _, inner, outer, _, start, stop = call.args
+    assert (len(inner), len(outer), start, stop) == (0, 1, 0, 2)
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: runs jobs in this process and
+    records how it was sized."""
+
+    def __init__(self, sizes: list, max_workers: int):
+        self.sizes, self.max_workers = sizes, max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        jobs = list(jobs)
+        self.sizes.append((self.max_workers, len(jobs)))
+        return map(fn, jobs)
+
+
+def test_pool_is_capped_at_the_core_count():
+    sizes = []
+    rows = [[1, 1, 0, 1, 0, 1, 1], [0, 1, 1, 1, 1, 0, 1], [1, 0, 1, 0, 1, 1, 1],
+            [1, 1, 1, 0, 0, 0, 1], [0, 0, 1, 1, 0, 1, 1]]
+    G = GFMatrix.from_rows(GF(2), rows)
+    with _patched_split(GF(2), 0), patch.object(enumeration.os, "cpu_count", lambda: 3), \
+            patch.object(enumeration, "ProcessPoolExecutor",
+                         lambda max_workers: _InlineExecutor(sizes, max_workers)):
+        assert weight_histogram(G, budget=None, workers=10 ** 6) == oracle_histogram(G)
+    assert sizes == [(3, 3)]
+
+
+@pytest.mark.parametrize("workers", [0, -3, True, False, 1.0, "2"])
+def test_workers_must_be_a_positive_integer(workers):
+    G = GFMatrix.from_rows(GF(2), [[1, 1]])
+    with pytest.raises(ValueError, match="workers"):
+        weight_histogram(G, workers=workers)
+
+
 def test_two_workers_odd_characteristic():
+    """Both rows outer: 1 + 1 + 257 messages, split over two processes."""
     rows = [[1, 2, 3, 0, 256], [5, 0, 7, 11, 13]]
     G = GFMatrix.from_rows(GF(257), rows)
-    assert weight_histogram(G, budget=None, workers=2) == oracle_histogram(G)
+    with _patched_split(GF(257), 0), patch.object(enumeration.os, "cpu_count", lambda: 2):
+        assert weight_histogram(G, budget=None, workers=2) == oracle_histogram(G)
 
 
 @pytest.mark.parametrize("q, dtype", [
