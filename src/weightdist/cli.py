@@ -85,21 +85,30 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _render_counts(args, columns: dict[str, tuple[int, ...]],
+                   extra: dict | None = None) -> str:
+    """Count columns indexed by i as csv, or as a table followed by the
+    `extra` lines; in the table every column but the last is right-aligned."""
+    names, cols = list(columns), list(columns.values())
+    rows = [(str(i), *map(str, r)) for i, r in enumerate(zip(*cols))]
+    if args.format == "csv":
+        lines = [",".join(["i", *names])] + [",".join(r) for r in rows]
+    else:
+        table = [("i", *names), *rows]
+        widths = [max(len(str(len(rows) - 1)), 2)]
+        widths += [max(len(r[c]) for r in table) for c in range(1, len(names))]
+        lines = ["  ".join([*(cell.rjust(w) for cell, w in zip(r, widths)), r[-1]])
+                 for r in table]
+        if extra:
+            lines.extend(f"{k} = {v}" for k, v in extra.items())
+    return "\n".join(lines) + "\n"
+
+
 def _render_distribution(args, dist: WeightDistribution,
                          extra: dict | None = None) -> str:
     if args.format == "json":
         return dumps(distribution_to_json(dist, extra))
-    lines = []
-    if args.format == "csv":
-        lines.append("i,A_i")
-        lines.extend(f"{i},{c}" for i, c in enumerate(dist.counts))
-    else:
-        width = max(len(str(dist.n)), 2)
-        lines.append(f"{'i':>{width}}  A_i")
-        lines.extend(f"{i:>{width}}  {c}" for i, c in enumerate(dist.counts))
-        if extra:
-            lines.extend(f"{k} = {v}" for k, v in extra.items())
-    return "\n".join(lines) + "\n"
+    return _render_counts(args, {"A_i": dist.counts}, extra)
 
 
 def _positive_int(text: str) -> int:
@@ -272,12 +281,15 @@ def cmd_crosscheck(args) -> int:
     params = _params_from_args(args)
     knowns = knowns_from_json(_load_json_arg(args.knowns))
     ap, al, agree = cross_check_systems(params, knowns)
-    obj = {
-        "pascal": distribution_to_json(ap),
-        "pless": distribution_to_json(al),
-        "agree": agree,
-    }
-    _emit(args, dumps(obj))
+    if args.format == "json":
+        _emit(args, dumps({
+            "pascal": distribution_to_json(ap),
+            "pless": distribution_to_json(al),
+            "agree": agree,
+        }))
+    else:
+        _emit(args, _render_counts(args, {"pascal": ap.counts, "pless": al.counts},
+                                   {"agree": "yes" if agree else "no"}))
     return EXIT_OK if agree else EXIT_MATH
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .codes import LinearCode, WeightDistribution
@@ -229,16 +228,16 @@ def extremal_system(m: int, nu_set: Sequence[int],
                 f"nu={nu} outside ({20 * m - 4}, {24 * m}]")
         rows.append([binom(20 * m - 4 * l, nu - 4 * m - 4 * l)
                      for l in range(1, 4 * m)])
-        rhs.append(Fraction(binom(24 * m, nu)) * (2 ** (nu - 12 * m) - 1)
+        rhs.append(binom(24 * m, nu) * (2 ** (nu - 12 * m) - 1)
                    - kronecker_delta(24 * m, nu))
         labels.append(nu)
     if include_symmetry:
         for l in range(1, 2 * m):
-            row = [Fraction(0)] * len(unknowns)
+            row = [0] * len(unknowns)
             row[pos[4 * m + 4 * l]] += 1
             row[pos[20 * m - 4 * l]] -= 1
             rows.append(row)
-            rhs.append(Fraction(0))
+            rhs.append(0)
             labels.append(f"sym A_{4 * m + 4 * l}=A_{20 * m - 4 * l}")
     return MomentSystem("extremal", RationalMatrix.from_rows(rows, cols=len(unknowns)),
                         tuple(rhs), tuple(labels), unknowns, None)

@@ -24,6 +24,9 @@ holds it; the layout depends on the characteristic p:
     a canonical digit is added the guard bit is set exactly when the digit
     sum reached p; subtracting p from those fields re-canonicalises the
     whole word at once (SWAR: SIMD within a register).
+
+numpy is imported inside the functions that use it, so that importing the
+package, and every command that does not enumerate, never loads it.
 """
 
 from __future__ import annotations
@@ -32,15 +35,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from .errors import BudgetExceededError, UnsupportedOrderError
 from .fields import TABLE_ORDER_LIMIT, Field
 from .matrices import GFMatrix
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 8
 _BLOCK_ROWS = 1 << 16
-_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 class _Representation:
@@ -51,6 +51,8 @@ class _Representation:
     exp/log tables as arrays; a larger one holds nothing of size q."""
 
     def __init__(self, field: Field):
+        import numpy as np
+
         p, m = field.p, field.m
         self.field = field
         if p == 2:
@@ -64,7 +66,8 @@ class _Representation:
         if bits > 64:
             raise UnsupportedOrderError(
                 f"GF({field.q}) symbols need {bits} bits; enumeration packs at most 64")
-        self.dtype = next(t for t in _DTYPES if np.dtype(t).itemsize * 8 >= bits)
+        self.dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                          if np.dtype(t).itemsize * 8 >= bits)
         self.zero = self.dtype(zero)
         if p != 2:
             self.guard, self.low, self.p = self.dtype(w - 1), self.dtype(low), self.dtype(p)
@@ -82,6 +85,8 @@ class _Representation:
 
     def pack(self, encs) -> np.ndarray:
         """Canonical encodings as words, base-p digit i in bits [w*i, w*i + w)."""
+        import numpy as np
+
         e = np.asarray(encs, dtype=np.uint64)
         if self.kind == "xor":
             return e.astype(self.dtype)
@@ -94,6 +99,8 @@ class _Representation:
 
     def multiples(self, row: Sequence[int], lams: Sequence[int]) -> np.ndarray:
         """Packed words of lam * row, one row of the result per lam."""
+        import numpy as np
+
         field = self.field
         if self.words is None:
             return self.pack([[field.mul(lam, e) for e in row] for lam in lams])
@@ -133,6 +140,8 @@ def _histogram_range(rep: _Representation, inner: Sequence[Sequence[int]],
     messages [outer_start, outer_stop) (see `_normalised_messages`), each
     combined with every inner-block message; every nonzero outer message
     stands for its q - 1 multiples."""
+    import numpy as np
+
     q = rep.field.q
     table = [np.full(1, rep.zero) for _ in range(n)]
     for row in inner:

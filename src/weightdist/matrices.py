@@ -2,17 +2,18 @@
 dense linear algebra for the moment systems.
 
 No floating point anywhere: GF entries are canonical integer encodings;
-rational systems are cleared of denominators row by row and eliminated
-fraction-free over the integers, with fractions.Fraction formed only at
-back-substitution.
+rational systems hold int entries wherever they are integral, are cleared
+of denominators row by row and eliminated fraction-free over the integers,
+with fractions.Fraction formed only at back-substitution.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     DuplicateIndexError,
@@ -169,16 +170,22 @@ def select_columns(M: GFMatrix, indices: Sequence[int]) -> GFMatrix:
 # exact rational matrices
 # ---------------------------------------------------------------------------
 
+def _rational(x) -> int | Fraction:
+    """An int or Fraction as it is; any other number as a Fraction."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Immutable dense matrix with arbitrary-precision rational entries."""
+    """Immutable dense matrix with arbitrary-precision rational entries.
+    Each entry is an int or a Fraction: integral systems stay in ints."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
     cols: int
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], cols: int | None = None) -> "RationalMatrix":
-        tup = tuple(tuple(Fraction(x) for x in r) for r in rows)
+        tup = tuple(tuple(_rational(x) for x in r) for r in rows)
         if tup:
             cols = len(tup[0])
             if any(len(r) != cols for r in tup):
@@ -196,9 +203,10 @@ class RationalMatrix:
     def rows(self) -> int:
         return len(self.entries)
 
-    def matvec(self, x: Sequence) -> tuple[Fraction, ...]:
-        xs = [Fraction(v) for v in x]
-        return tuple(sum((a * b for a, b in zip(r, xs)), Fraction(0)) for r in self.entries)
+    def matvec(self, x: Sequence) -> tuple[int | Fraction, ...]:
+        """A x, in ints when A and x are integral."""
+        xs = [_rational(v) for v in x]
+        return tuple(sum(a * b for a, b in zip(r, xs)) for r in self.entries)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -308,7 +316,7 @@ def solve_exact(A: RationalMatrix, b: Sequence) -> tuple[Fraction, ...]:
     if A.rows != A.cols:
         raise ValueError(f"solve_exact needs a square matrix, got {A.rows}x{A.cols}")
     n = A.rows
-    bs = [Fraction(v) for v in b]
+    bs = [_rational(v) for v in b]
     if len(bs) != n:
         raise ValueError("right-hand side length mismatch")
     E = echelon([*r, v] for r, v in zip(A.entries, bs))
@@ -334,12 +342,46 @@ def truncated_pascal(r: int, t: int) -> RationalMatrix:
         [[binom(t - j, i) for j in range(t + 1)] for i in range(r)])
 
 
+def maximal_minors(rows: Sequence[Sequence[int]]
+                   ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every r x r minor of an integer matrix with r >= 1 rows, as
+    (columns, determinant), in lexicographic order of the columns.
+
+    One depth-first walk over the column combinations shares elimination
+    prefixes.  Each column is an r-vector, a row of the transpose, and the
+    walk runs Bareiss's fraction-free elimination on the transpose one row
+    at a time: a node holds every later column reduced against its prefix's
+    pivot rows, and hands its children those vectors after one more step
+    against its own.  The first entry of a vector reduced at depth i is the
+    leading (i+1) x (i+1) minor of the node's columns, so at a leaf it is the
+    minor itself.  Where a leading minor is zero, elimination would swap
+    rows; every leaf under that node is computed by `echelon` instead."""
+    r = len(rows)
+    if r == 0:
+        raise ValueError("maximal_minors needs at least one row")
+
+    def walk(prefix: tuple[int, ...], later: list[tuple[int, list[int]]], prev: int):
+        need = r - len(prefix)  # columns still to choose, this one included
+        for idx in range(len(later) - need + 1):
+            j, v = later[idx]
+            cols, p = prefix + (j,), v[0]
+            if need == 1:
+                yield cols, p
+            elif p:
+                rest = [(c, [(p * x - w[0] * y) // prev for x, y in zip(w[1:], v[1:])])
+                        for c, w in later[idx + 1:]]
+                yield from walk(cols, rest, p)
+            else:
+                for tail in itertools.combinations([c for c, _ in later[idx + 1:]], need - 1):
+                    leaf = cols + tail
+                    yield leaf, echelon([[row[c] for c in leaf] for row in rows]).det
+
+    yield from walk((), list(enumerate(map(list, zip(*rows)))), 1)
+
+
 def pascal_minor_check(r: int, t: int) -> bool:
     """Exhaustively verify that every r x r minor of the truncated Pascal
     matrix is nonzero (the property that makes the moment systems uniquely
-    solvable for any choice of known weights)."""
-    import itertools
-
-    P = [[int(x) for x in row] for row in truncated_pascal(r, t).entries]
-    return all(echelon([[row[j] for j in cols] for row in P]).det
-               for cols in itertools.combinations(range(t + 1), r))
+    solvable for any choice of known weights).  Each minor is computed by
+    elimination, in one walk that shares prefixes (`maximal_minors`)."""
+    return all(det for _, det in maximal_minors(truncated_pascal(r, t).entries))

@@ -9,10 +9,17 @@ is nonzero, so fixing any n - d_perp + 1 weights determines the rest
 uniquely.  Disagreement between the two solutions, or a non-integral or
 negative solve, is evidence that no code with the given parameters and
 knowns exists.
+
+Both families are integral, and each of their rows is the polynomial
+binom(x, j) of one degree j evaluated at distinct integer nodes x, one node
+per column.  The builders record that structure, and a square reduced
+system is solved as the dual Vandermonde problem in the binomial basis
+(Bjorck & Pereyra 1970) in O(u^2) integer operations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -41,42 +48,65 @@ class MomentSystem:
 
     row_labels names each row (the width nu for moment rows, a symmetry tag
     for symmetry rows); col_labels lists which A_i each column stands for.
+    A system whose entry at row i and column s is binom(nodes[s],
+    degrees[i]) records that structure, which the solver relies on: the
+    degrees are 0..rows-1 in some order and the nodes are distinct integers.
+    Without it, degrees and nodes are None and the system is solved by
+    generic elimination.
     """
 
     kind: str  # "pascal" | "pless" | "extremal"
     matrix: RationalMatrix
-    rhs: tuple[Fraction, ...]
+    rhs: tuple[int | Fraction, ...]
     row_labels: tuple[object, ...]
     col_labels: tuple[int, ...]
     params: CodeParameters | None = None
+    degrees: tuple[int, ...] | None = None
+    nodes: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if (self.degrees is None) != (self.nodes is None):
+            raise ValueError("record both degrees and nodes, or neither")
+        if self.degrees is not None:
+            if sorted(self.degrees) != list(range(self.matrix.rows)):
+                raise ValueError(f"row degrees {self.degrees} are not 0..{self.matrix.rows - 1}")
+            if len(self.nodes) != self.matrix.cols or len(set(self.nodes)) != len(self.nodes):
+                raise ValueError(f"need {self.matrix.cols} distinct column nodes, got {self.nodes}")
+
+
+def _binomial_system(kind: str, params: CodeParameters, widths: Sequence[int],
+                     degrees: Sequence[int], nodes: Sequence[int],
+                     rhs: Sequence[int]) -> MomentSystem:
+    """The system on A_0..A_n whose row of degree j, labelled by its width,
+    is binom(x, j) at the node x of each column."""
+    rows = tuple(tuple(math.comb(x, j) for x in nodes) for j in degrees)
+    return MomentSystem(kind, RationalMatrix(rows, len(nodes)), tuple(rhs), tuple(widths),
+                        tuple(range(len(nodes))), params, tuple(degrees), tuple(nodes))
 
 
 def build_pascal_system(params: CodeParameters) -> MomentSystem:
     """One row per width nu in (n - d_perp, n]: the submatrix-census identity
     in its full-rank regime.  Row nu has entry binom(n-s, nu-s) at column s
     and right-hand side binom(n, nu) q^(nu+k-n); the nu = n row is the total
-    count sum_s A_s = q^k."""
+    count sum_s A_s = q^k.  As binom(n-s, nu-s) = binom(n-s, n-nu), row nu
+    has degree n - nu and column s has node n - s; nu + k - n >= 0 because
+    d_perp <= k + 1."""
     n, k, q, dp = params.n, params.k, params.q, params.d_perp
-    rows, rhs, labels = [], [], []
-    for nu in range(n - dp + 1, n + 1):
-        rows.append([binom(n - s, nu - s) for s in range(n + 1)])
-        rhs.append(Fraction(binom(n, nu)) * Fraction(q) ** (nu + k - n))
-        labels.append(nu)
-    return MomentSystem("pascal", RationalMatrix.from_rows(rows), tuple(rhs),
-                        tuple(labels), tuple(range(n + 1)), params)
+    widths = range(n - dp + 1, n + 1)
+    return _binomial_system("pascal", params, widths, [n - nu for nu in widths],
+                            range(n, -1, -1),
+                            [binom(n, nu) * q ** (nu + k - n) for nu in widths])
 
 
 def build_pless_system(params: CodeParameters) -> MomentSystem:
     """One row per nu in [0, d_perp): the dual-distribution-free power
-    moments sum_i binom(i, nu) A_i = q^(k-nu) binom(n, nu) (q-1)^nu."""
+    moments sum_i binom(i, nu) A_i = q^(k-nu) binom(n, nu) (q-1)^nu.  Row nu
+    has degree nu and column i has node i; k - nu >= 0 because
+    d_perp <= k + 1."""
     n, k, q, dp = params.n, params.k, params.q, params.d_perp
-    rows, rhs, labels = [], [], []
-    for nu in range(0, dp):
-        rows.append([binom(i, nu) for i in range(n + 1)])
-        rhs.append(Fraction(q) ** (k - nu) * binom(n, nu) * (q - 1) ** nu)
-        labels.append(nu)
-    return MomentSystem("pless", RationalMatrix.from_rows(rows), tuple(rhs),
-                        tuple(labels), tuple(range(n + 1)), params)
+    widths = range(dp)
+    return _binomial_system("pless", params, widths, widths, range(n + 1),
+                            [q ** (k - nu) * binom(n, nu) * (q - 1) ** nu for nu in widths])
 
 
 def verify_pless_full(A: WeightDistribution, B: WeightDistribution, nu: int
@@ -94,7 +124,39 @@ def verify_pless_full(A: WeightDistribution, B: WeightDistribution, nu: int
     return lhs, rhs, lhs == rhs
 
 
-def _solve_reduced(matrix: RationalMatrix, rhs: Sequence[Fraction],
+def binomial_interpolation(nodes: Sequence[int], degrees: Sequence[int],
+                           rhs: Sequence[int]) -> tuple[int | Fraction, ...]:
+    """Exact solution a of sum_s binom(nodes[s], degrees[i]) a_s = rhs[i],
+    for distinct integer nodes, degrees 0..u-1 in any order and integer
+    right-hand sides; each a_s is an int when it is integral.
+
+    With omega(x) = prod_t (x - x_t) and q_s(x) = omega(x) / (x - x_s), the
+    binomial-basis coefficients c_s of q_s give <c_s, b> = sum_t q_s(x_t) a_t
+    = q_s(x_s) a_s.  Multiplying by (x - c) maps binom(x, j) to
+    (j+1) binom(x, j+1) + (j-c) binom(x, j), so every coefficient is an
+    integer and dividing omega by (x - x_s) is an exact back-recurrence."""
+    u = len(nodes)
+    b = [0] * u
+    for j, v in zip(degrees, rhs):
+        b[j] = v
+    omega = [1]
+    for c in nodes:
+        omega = [(j - c) * a + j * p for j, (a, p) in enumerate(zip(omega + [0], [0] + omega))]
+    out = []
+    for c in nodes:
+        # omega_j = j q_{j-1} + (j - c) q_j, solved from the top for q
+        q = [0] * u
+        q[u - 1] = omega[u] // u
+        for j in range(u - 1, 0, -1):
+            q[j - 1] = (omega[j] - (j - c) * q[j]) // j
+        num = sum(a * v for a, v in zip(q, b))
+        den = math.prod(c - t for t in nodes if t != c)
+        whole, rem = divmod(num, den)
+        out.append(Fraction(num, den) if rem else whole)
+    return tuple(out)
+
+
+def _solve_reduced(matrix: RationalMatrix, rhs: Sequence[int | Fraction],
                    n_unknowns: int) -> tuple[Fraction, ...]:
     """Solve a possibly overdetermined consistent system exactly.
 
@@ -129,7 +191,9 @@ def solve_with_knowns(S: MomentSystem, knowns: Mapping[int, int]) -> WeightDistr
     Needs at least (#unknown slots) - (#rows) knowns.  The recovered counts
     must come out nonnegative integers; anything else is surfaced as the
     corresponding error and doubles as a nonexistence certificate for the
-    requested parameters."""
+    requested parameters.  A square reduced system whose builder recorded
+    its structure is solved by `binomial_interpolation`, any other by
+    elimination."""
     if S.params is None:
         raise ValueError("system carries no code parameters; solve it directly")
     labels = S.col_labels
@@ -144,11 +208,12 @@ def solve_with_knowns(S: MomentSystem, knowns: Mapping[int, int]) -> WeightDistr
             f"{len(unknown)} unknowns but only {S.matrix.rows} equations; "
             f"supply at least {len(unknown) - S.matrix.rows} more knowns")
     pos = {lab: idx for idx, lab in enumerate(labels)}
-    red_rhs = []
-    for row, b in zip(S.matrix.entries, S.rhs):
-        red_rhs.append(b - sum(row[pos[j]] * knowns[j] for j in labels if j in knowns))
-    red_rows = [[row[pos[j]] for j in unknown] for row in S.matrix.entries]
-    if unknown:
+    red_rhs = [b - sum(row[pos[j]] * v for j, v in knowns.items())
+               for row, b in zip(S.matrix.entries, S.rhs)]
+    if unknown and S.nodes is not None and len(unknown) == S.matrix.rows:
+        x = binomial_interpolation([S.nodes[pos[j]] for j in unknown], S.degrees, red_rhs)
+    elif unknown:
+        red_rows = [[row[pos[j]] for j in unknown] for row in S.matrix.entries]
         x = _solve_reduced(RationalMatrix.from_rows(red_rows, cols=len(unknown)),
                            red_rhs, len(unknown))
     else:

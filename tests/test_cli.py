@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +218,49 @@ def test_crosscheck_agrees(code_files, capsys):
     obj = json.loads(out)
     assert obj["agree"] is True
     assert obj["pascal"]["A"] == obj["pless"]["A"]
+
+
+KNOWNS_844 = '{"0":"1","1":"0","2":"0","3":"0","4":"27"}'
+PARAMS_844 = ("--n", "8", "--k", "4", "--q", "4", "--d", "4", "--dperp", "4")
+
+
+def test_crosscheck_honours_format(capsys):
+    rc, out, _ = run(capsys, "crosscheck", *PARAMS_844, "--knowns", KNOWNS_844,
+                     "--format", "table")
+    assert rc == 0
+    assert out.splitlines() == [
+        " i  pascal  pless",
+        " 0       1  1", " 1       0  0", " 2       0  0", " 3       0  0",
+        " 4      27  27", " 5      60  60", " 6      78  78", " 7      60  60",
+        " 8      30  30", "agree = yes"]
+    rc, out, _ = run(capsys, "crosscheck", *PARAMS_844, "--knowns", KNOWNS_844,
+                     "--format", "csv")
+    assert rc == 0
+    assert out.splitlines() == ["i,pascal,pless"] + [
+        f"{i},{c},{c}" for i, c in enumerate(NMDS_844_DISTRIBUTION_A)]
+    # the default stays the JSON object, key order included
+    rc, out, _ = run(capsys, "crosscheck", *PARAMS_844, "--knowns", KNOWNS_844)
+    assert rc == 0 and list(json.loads(out)) == ["pascal", "pless", "agree"]
+
+
+def test_commands_that_do_not_enumerate_never_load_numpy():
+    script = f"""
+import sys
+import weightdist
+assert "numpy" not in sys.modules, "import weightdist loaded numpy"
+from weightdist.cli import main
+for argv in (["crosscheck", *{PARAMS_844!r}, "--knowns", {KNOWNS_844!r}],
+             ["solve", *{PARAMS_844!r}, "--knowns", {KNOWNS_844!r}],
+             ["mds", "7", "3", "8"], ["nmds", "8", "4", "4", "27"],
+             ["amds", "8", "4", "4", "2", "30"], ["extremal", "1"]):
+    assert main(argv) == 0, argv
+    assert "numpy" not in sys.modules, f"{{argv[0]}} loaded numpy"
+"""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_closed_form_commands(capsys):

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from weightdist.codes import CodeParameters
@@ -24,6 +24,7 @@ from weightdist.errors import (
 from weightdist.matrices import (
     RationalMatrix,
     echelon,
+    maximal_minors,
     pascal_minor_check,
     rational_kernel_vector,
     rational_rank,
@@ -33,8 +34,10 @@ from weightdist.matrices import (
 from weightdist.closed_forms import mds_distribution
 from weightdist.moments import (
     MomentSystem,
+    binomial_interpolation,
     build_pascal_system,
     build_pless_system,
+    cross_check_systems,
     solve_with_knowns,
 )
 
@@ -128,9 +131,11 @@ def oracle_solve_with_knowns(S, knowns):
     values = dict(zip(unknown, x))
     for j in unknown:
         if values[j].denominator != 1:
-            return (NonIntegralSolutionError,)
+            return (NonIntegralSolutionError,
+                    f"A_{j} = {values[j]} is not an integer; no code matches these knowns")
         if values[j] < 0:
-            return (NegativeSolutionError,)
+            return (NegativeSolutionError,
+                    f"A_{j} = {values[j]} is negative; no code matches these knowns")
     return tuple(knowns[j] if j in knowns else int(values[j]) for j in labels)
 
 
@@ -306,7 +311,7 @@ def test_solve_with_knowns_matches_oracle(case):
         with pytest.raises(want[0]) as ei:
             solve_with_knowns(S, knowns)
         assert type(ei.value) is want[0]
-        if want[0] is InconsistentKnownsError:
+        if want[1] is not None:
             assert str(ei.value) == want[1]
         if want[0] is SingularReducedSystemError:
             assert ei.value.rank == want[2]
@@ -326,3 +331,159 @@ def test_overdetermined_inconsistent_message_is_pinned():
         solve_with_knowns(build_pascal_system(params), full)
     assert str(ei.value) == ("surplus equation 3 off by 1; "
                              "knowns admit no common solution")
+
+
+# ---------------------------------------------------------------------------
+# structured moment systems: binomial-basis interpolation
+# ---------------------------------------------------------------------------
+
+def _is_error(outcome):
+    return isinstance(outcome[0], type) and issubclass(outcome[0], Exception)
+
+
+@st.composite
+def binomial_systems(draw):
+    """Distinct integer nodes in [0, 60), degrees 0..u-1 in any order, and a
+    right-hand side that is arbitrary or the image of an integer vector."""
+    u = draw(st.integers(1, 40))
+    nodes = draw(st.lists(st.integers(0, 59), min_size=u, max_size=u, unique=True))
+    degrees = draw(st.permutations(range(u)))
+    if draw(st.booleans()):
+        rhs = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=u, max_size=u))
+    else:
+        a = draw(st.lists(st.integers(-50, 50), min_size=u, max_size=u))
+        rhs = [sum(math.comb(x, j) * v for x, v in zip(nodes, a)) for j in degrees]
+    return nodes, degrees, rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(binomial_systems())
+@example(([0], [0], [5]))
+@example(([3, 0], [1, 0], [-2, 7]))
+@example(([5, 59, 0, 1], [3, 0, 2, 1], [1, 2, 3, 4]))
+def test_binomial_interpolation_matches_bareiss(case):
+    nodes, degrees, rhs = case
+    A = RationalMatrix.from_rows([[math.comb(x, j) for x in nodes] for j in degrees])
+    got = binomial_interpolation(nodes, degrees, rhs)
+    assert _exact([Fraction(v) for v in got]) == _exact(solve_exact(A, rhs))
+    assert all(type(v) is int or v.denominator > 1 for v in got)
+
+
+@st.composite
+def square_knowns(draw):
+    """Code parameters up to [48,24]_49 and exactly n + 1 - d_perp knowns, so
+    that both reduced systems are square.  MDS parameters with their
+    closed-form counts (for q >= n - 1, where they are nonnegative) recover
+    them; a perturbed known or random counts give non-integral and negative
+    solutions."""
+    kind = draw(st.sampled_from(("mds", "mds-perturbed", "random")))
+    n = draw(st.one_of(st.integers(2, 12), st.sampled_from((24, 48))))
+    k = draw(st.integers(1, min(n - 1, 24)))  # at most 25 equations, as in [48,24]_49
+    if kind == "random":
+        q = draw(st.sampled_from((2, 3, 4, 5, 7, 49)))
+        params = CodeParameters(n=n, k=k, d=draw(st.integers(1, n - k + 1)),
+                                d_perp=draw(st.integers(1, k + 1)), q=q)
+        base = draw(st.lists(st.integers(0, 3 * q ** min(k, 6)), min_size=n + 1,
+                             max_size=n + 1))
+    else:
+        q = draw(st.integers(max(2, n - 1), n + 8))  # MDS counts are nonnegative here
+        params = CodeParameters(n=n, k=k, d=n - k + 1, d_perp=k + 1, q=q)
+        base = list(mds_distribution(n, k, q).counts)
+    need = n + 1 - params.d_perp
+    idx = draw(st.lists(st.integers(0, n), min_size=need, max_size=need, unique=True))
+    knowns = {i: base[i] for i in idx}
+    if kind == "mds-perturbed" and knowns:
+        knowns[draw(st.sampled_from(sorted(knowns)))] += draw(st.integers(1, 5))
+    return params, knowns
+
+
+@settings(max_examples=50, deadline=None)
+@given(square_knowns())
+@example((CodeParameters(n=8, k=4, d=4, d_perp=4, q=4), {0: 1, 1: 0, 2: 0, 3: 0, 5: 61}))
+@example((CodeParameters(n=8, k=4, d=4, d_perp=4, q=4), {0: 1, 1: 0, 2: 0, 3: 0, 4: 60}))
+@example((CodeParameters(n=48, k=24, d=25, d_perp=25, q=49),
+          {i: c for i, c in enumerate(mds_distribution(48, 24, 49).counts) if i % 2}))
+def test_square_moment_systems_match_oracle(case):
+    params, knowns = case
+    outcomes = []
+    for build in (build_pascal_system, build_pless_system):
+        S = build(params)
+        want = oracle_solve_with_knowns(S, knowns)
+        event(want[0].__name__ if _is_error(want) else "solved")
+        outcomes.append(want)
+        if _is_error(want):
+            with pytest.raises(want[0]) as ei:
+                solve_with_knowns(S, knowns)
+            assert type(ei.value) is want[0] and str(ei.value) == want[1]
+        else:
+            assert solve_with_knowns(S, knowns).counts == want
+    first_error = next((w for w in outcomes if _is_error(w)), None)
+    if first_error is not None:
+        with pytest.raises(first_error[0]) as ei:
+            cross_check_systems(params, knowns)
+        assert type(ei.value) is first_error[0] and str(ei.value) == first_error[1]
+    else:
+        ap, al, agree = cross_check_systems(params, knowns)
+        assert (ap.counts, al.counts, agree) == (*outcomes, outcomes[0] == outcomes[1])
+
+
+# ---------------------------------------------------------------------------
+# the prefix-sharing minor walk
+# ---------------------------------------------------------------------------
+
+def oracle_minors(rows):
+    cols = len(rows[0])
+    return [(c, leibniz_det([[row[j] for j in c] for row in rows]))
+            for c in itertools.combinations(range(cols), len(rows))]
+
+
+@st.composite
+def small_integer_matrices(draw):
+    """Mostly-zero small integer matrices: zero minors and zero leading
+    minors (where the walk falls back to `echelon`) are common."""
+    r = draw(st.integers(1, 4))
+    cols = draw(st.integers(0, 7))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+    rows = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(r)]
+    if r > 1 and cols and draw(st.booleans()):
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[-1])]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_integer_matrices())
+@example([[0, 1], [1, 0]])  # zero leading pivot at the root
+@example([[1, 2, 1, 0], [2, 4, 0, 1], [0, 1, 1, 1]])  # zero leading 2x2 minor
+@example([[1, 2, 3]])
+@example([[1], [2]])  # more rows than columns: no minor
+def test_maximal_minors_match_leibniz(rows):
+    if not rows[0]:
+        assert list(maximal_minors(rows)) == []
+    else:
+        assert list(maximal_minors(rows)) == oracle_minors(rows)
+
+
+def test_maximal_minors_needs_a_row():
+    with pytest.raises(ValueError):
+        next(maximal_minors([]))
+
+
+def test_pascal_minors_equal_the_vandermonde_closed_form():
+    """Every r x r minor of truncated_pascal(r, t), columns c_0 < ... <
+    c_{r-1} with nodes x_a = t - c_a, is prod_{a<b} (x_b - x_a) / prod_{j<r} j!,
+    sign included: binom(x, j) = x^j / j! plus lower powers of x."""
+    total = 0
+    for r in range(1, 6):
+        denominator = math.prod(math.factorial(j) for j in range(r))
+        for t in range(r - 1, 13):
+            got = list(maximal_minors(truncated_pascal(r, t).entries))
+            assert [c for c, _ in got] == list(itertools.combinations(range(t + 1), r))
+            for cols, det in got:
+                x = [t - c for c in cols]
+                vandermonde = math.prod(x[b] - x[a]
+                                        for a, b in itertools.combinations(range(r), 2))
+                assert vandermonde % denominator == 0
+                assert det == vandermonde // denominator
+            assert pascal_minor_check(r, t)
+            total += len(got)
+    assert total == 6461

@@ -12,7 +12,9 @@ from weightdist.errors import (
 )
 from weightdist.closed_forms import mds_distribution, reed_solomon_code
 from weightdist.fields import GF
+from weightdist.matrices import binom
 from weightdist.moments import (
+    MomentSystem,
     build_pascal_system,
     build_pless_system,
     cross_check_systems,
@@ -163,3 +165,38 @@ def test_rhs_rational_exactness():
     p = CodeParameters(n=6, k=2, d=5, d_perp=3, q=3)
     S = build_pascal_system(p)
     assert S.rhs[0] == Fraction(15)  # binom(6,4) * 3^0
+
+
+@pytest.mark.parametrize("n,k,d,dp,q", [(8, 4, 4, 4, 4), (48, 24, 25, 25, 49),
+                                        (6, 2, 5, 3, 3), (5, 1, 5, 2, 2), (7, 6, 1, 1, 2)])
+def test_builders_record_their_binomial_structure(n, k, d, dp, q):
+    params = CodeParameters(n=n, k=k, d=d, d_perp=dp, q=q)
+    pas, ple = build_pascal_system(params), build_pless_system(params)
+    # the paper's entries, independently of the recorded structure
+    assert pas.matrix.entries == tuple(tuple(binom(n - s, nu - s) for s in range(n + 1))
+                                       for nu in pas.row_labels)
+    assert ple.matrix.entries == tuple(tuple(binom(i, nu) for i in range(n + 1))
+                                       for nu in ple.row_labels)
+    assert pas.degrees == tuple(n - nu for nu in pas.row_labels)
+    assert pas.nodes == tuple(n - s for s in range(n + 1))
+    assert ple.degrees == ple.row_labels == tuple(range(dp))
+    assert ple.nodes == tuple(range(n + 1))
+    for S in (pas, ple):
+        assert S.matrix.entries == tuple(tuple(binom(x, j) for x in S.nodes)
+                                         for j in S.degrees)
+        assert all(type(v) is int for v in S.rhs)
+        assert all(type(v) is int for row in S.matrix.entries for v in row)
+
+
+def test_moment_system_checks_recorded_structure():
+    rows = build_pless_system(REF_PARAMS).matrix
+    args = ("pless", rows, (0,) * 4, (0, 1, 2, 3), tuple(range(9)), REF_PARAMS)
+    MomentSystem(*args, degrees=(3, 1, 0, 2), nodes=tuple(range(9)))
+    with pytest.raises(ValueError):
+        MomentSystem(*args, degrees=(0, 1, 2, 4), nodes=tuple(range(9)))
+    with pytest.raises(ValueError):
+        MomentSystem(*args, degrees=(0, 1, 2, 3), nodes=(0,) * 9)
+    with pytest.raises(ValueError):
+        MomentSystem(*args, degrees=(0, 1, 2, 3), nodes=tuple(range(8)))
+    with pytest.raises(ValueError):
+        MomentSystem(*args, degrees=(0, 1, 2, 3))
