@@ -5,11 +5,13 @@ All of these are pure parameter-to-distribution functions: none of them
 checks that a code with the requested parameters exists.  Negative or
 non-integral outputs are surfaced (as values or errors, per function), since
 they are exactly the evidence one wants when probing nonexistence.
+
+The extremal relations have the binomial-Vandermonde structure of the moment
+systems, so the extremal distribution is solved by the same interpolation.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,12 +19,11 @@ from .codes import LinearCode, WeightDistribution
 from .errors import (
     NegativeEntryError,
     RangeViolationError,
-    SingularMatrixError,
     SingularSelectionError,
 )
 from .fields import Field
-from .matrices import GFMatrix, RationalMatrix, binom, solve_exact
-from .moments import MomentSystem
+from .matrices import GFMatrix, RationalMatrix, binom
+from .moments import MomentSystem, binomial_interpolation
 
 
 def kronecker_delta(a, b) -> int:
@@ -243,47 +244,30 @@ def extremal_system(m: int, nu_set: Sequence[int],
                         tuple(rhs), tuple(labels), unknowns, None)
 
 
-def _extremal_candidate_selections(m: int):
-    """Deterministic sequence of (4m-1)-subsets of the relation widths to
-    try, largest widths first."""
-    nus = sorted(extremal_relation_range(m), reverse=True)
-    want = 4 * m - 1
-    yield tuple(sorted(nus[:want]))
-    for combo in itertools.combinations(nus, want):
-        c = tuple(sorted(combo))
-        if c != tuple(sorted(nus[:want])):
-            yield c
-
-
 def extremal_distribution(m: int) -> WeightDistribution:
     """Full distribution of a [24m, 12m, 4m+4] extremal type II code.
 
-    Solves a (4m-1)-relation selection exactly, then verifies the solution
-    against every relation width and the symmetry pattern; if a selection
-    turns out singular the next one is tried rather than assumed good."""
+    Solves the relations of the 4m-1 largest widths, then verifies the
+    solution against every relation width and the symmetry pattern.  Width
+    nu's entry at A_u is binom(24m-u, 24m-nu): binom(x, j) at the node
+    x = 24m - u and the degree j = 24m - nu.  The degrees are 0..4m-2 and the
+    nodes are distinct, so every minor is nonzero and the selection is solved
+    exactly by binomial interpolation."""
     ep = ExtremalParams(m)
     unknowns = ep.unknown_indices
-    last_error: SingularMatrixError | None = None
-    for selection in _extremal_candidate_selections(m):
-        sys_ = extremal_system(m, selection)
-        try:
-            x = solve_exact(sys_.matrix, sys_.rhs)
-        except SingularMatrixError as e:
-            last_error = e
-            continue
-        counts = [0] * (ep.n + 1)
-        counts[0] = counts[ep.n] = 1
-        for u, v in zip(unknowns, x):
-            if v.denominator != 1 or v < 0:
-                raise SingularSelectionError(
-                    f"selection {selection} solved to invalid count A_{u} = {v}")
-            counts[u] = int(v)
-        dist = WeightDistribution(tuple(counts), 2, ep.k)
-        _verify_extremal(m, dist)
-        return dist
-    raise SingularSelectionError(
-        f"every tried relation selection for m={m} was singular "
-        f"(last: {last_error})")
+    widths = range(20 * m + 2, 24 * m + 1)
+    x = binomial_interpolation([ep.n - u for u in unknowns], [ep.n - nu for nu in widths],
+                               extremal_system(m, widths).rhs)
+    counts = [0] * (ep.n + 1)
+    counts[0] = counts[ep.n] = 1
+    for u, v in zip(unknowns, x):
+        if v.denominator != 1 or v < 0:
+            raise SingularSelectionError(
+                f"selection {tuple(widths)} solved to invalid count A_{u} = {v}")
+        counts[u] = int(v)
+    dist = WeightDistribution(tuple(counts), 2, ep.k)
+    _verify_extremal(m, dist)
+    return dist
 
 
 def _verify_extremal(m: int, dist: WeightDistribution) -> None:

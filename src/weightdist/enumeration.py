@@ -25,14 +25,14 @@ holds it; the layout depends on the characteristic p:
     sum reached p; subtracting p from those fields re-canonicalises the
     whole word at once (SWAR: SIMD within a register).
 
-numpy is imported inside the functions that use it, so that importing the
-package, and every command that does not enumerate, never loads it.
+numpy and the process pool are imported inside the functions that use them,
+so that importing the package, and every command that does not enumerate,
+never loads them.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, UnsupportedOrderError
@@ -209,6 +209,7 @@ def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_ENUMERATION_BUDGE
     if workers == 1 or n_outer < 2 * workers:
         return _histogram_range(rep, inner, outer, n, 0, n_outer).tolist()
 
+    from concurrent.futures import ProcessPoolExecutor
     bounds = [n_outer * i // workers for i in range(workers + 1)]
     modulus = tuple(field.modulus_poly)
     jobs = [(field.p, field.m, modulus, inner, outer, n, bounds[i], bounds[i + 1])

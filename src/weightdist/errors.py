@@ -28,10 +28,6 @@ class UnsupportedOrderError(WeightDistError, ValueError):
     supplied."""
 
 
-class FieldMismatchError(WeightDistError, ValueError):
-    """Operands belong to different fields."""
-
-
 class DivisionByZeroError(WeightDistError, ZeroDivisionError):
     """Inverse or division by the zero element."""
 
@@ -123,7 +119,8 @@ class RangeViolationError(WeightDistError, ValueError):
 
 
 class SingularSelectionError(WeightDistError):
-    """Every tried relation subset for the extremal solve was singular."""
+    """The extremal solve gave a count that is not a nonnegative integer, or
+    a distribution that violates a relation, the symmetry or the total."""
 
 
 # -- file formats -----------------------------------------------------------

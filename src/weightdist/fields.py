@@ -13,12 +13,10 @@ across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     DivisionByZeroError,
-    FieldMismatchError,
     NotPrimeError,
     ReduciblePolynomialError,
     UnsupportedOrderError,
@@ -138,7 +136,7 @@ class Field:
     """GF(p^m) arithmetic on canonically encoded integers.
 
     Field identity (equality, hashing) is the (p, m, modulus) triple, so
-    elements of structurally different fields never silently mix.
+    matrices and codes over structurally different fields never silently mix.
     """
 
     __slots__ = ("p", "m", "q", "modulus_poly", "_exp", "_log", "_hash")
@@ -282,23 +280,6 @@ class Field:
             return pow(a, e, self.p)
         return self._raw_pow(a, e)
 
-    # -- elements ---------------------------------------------------------
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(value, self)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for v in range(self.q):
-            yield FieldElement(v, self)
-
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -313,81 +294,6 @@ class Field:
         if self.m == 1:
             return f"GF({self.q})"
         return f"GF({self.q}, poly={','.join(map(str, self.modulus_poly))})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single element of a Field, by canonical encoding.
-
-    Integer operands are taken as encodings of the same field.
-    """
-
-    value: int
-    field: Field
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.q:
-            raise ValueError(f"encoding {self.value} outside [0, {self.field.q})")
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"operands from {self.field!r} and {other.field!r}")
-            return other.value
-        if isinstance(other, int):
-            if not 0 <= other < self.field.q:
-                raise ValueError(f"encoding {other} outside [0, {self.field.q})")
-            return other
-        return NotImplemented
-
-    def _wrap(self, value: int) -> "FieldElement":
-        return FieldElement(value, self.field)
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else self._wrap(self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else self._wrap(self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else self._wrap(self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else self._wrap(self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else self._wrap(self.field.div(self.value, v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        return NotImplemented if v is NotImplemented else self._wrap(self.field.div(v, self.value))
-
-    def __neg__(self):
-        return self._wrap(self.field.neg(self.value))
-
-    def __pow__(self, e: int):
-        return self._wrap(self.field.pow(self.value, e))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value}@{self.field!r}"
-
-
-def make_field(p: int, m: int = 1, modulus_poly: Optional[Sequence[int]] = None) -> Field:
-    """Construct GF(p^m), verifying primality and modulus irreducibility."""
-    return Field(p, m, modulus_poly)
 
 
 def GF(q: int, modulus_poly: Optional[Sequence[int]] = None) -> Field:

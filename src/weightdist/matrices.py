@@ -194,11 +194,6 @@ class RationalMatrix:
             raise ValueError("column count required for a 0-row matrix")
         return cls(tup, cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), n)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -207,15 +202,6 @@ class RationalMatrix:
         """A x, in ints when A and x are integral."""
         xs = [_rational(v) for v in x]
         return tuple(sum(a * b for a, b in zip(r, xs)) for r in self.entries)
-
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        cols = [tuple(r[j] for r in other.entries) for j in range(other.cols)]
-        out = tuple(
-            tuple(sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in cols)
-            for r in self.entries)
-        return RationalMatrix(out, other.cols)
 
     def stack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.cols:

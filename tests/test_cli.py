@@ -248,6 +248,7 @@ def test_commands_that_do_not_enumerate_never_load_numpy():
 import sys
 import weightdist
 assert "numpy" not in sys.modules, "import weightdist loaded numpy"
+assert "concurrent.futures.process" not in sys.modules, "import weightdist loaded the process pool"
 from weightdist.cli import main
 for argv in (["crosscheck", *{PARAMS_844!r}, "--knowns", {KNOWNS_844!r}],
              ["solve", *{PARAMS_844!r}, "--knowns", {KNOWNS_844!r}],
@@ -255,6 +256,7 @@ for argv in (["crosscheck", *{PARAMS_844!r}, "--knowns", {KNOWNS_844!r}],
              ["amds", "8", "4", "4", "2", "30"], ["extremal", "1"]):
     assert main(argv) == 0, argv
     assert "numpy" not in sys.modules, f"{{argv[0]}} loaded numpy"
+    assert "concurrent.futures.process" not in sys.modules, f"{{argv[0]}} loaded the process pool"
 """
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

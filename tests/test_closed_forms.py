@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from weightdist.closed_forms import (
@@ -19,7 +21,7 @@ from weightdist.codes import CodeParameters
 from weightdist.corpus import find_amds_specimens
 from weightdist.errors import NegativeEntryError, RangeViolationError, SingularMatrixError
 from weightdist.fields import GF
-from weightdist.matrices import RationalMatrix, binom, solve_exact
+from weightdist.matrices import binom, solve_exact
 from weightdist.moments import build_pascal_system, build_pless_system, solve_with_knowns
 
 
@@ -129,7 +131,9 @@ def test_pascal_inverse_is_inverse():
         size = k - sigma + 2
         P = amds_forward_pascal(size, k, sigma)
         Pinv = pascal_inverse(size, k, sigma)
-        assert P.matmul(Pinv).entries == RationalMatrix.identity(size).entries
+        for j in range(size):
+            e_j = tuple(int(i == j) for i in range(size))
+            assert P.matvec([row[j] for row in Pinv.entries]) == e_j
         assert all(P.entries[i][i] == 1 and Pinv.entries[i][i] == 1 for i in range(size))
 
 
@@ -202,6 +206,29 @@ def test_extremal_symmetry_and_all_relations_m123():
         full = extremal_system(m, list(extremal_relation_range(m)), include_symmetry=True)
         vec = [dist.counts[u] for u in full.col_labels]
         assert full.matrix.matvec(vec) == full.rhs
+
+
+def test_extremal_distribution_matches_elimination_on_its_selection():
+    """Interpolation on the 4m-1 largest widths gives, count for count, what
+    elimination gives on the same relations."""
+    for m in range(1, 9):
+        ep = ExtremalParams(m)
+        S = extremal_system(m, list(extremal_relation_range(m))[-(4 * m - 1):])
+        expected = [0] * (ep.n + 1)
+        expected[0] = expected[ep.n] = 1
+        for u, v in zip(S.col_labels, solve_exact(S.matrix, S.rhs)):
+            expected[u] = v
+        assert extremal_distribution(m).counts == tuple(expected)
+
+
+def test_extremal_relations_are_binomials_at_nodes_24m_minus_u():
+    """Width nu's entry at A_u is binom(24m - u, 24m - nu): the node
+    24m - u and the degree 24m - nu that extremal_distribution solves with."""
+    for m in range(1, 9):
+        widths = extremal_relation_range(m)
+        S = extremal_system(m, widths)
+        assert S.matrix.entries == tuple(
+            tuple(math.comb(24 * m - u, 24 * m - nu) for u in S.col_labels) for nu in widths)
 
 
 def test_reed_solomon_is_mds():

@@ -156,8 +156,8 @@ def test_pool_is_capped_at_the_core_count():
             [1, 1, 1, 0, 0, 0, 1], [0, 0, 1, 1, 0, 1, 1]]
     G = GFMatrix.from_rows(GF(2), rows)
     with _patched_split(GF(2), 0), patch.object(enumeration.os, "cpu_count", lambda: 3), \
-            patch.object(enumeration, "ProcessPoolExecutor",
-                         lambda max_workers: _InlineExecutor(sizes, max_workers)):
+            patch("concurrent.futures.ProcessPoolExecutor",
+                  lambda max_workers: _InlineExecutor(sizes, max_workers)):
         assert weight_histogram(G, budget=None, workers=10 ** 6) == oracle_histogram(G)
     assert sizes == [(3, 3)]
 

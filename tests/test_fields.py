@@ -2,12 +2,11 @@ import pytest
 
 from weightdist.errors import (
     DivisionByZeroError,
-    FieldMismatchError,
     NotPrimeError,
     ReduciblePolynomialError,
     UnsupportedOrderError,
 )
-from weightdist.fields import GF, Field, default_modulus, is_irreducible, make_field
+from weightdist.fields import GF, Field, default_modulus, is_irreducible
 
 
 def prime_powers_up_to(limit):
@@ -33,9 +32,8 @@ def test_gf4_is_the_standard_field():
     f = GF(4)
     assert (f.p, f.m, f.q) == (2, 2, 4)
     assert f.modulus_poly == (1, 1, 1)
-    a = f.element(2)
-    assert (a * a).value == 3       # a * a = a^2
-    assert (a * (a * a)).value == 1  # a * a^2 = a^3 = 1
+    assert f.mul(2, 2) == 3  # a * a = a^2
+    assert f.mul(2, 3) == 1  # a * a^2 = a^3 = 1
 
 
 def test_prime_field_basics():
@@ -47,7 +45,7 @@ def test_prime_field_basics():
 
 def test_make_field_rejects_nonprime():
     with pytest.raises(NotPrimeError):
-        make_field(4, 1)
+        Field(4, 1)
     with pytest.raises(NotPrimeError):
         GF(6)
     with pytest.raises(NotPrimeError):
@@ -56,11 +54,11 @@ def test_make_field_rejects_nonprime():
 
 def test_reducible_modulus_rejected():
     with pytest.raises(ReduciblePolynomialError):
-        make_field(2, 2, [1, 0, 1])  # x^2 + 1 = (x+1)^2
+        Field(2, 2, [1, 0, 1])  # x^2 + 1 = (x+1)^2
     with pytest.raises(ReduciblePolynomialError):
-        make_field(2, 2, [1, 1])  # wrong degree
+        Field(2, 2, [1, 1])  # wrong degree
     with pytest.raises(ReduciblePolynomialError):
-        make_field(3, 3, [0, 0, 0, 1])  # x^3 has root 0
+        Field(3, 3, [0, 0, 0, 1])  # x^3 has root 0
 
 
 def test_unsupported_order_without_polynomial():
@@ -71,7 +69,7 @@ def test_unsupported_order_without_polynomial():
 def test_caller_supplied_modulus_is_used():
     # x^2 + x + 2 is irreducible over GF(3) (no roots); differs from the
     # first-lexicographic default x^2 + 1
-    f = make_field(3, 2, [2, 1, 1])
+    f = Field(3, 2, [2, 1, 1])
     assert f.modulus_poly == (2, 1, 1)
     # x * x = x^2 = 2x + 1, encoded 1 + 2*3 = 7
     assert f.mul(3, 3) == 7
@@ -131,45 +129,20 @@ def test_field_axioms_gf9():
                 assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
-def test_element_operators():
-    f = GF(4)
-    a, b = f.element(2), f.element(3)
-    assert (a + b).value == f.add(2, 3)
-    assert (a * b).value == 1
-    assert (a / b).value == f.div(2, 3)
-    assert (-a + a).value == 0
-    assert (a ** 3).value == 1
-    assert (a ** -1) * a == f.one
-    assert bool(f.zero) is False and bool(f.one) is True
-
-
 def test_division_by_zero():
     f = GF(4)
     with pytest.raises(DivisionByZeroError):
         f.inv(0)
-    with pytest.raises(DivisionByZeroError):
-        f.element(1) / f.element(0)
     with pytest.raises(ZeroDivisionError):  # subclass contract
         f.div(2, 0)
 
 
-def test_field_mismatch_detected():
-    a = GF(4).element(1)
-    b = GF(9).element(1)
-    with pytest.raises(FieldMismatchError):
-        a + b
-    # same order, different modulus: still distinct fields
-    c = make_field(3, 2, [2, 1, 1]).element(1)
-    d = GF(9).element(1)
-    with pytest.raises(FieldMismatchError):
-        c * d
-
-
 def test_field_identity_triple():
-    assert GF(4) == make_field(2, 2, [1, 1, 1])
+    assert GF(4) == Field(2, 2, [1, 1, 1])
     assert GF(4) == GF(4)
     assert hash(GF(9)) == hash(GF(9))
     assert GF(4) != GF(8)
+    assert Field(3, 2, [2, 1, 1]) != GF(9)  # same order, different modulus
 
 
 def test_large_order_with_polynomial_uses_polynomial_arithmetic():

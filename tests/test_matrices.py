@@ -81,7 +81,7 @@ def test_selected_rank_bounded():
 
 
 def test_solve_exact_identity():
-    A = RationalMatrix.identity(4)
+    A = RationalMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     b = [3, Fraction(1, 2), -7, 0]
     assert solve_exact(A, b) == (3, Fraction(1, 2), -7, 0)
 
@@ -117,7 +117,7 @@ def test_rational_rank_and_kernel():
     assert rational_rank(A) == 2
     kv = rational_kernel_vector(A)
     assert any(kv) and all(v == 0 for v in A.matvec(kv))
-    assert rational_kernel_vector(RationalMatrix.identity(3)) is None
+    assert rational_kernel_vector(RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) is None
 
 
 def test_truncated_pascal_values():
