@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .codes import LinearCode, WeightDistribution
+from .codes import LinearCode, WeightDistribution, require_ints
 from .errors import BudgetExceededError, RegimeViolationError
 from .matrices import GFMatrix, binom, gf_kernel_basis, gf_row_reduce
 
@@ -64,6 +64,7 @@ def census(M: GFMatrix, nu: int, budget: int | None = DEFAULT_SUBSET_BUDGET) -> 
     cache keyed by (matrix, window), so a run's checks share one walk.
     """
     t = M.cols
+    require_ints(nu=nu)
     if not 1 <= nu <= t:
         raise ValueError(f"need 1 <= nu <= {t}, got {nu}")
     n_subsets = binom(t, nu)

@@ -58,7 +58,6 @@ from .fileio import (
     knowns_from_json,
     parse_code_file,
 )
-from .moments import MomentSystem
 from .reference import nmds_844_codes
 
 EXIT_OK = 0
@@ -256,24 +255,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_MATH
 
 
-def _solve_from(params: CodeParameters, knowns: dict[int, int], system: str) -> WeightDistribution:
-    S: MomentSystem = (build_pascal_system(params) if system == "pascal"
-                       else build_pless_system(params))
-    return solve_with_knowns(S, knowns)
-
-
 def cmd_solve(args) -> int:
     params = _params_from_args(args)
     knowns = knowns_from_json(_load_json_arg(args.knowns))
-    try:
-        dist = _solve_from(params, knowns, args.system)
-    except SingularMatrixError as e:
-        msg = f"singular system (rank {e.rank})"
-        if e.kernel_vector is not None:
-            msg += f"; kernel vector {tuple(str(x) for x in e.kernel_vector)}"
-        print(msg, file=sys.stderr)
-        return EXIT_MATH
-    _emit(args, _render_distribution(args, dist))
+    build = build_pascal_system if args.system == "pascal" else build_pless_system
+    _emit(args, _render_distribution(args, solve_with_knowns(build(params), knowns)))
     return EXIT_OK
 
 

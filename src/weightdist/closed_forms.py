@@ -6,6 +6,11 @@ checks that a code with the requested parameters exists.  Negative or
 non-integral outputs are surfaced (as values or errors, per function), since
 they are exactly the evidence one wants when probing nonexistence.
 
+The MDS, near-MDS and almost-MDS distributions are one closed form: once the
+counts below n - k + s are fixed (A_0 = 1, zeros, then s seed counts), the
+census identity is a lower-triangular Pascal system in the rest, solved by
+its explicit inverse.  MDS is the no-seed case and near-MDS the one-seed case.
+
 The extremal relations have the binomial-Vandermonde structure of the moment
 systems, so the extremal distribution is solved by the same interpolation.
 """
@@ -13,9 +18,10 @@ systems, so the extremal distribution is solved by the same interpolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
-from .codes import LinearCode, WeightDistribution
+from .codes import LinearCode, WeightDistribution, require_ints
 from .errors import (
     NegativeEntryError,
     RangeViolationError,
@@ -30,52 +36,67 @@ def kronecker_delta(a, b) -> int:
     return 1 if a == b else 0
 
 
+def _defect_counts(n: int, k: int, q: int, seeds: Sequence[int]) -> tuple[int, ...]:
+    """Counts of a length-n, dimension-k code over GF(q) with A_1..A_{n-k-1}
+    zero, dual distance k + 1 - s and the s = len(seeds) counts
+    A_{n-k}, ..., A_{n-k+s-1} given as seeds, negatives included.
+
+    With those in place the census identity's widths above n - d_perp are a
+    lower-triangular Pascal system in the rest, whose explicit inverse gives,
+    for 0 <= i <= k - s,
+
+        A_{n-k+s+i} = sum_{j<=i} (-1)^(i-j) binom(k-s-j, i-j) b_j,
+        b_j = binom(n, n-k+s+j)(q^(j+s)-1) - sum_{h<s} binom(k-h, s+j-h) A_{n-k+h}.
+
+    No seeds gives the MDS distribution, one seed the near-MDS one.  A_0 is
+    set last: at k = n the i = 0 entry is the count of nonzero words of
+    weight 0."""
+    s = len(seeds)
+    m, lo = k - s, n - k + s
+    # c_j = (-1)^j b_j, so that A_{lo+i} = (-1)^i sum_{j<=i} binom(m-j, i-j) c_j
+    c = [(-1) ** j * (comb(n, lo + j) * (q ** (j + s) - 1)
+                      - sum(comb(k - h, s + j - h) * a for h, a in enumerate(seeds)))
+         for j in range(m + 1)]
+    counts = [0] * (n + 1)
+    counts[n - k:lo] = seeds
+    for i in range(m + 1):
+        acc = sum(comb(m - j, i - j) * c[j] for j in range(i + 1))
+        counts[lo + i] = -acc if i & 1 else acc
+    counts[0] = 1
+    return tuple(counts)
+
+
 def mds_distribution(n: int, k: int, q: int) -> WeightDistribution:
-    """Distribution of a maximum-distance-separable [n, k, n-k+1]_q code:
+    """Distribution of a maximum-distance-separable [n, k, n-k+1]_q code, the
+    no-seed case of the defect closed form:
     A_w = binom(n, w) sum_j (-1)^j binom(w, j) (q^(w-d+1-j) - 1) for w >= d.
     Depends on nothing but the parameters (defect sum zero)."""
+    require_ints(n=n, k=k, q=q)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if q < 2:
         raise ValueError("field order must be >= 2")
-    d = n - k + 1
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    for w in range(d, n + 1):
-        s = 0
-        for j in range(0, w - d + 1):
-            term = binom(w, j) * (q ** (w - d + 1 - j) - 1)
-            s += -term if j & 1 else term
-        counts[w] = binom(n, w) * s
-    return WeightDistribution(tuple(counts), q, k)
+    return WeightDistribution(_defect_counts(n, k, q, ()), q, k)
 
 
 def nmds_distribution(n: int, k: int, q: int, a_d: int) -> WeightDistribution:
     """Distribution of a near-MDS [n, k, n-k]_q code (defect 1 on both
-    sides), pinned by the single count a_d of minimum-weight words:
+    sides), the one-seed case of the defect closed form, pinned by the count
+    a_d of minimum-weight words:
 
         A_{n-k+i} = binom(n, k-i) sum_{j<i} (-1)^j binom(n-k+i, j)(q^(i-j)-1)
                     + (-1)^i binom(k, i) a_d.
 
     An unrealizable a_d shows up as negative entries in the result; they are
     returned as computed, never clamped."""
+    require_ints(n=n, k=k, q=q, a_d=a_d)
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     if q < 2:
         raise ValueError("field order must be >= 2")
     if a_d < 0:
         raise ValueError("minimum-weight count must be >= 0")
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    counts[n - k] = a_d
-    for i in range(1, k + 1):
-        s = 0
-        for j in range(0, i):
-            term = binom(n - k + i, j) * (q ** (i - j) - 1)
-            s += -term if j & 1 else term
-        val = binom(n, k - i) * s + (-1) ** i * binom(k, i) * a_d
-        counts[n - k + i] = val
-    return WeightDistribution(tuple(counts), q, k)
+    return WeightDistribution(_defect_counts(n, k, q, (a_d,)), q, k)
 
 
 def check_nonnegative(counts: Sequence[int], reason: str) -> None:
@@ -98,6 +119,9 @@ class AmdsInput:
     seed_weights: tuple[int, ...]
 
     def __post_init__(self):
+        require_ints(n=self.n, k=self.k, q=self.q, sigma=self.sigma)
+        for w in self.seed_weights:
+            require_ints(seed_weight=w)
         if not 0 < self.k < self.n:
             raise ValueError(f"need 0 < k < n, got k={self.k}, n={self.n}")
         if self.q < 2:
@@ -112,31 +136,11 @@ class AmdsInput:
 
 
 def amds_counts(inp: AmdsInput) -> tuple[int, ...]:
-    """Raw closed-form counts for an almost-MDS code, negatives included.
-
-    For 0 <= i <= k-sigma+1 the count A_{n-k+sigma-1+i} equals
-
-        sum_{j<=i} (-1)^(i-j) binom(k-sigma+1-j, i-j) *
-            [ binom(n, n-k+sigma-1+j)(q^(j+sigma-1)-1)
-              - sum_{h<=sigma-2} binom(k-h, sigma-1+j-h) A_{n-k+h} ],
-
-    i.e. the explicit inverse of the lower-triangular Pascal system that the
-    census identity induces once A_0..A_{n-k+sigma-2} are in place."""
-    n, k, q, sig = inp.n, inp.k, inp.q, inp.sigma
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    for h, w in enumerate(inp.seed_weights):
-        counts[n - k + h] = w
-    for i in range(0, k - sig + 2):
-        acc = 0
-        for j in range(0, i + 1):
-            bracket = binom(n, n - k + sig - 1 + j) * (q ** (j + sig - 1) - 1)
-            bracket -= sum(binom(k - h, sig - 1 + j - h) * inp.seed_weights[h]
-                           for h in range(sig - 1))
-            term = binom(k - sig + 1 - j, i - j) * bracket
-            acc += -term if (i - j) & 1 else term
-        counts[n - k + sig - 1 + i] = acc
-    return tuple(counts)
+    """Raw closed-form counts for an almost-MDS code, negatives included: the
+    defect closed form with the sigma - 1 seeds, i.e. the explicit inverse of
+    the lower-triangular Pascal system that the census identity induces once
+    A_0..A_{n-k+sigma-2} are in place."""
+    return _defect_counts(inp.n, inp.k, inp.q, inp.seed_weights)
 
 
 def amds_distribution(inp: AmdsInput) -> WeightDistribution:
@@ -153,20 +157,11 @@ def pascal_inverse(size: int, k: int, sigma: int) -> RationalMatrix:
     """Explicit inverse [(-1)^(i-j) binom(k-sigma+1-j, i-j)] of the
     lower-triangular Pascal matrix [binom(k-sigma+1-j, i-j)]; size must be
     k - sigma + 2."""
+    require_ints(size=size, k=k, sigma=sigma)
     if size != k - sigma + 2:
         raise ValueError(f"size must be k - sigma + 2 = {k - sigma + 2}")
     return RationalMatrix.from_rows(
         [[(-1) ** (i - j) * binom(k - sigma + 1 - j, i - j) if i >= j else 0
-          for j in range(size)] for i in range(size)])
-
-
-def amds_forward_pascal(size: int, k: int, sigma: int) -> RationalMatrix:
-    """The lower-triangular Pascal matrix [binom(k-sigma+1-j, i-j)] whose
-    inverse pascal_inverse() spells out."""
-    if size != k - sigma + 2:
-        raise ValueError(f"size must be k - sigma + 2 = {k - sigma + 2}")
-    return RationalMatrix.from_rows(
-        [[binom(k - sigma + 1 - j, i - j) if i >= j else 0
           for j in range(size)] for i in range(size)])
 
 
@@ -181,6 +176,7 @@ class ExtremalParams:
     m: int
 
     def __post_init__(self):
+        require_ints(m=self.m)
         if self.m < 1:
             raise ValueError("m must be >= 1")
 

@@ -26,6 +26,14 @@ from .matrices import (
 )
 
 
+def require_ints(**values) -> None:
+    """Raise ValueError naming the first value that is not an int.  A bool is
+    refused although it is one, so that True is never taken for the count 1."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class CodeParameters:
     """The scalar invariants [n, k, d]_q plus the dual distance and the sum
@@ -40,10 +48,7 @@ class CodeParameters:
     q: int
 
     def __post_init__(self):
-        for name in ("n", "k", "d", "d_perp", "q"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+        require_ints(n=self.n, k=self.k, d=self.d, d_perp=self.d_perp, q=self.q)
         n, k, d, dp = self.n, self.k, self.d, self.d_perp
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")

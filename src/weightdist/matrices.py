@@ -72,9 +72,6 @@ class GFMatrix:
     def rows(self) -> int:
         return len(self.entries)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
 

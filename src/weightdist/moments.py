@@ -200,9 +200,9 @@ def solve_with_knowns(S: MomentSystem, knowns: Mapping[int, int]) -> WeightDistr
         raise ValueError("system carries no code parameters; solve it directly")
     labels = S.col_labels
     for j, v in knowns.items():
-        if j not in labels:
-            raise ValueError(f"known index {j} is not an unknown of this system")
-        if not isinstance(v, int) or v < 0:
+        if isinstance(j, bool) or j not in labels:
+            raise ValueError(f"known index {j!r} is not an unknown of this system")
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
             raise ValueError(f"known A_{j} must be a nonnegative integer, got {v!r}")
     unknown = [j for j in labels if j not in knowns]
     if len(unknown) > S.matrix.rows:

@@ -19,6 +19,13 @@ def test_census_single_subset():
     assert census(M, 2).counts == {1: 1}
 
 
+@pytest.mark.parametrize("nu", [True, 2.0, "2"])
+def test_census_rejects_bool_and_non_int_width(nu):
+    M = GFMatrix.identity(GF(2), 3)
+    with pytest.raises(ValueError):
+        census(M, nu)
+
+
 def test_census_identity_columns():
     f2 = GF(2)
     assert census(GFMatrix.identity(f2, 3), 2).counts == {2: 3}

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weightdist import cli, errors
 from weightdist.cli import main
 from weightdist.codes import WeightDistribution
 from weightdist.fileio import (
@@ -285,6 +291,62 @@ def test_negative_closed_form_counts_are_math_errors(capsys):
         assert rc == 1, argv
         assert out == ""
         assert "NegativeEntryError: A_5 = -3832 is negative" in err
+
+
+# The README's exit codes: 1 a mathematical failure, 3 a budget exceeded,
+# 2 every other (input) error.
+EXIT_CODES = {
+    "WeightDistError": 2,
+    "NotPrimeError": 2,
+    "ReduciblePolynomialError": 2,
+    "UnsupportedOrderError": 2,
+    "DivisionByZeroError": 2,
+    "IndexOutOfRangeError": 2,
+    "DuplicateIndexError": 2,
+    "SingularMatrixError": 1,
+    "RankDeficientGeneratorError": 2,
+    "BudgetExceededError": 3,
+    "ZeroCodeError": 1,
+    "NonIntegralResultError": 1,
+    "RegimeViolationError": 2,
+    "TooFewKnownsError": 2,
+    "SingularReducedSystemError": 1,
+    "NonIntegralSolutionError": 1,
+    "NegativeSolutionError": 1,
+    "InconsistentKnownsError": 1,
+    "NegativeEntryError": 1,
+    "RangeViolationError": 2,
+    "SingularSelectionError": 1,
+    "CodeFileFormatError": 2,
+}
+ERROR_CLASSES = {name: cls for name, cls in vars(errors).items()
+                 if isinstance(cls, type) and issubclass(cls, errors.WeightDistError)}
+COMMAND_ARGV = {
+    "mds": ["mds", "7", "3", "8"],
+    "enumerate": ["enumerate", "never-read.code"],
+    "solve": ["solve", "--knowns", "{}"],
+}
+
+
+def test_exit_code_table_names_every_error_class():
+    assert set(EXIT_CODES) == set(ERROR_CLASSES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(ERROR_CLASSES)), st.sampled_from(sorted(COMMAND_ARGV)))
+def test_every_error_class_exits_with_its_code_from_every_command(name, command):
+    cls = ERROR_CLASSES[name]
+    error = cls("boom", rank=0) if issubclass(cls, errors.SingularMatrixError) else cls("boom")
+
+    def raise_error(args):
+        raise error
+
+    stderr = io.StringIO()
+    with mock.patch.object(cli, f"cmd_{command}", raise_error), \
+            contextlib.redirect_stderr(stderr):
+        rc = main(COMMAND_ARGV[command])
+    assert rc == EXIT_CODES[name], (name, command)
+    assert stderr.getvalue().startswith("error: ")
 
 
 def test_amds_bad_seed_count_is_input_error(capsys):

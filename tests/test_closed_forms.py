@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -7,7 +8,6 @@ from weightdist.closed_forms import (
     ExtremalParams,
     amds_counts,
     amds_distribution,
-    amds_forward_pascal,
     extremal_distribution,
     extremal_relation_range,
     extremal_system,
@@ -21,8 +21,13 @@ from weightdist.codes import CodeParameters
 from weightdist.corpus import find_amds_specimens
 from weightdist.errors import NegativeEntryError, RangeViolationError, SingularMatrixError
 from weightdist.fields import GF
-from weightdist.matrices import binom, solve_exact
-from weightdist.moments import build_pascal_system, build_pless_system, solve_with_knowns
+from weightdist.matrices import RationalMatrix, binom, solve_exact
+from weightdist.moments import (
+    binomial_interpolation,
+    build_pascal_system,
+    build_pless_system,
+    solve_with_knowns,
+)
 
 
 def test_mds_minimum_weight_count():
@@ -83,14 +88,45 @@ def test_amds_reference_reduction_to_nmds():
     assert b.counts == (1, 0, 0, 0, 30, 48, 96, 48, 33)
 
 
+def _pascal_solution(n, k, q, seeds):
+    """The raw truncated-Pascal solution, negatives included, of the code with
+    A_0 = 1, A_1..A_{n-k-1} = 0, A_{n-k}.. = seeds and dual distance
+    k + 1 - len(seeds): interpolation on the reduced system, not the closed
+    form's inverse."""
+    s = len(seeds)
+    S = build_pascal_system(CodeParameters(n=n, k=k, d=n - k + (s == 0), d_perp=k + 1 - s, q=q))
+    known = ([1] + [0] * (n - k - 1) + list(seeds))[:n - k + s]
+    rhs = [b - sum(row[i] * v for i, v in enumerate(known))
+           for row, b in zip(S.matrix.entries, S.rhs)]
+    return tuple(known) + binomial_interpolation(S.nodes[len(known):], S.degrees, rhs)
+
+
 def test_amds_equals_nmds_exhaustive_grid():
+    """nmds_distribution and amds_counts at sigma = 2 agree with the raw
+    Pascal solution over the grid, and so do mds_distribution (k = n
+    included) and amds_counts at every sigma, inconsistent seeds included."""
     for q in (2, 3, 4, 5):
         for n in range(2, 13):
             for k in range(1, n):
                 for ad in range(0, 51):
-                    nm = nmds_distribution(n, k, q, ad)
-                    am = amds_counts(AmdsInput(n, k, q, 2, (ad,)))
-                    assert nm.counts == am, (q, n, k, ad)
+                    expect = _pascal_solution(n, k, q, (ad,))
+                    assert nmds_distribution(n, k, q, ad).counts == expect, (q, n, k, ad)
+                    assert amds_counts(AmdsInput(n, k, q, 2, (ad,))) == expect, (q, n, k, ad)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                assert mds_distribution(n, k, q).counts == _pascal_solution(n, k, q, ()), (q, n, k)
+    rng = random.Random(8)
+    negative = 0
+    for q in (2, 3, 4, 5):
+        for n in range(2, 13):
+            for k in range(1, n):
+                for sigma in range(2, k + 2):
+                    seeds = tuple(rng.randrange(0, 60) for _ in range(sigma - 1))
+                    got = amds_counts(AmdsInput(n, k, q, sigma, seeds))
+                    assert got == _pascal_solution(n, k, q, seeds), (q, n, k, seeds)
+                    negative += min(got) < 0
+    assert negative > 100
 
 
 def test_amds_negative_entry_error():
@@ -105,6 +141,22 @@ def test_amds_input_validation():
         AmdsInput(8, 4, 4, 1, ())  # sigma too small
     with pytest.raises(ValueError):
         AmdsInput(8, 8, 4, 2, (1,))  # k = n
+
+
+@pytest.mark.parametrize("make", [
+    lambda: mds_distribution(True, True, 4),
+    lambda: mds_distribution(5, 2, 4.0),
+    lambda: nmds_distribution(8, 4, 4, True),
+    lambda: nmds_distribution(8, True, 4, 27),
+    lambda: AmdsInput(8, 4, 4, 2, (True,)),
+    lambda: AmdsInput(8, 4, True, 2, (27,)),
+    lambda: AmdsInput(8, 4, 4, 3, (27, 2.0)),
+    lambda: extremal_distribution(True),
+    lambda: pascal_inverse(True, 1, 2),
+])
+def test_closed_forms_reject_bool_and_non_int_parameters(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
 
 
 def test_amds_sigma3_specimen_matches_oracle():
@@ -129,7 +181,8 @@ def test_amds_satisfies_both_moment_systems():
 def test_pascal_inverse_is_inverse():
     for k, sigma in [(4, 2), (5, 2), (6, 3), (7, 4), (3, 2)]:
         size = k - sigma + 2
-        P = amds_forward_pascal(size, k, sigma)
+        P = RationalMatrix.from_rows([[binom(k - sigma + 1 - j, i - j) for j in range(size)]
+                                      for i in range(size)])
         Pinv = pascal_inverse(size, k, sigma)
         for j in range(size):
             e_j = tuple(int(i == j) for i in range(size))

@@ -85,6 +85,17 @@ def test_too_few_knowns():
         solve_with_knowns(S, {0: 1, 1: 0, 2: 0, 3: 0})
 
 
+@pytest.mark.parametrize("knowns", [
+    {True: 1, 0: 1, 2: 0, 3: 0, 6: 78},  # True is not the index 1
+    {0: True, 1: 0, 2: 0, 3: 0, 4: 27},  # nor the count 1
+    {0: 1, 1: False, 2: 0, 3: 0, 4: 27},
+    {0: 1, 1: 0, 2: 0, 3: 0, 4: 27.0},
+])
+def test_solve_with_knowns_rejects_bool_and_non_int_knowns(knowns):
+    with pytest.raises(ValueError):
+        solve_with_knowns(build_pascal_system(REF_PARAMS), knowns)
+
+
 def test_any_five_knowns_recover_reference():
     # every known-index pattern {0,1,2,3} + one of 4..8, plus a
     # non-consecutive pattern: same unique answer
