@@ -18,7 +18,6 @@ from .closed_forms import (
     kronecker_delta,
     mds_distribution,
     nmds_distribution,
-    pascal_inverse,
     reed_solomon_code,
 )
 from .codes import (

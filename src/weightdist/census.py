@@ -2,6 +2,9 @@
 counting facts built on them: the kernel-counting identity relating a code's
 weight distribution to the census of its parity-check matrix, and the
 full-rank regime where every wide-enough column selection has maximal rank.
+
+The census defines no arithmetic of its own: its walk reduces columns with
+the same GF elimination step that builds codes and kernels in `matrices`.
 """
 
 from __future__ import annotations
@@ -11,13 +14,9 @@ from dataclasses import dataclass
 
 from .codes import LinearCode, WeightDistribution, require_ints
 from .errors import BudgetExceededError, RegimeViolationError
-from .matrices import GFMatrix, binom, gf_kernel_basis, gf_row_reduce
+from .matrices import GFMatrix, _elimination, binom, gf_kernel_basis, gf_row_reduce
 
 DEFAULT_SUBSET_BUDGET = 10 ** 7
-
-# q x q multiplication and subtraction tables are built for fields up to this
-# order; larger fields are looked up through their Field methods instead.
-_TABLE_ORDER_LIMIT = 256
 
 # A census walks the whole table, which every later width then reads, only
 # when that walk is estimated to visit at most this many subsets (one table of
@@ -55,13 +54,14 @@ def census(M: GFMatrix, nu: int, budget: int | None = DEFAULT_SUBSET_BUDGET) -> 
     remaining columns reduced modulo its span.  Once the basis has full rank
     every superset does too, so the node adds binomial counts for its subtree
     without descending; one rank short of full, it does the same from the
-    number of remaining columns already in the span.  Over GF(2) columns are
-    int bitmasks reduced by XOR; over larger fields, vectors of field
-    encodings reduced through q x q tables built once per field.  A whole
-    table is walked on the kernel of M instead when that has fewer rows,
-    and mapped back by the dual-matroid rank rule
-    r_M(S) = |S| - r_K(E) + r_K(E \\ S).  Tables are kept in a small LRU
-    cache keyed by (matrix, window), so a run's checks share one walk.
+    number of remaining columns already in the span.  The reduction is the
+    package's one GF elimination step (`matrices._elimination`): GF(2)
+    columns are int bitmasks reduced by XOR, other fields' columns tuples
+    reduced through q x q tables.  A whole table is walked on the kernel of
+    M instead when that has fewer rows, and mapped back by the dual-matroid
+    rank rule r_M(S) = |S| - r_K(E) + r_K(E \\ S).  Tables are kept in a
+    small LRU cache keyed by (matrix, window), so a run's checks share one
+    walk.
     """
     t = M.cols
     require_ints(nu=nu)
@@ -96,8 +96,7 @@ def _window(M: GFMatrix, nu: int, budget: int | None) -> tuple[int, int]:
 def _reduced(M: GFMatrix) -> GFMatrix:
     """The nonzero rows of M's reduced row echelon form: a basis of its row
     space, with as many rows as M has rank."""
-    rref, pivots = gf_row_reduce(M)
-    return GFMatrix(M.field, tuple(map(tuple, rref[:len(pivots)])), M.cols)
+    return GFMatrix(M.field, tuple(gf_row_reduce(M)[0]), M.cols)
 
 
 @functools.lru_cache(maxsize=16)
@@ -126,7 +125,8 @@ def _walk(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
     t = M.cols
     counts = [[0] * (R + 1) for _ in range(t + 1)]
     pascal = [[binom(m, j) for j in range(t + 1)] for m in range(t + 1)]
-    columns, reduce = _kernel(M)
+    pack, _, step = _elimination(M.field)
+    columns = [pack(M.column(j)) for j in range(t)]
 
     def node(rest: list, size: int, rank: int) -> None:
         m = len(rest)
@@ -154,73 +154,12 @@ def _walk(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
         for i in range(min(m, m + size + 1 - lo)):
             v = rest[i]
             if v:
-                node(reduce(rest[i + 1:], v), size + 1, rank + 1)
+                node(step(v, rest[i + 1:])[1], size + 1, rank + 1)
             else:
                 node(rest[i + 1:], size + 1, rank)
 
     node(columns, 0, 0)
     return counts
-
-
-def _kernel(M: GFMatrix):
-    """The columns of M in the walk's representation, with the function that
-    reduces a list of them modulo one more nonzero column v.  A zero column
-    is always the int 0, so a falsy test and list.count(0) find them."""
-    f = M.field
-    if f.q == 2:
-        columns = [sum(bit << i for i, bit in enumerate(M.column(j))) for j in range(M.cols)]
-
-        def reduce(rest: list, v: int) -> list:
-            low = v & -v
-            return [r ^ v if r & low else r for r in rest]
-
-        return columns, reduce
-
-    mul, sub, inv = _tables(f)
-
-    def reduce(rest: list, v: tuple) -> list:
-        lead = next(i for i, x in enumerate(v) if x)
-        scale = mul[inv[v[lead]]]
-        v = [scale[x] for x in v]
-        out = []
-        for r in rest:
-            c = r[lead] if r else 0
-            if c:
-                mc = mul[c]
-                r = tuple([sub[x][mc[y]] for x, y in zip(r, v)])
-                if not any(r):
-                    r = 0
-            out.append(r)
-        return out
-
-    columns = [col if any(col) else 0 for col in map(M.column, range(M.cols))]
-    return columns, reduce
-
-
-@functools.lru_cache(maxsize=8)
-def _tables(f):
-    """mul[a][b], sub[a][b] and inv[a] for the field's encodings."""
-    if f.q > _TABLE_ORDER_LIMIT:
-        return _FieldOp(f.mul, 2), _FieldOp(f.sub, 2), _FieldOp(f.inv, 1)
-    elems = range(f.q)
-    mul = [[f.mul(a, b) for b in elems] for a in elems]
-    sub = [[f.sub(a, b) for b in elems] for a in elems]
-    inv = [0] + [f.inv(a) for a in elems[1:]]
-    return mul, sub, inv
-
-
-class _FieldOp:
-    """A field operation indexed like a table, for fields too large to
-    tabulate: op[a][b] == op(a, b), or op[a] == op(a) when unary."""
-
-    __slots__ = ("op", "arity", "args")
-
-    def __init__(self, op, arity, args=()):
-        self.op, self.arity, self.args = op, arity, args
-
-    def __getitem__(self, x):
-        args = self.args + (x,)
-        return self.op(*args) if len(args) == self.arity else _FieldOp(self.op, self.arity, args)
 
 
 def verify_counting_identity(C: LinearCode, A: WeightDistribution, nu: int,

@@ -133,6 +133,23 @@ def _load_json_arg(text: str):
     return json.loads(Path(text).read_text())
 
 
+def _require_same_code(A: WeightDistribution, what: str, n: int, k: int, q: int) -> None:
+    """An input error unless the distribution object is for an [n, k]_q code."""
+    if (A.n, A.k, A.q) != (n, k, q):
+        raise CodeFileFormatError(
+            f"{what} is for [{A.n}, {A.k}]_{A.q}, the code is [{n}, {k}]_{q}")
+
+
+def _knowns_from_args(args, params: CodeParameters) -> dict[int, int]:
+    """The --knowns map; a full distribution object must be for the code that
+    the parameters describe."""
+    obj = _load_json_arg(args.knowns)
+    if isinstance(obj, dict) and "A" in obj:
+        _require_same_code(distribution_from_json(obj), "the --knowns distribution",
+                           params.n, params.k, params.q)
+    return knowns_from_json(obj)
+
+
 def _params_from_args(args) -> CodeParameters:
     if args.code:
         return _load_code(args.code).parameters(budget=args.budget)
@@ -194,10 +211,7 @@ def cmd_verify(args) -> int:
     code = _load_code(args.codefile)
     if args.inject_distribution:
         A = distribution_from_json(_load_json_arg(args.inject_distribution))
-        if (A.n, A.k, A.q) != (code.n, code.k, code.field.q):
-            raise CodeFileFormatError(
-                f"injected distribution is for [{A.n}, {A.k}]_{A.q}, "
-                f"the code is [{code.n}, {code.k}]_{code.field.q}")
+        _require_same_code(A, "injected distribution", code.n, code.k, code.field.q)
     else:
         A = code.weight_distribution(budget=args.budget, workers=args.workers)
     which = args.which
@@ -257,7 +271,7 @@ def cmd_verify(args) -> int:
 
 def cmd_solve(args) -> int:
     params = _params_from_args(args)
-    knowns = knowns_from_json(_load_json_arg(args.knowns))
+    knowns = _knowns_from_args(args, params)
     build = build_pascal_system if args.system == "pascal" else build_pless_system
     _emit(args, _render_distribution(args, solve_with_knowns(build(params), knowns)))
     return EXIT_OK
@@ -265,7 +279,7 @@ def cmd_solve(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     params = _params_from_args(args)
-    knowns = knowns_from_json(_load_json_arg(args.knowns))
+    knowns = _knowns_from_args(args, params)
     ap, al, agree = cross_check_systems(params, knowns)
     if args.format == "json":
         _emit(args, dumps({

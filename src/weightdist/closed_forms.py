@@ -153,18 +153,6 @@ def amds_distribution(inp: AmdsInput) -> WeightDistribution:
     return WeightDistribution(counts, inp.q, inp.k)
 
 
-def pascal_inverse(size: int, k: int, sigma: int) -> RationalMatrix:
-    """Explicit inverse [(-1)^(i-j) binom(k-sigma+1-j, i-j)] of the
-    lower-triangular Pascal matrix [binom(k-sigma+1-j, i-j)]; size must be
-    k - sigma + 2."""
-    require_ints(size=size, k=k, sigma=sigma)
-    if size != k - sigma + 2:
-        raise ValueError(f"size must be k - sigma + 2 = {k - sigma + 2}")
-    return RationalMatrix.from_rows(
-        [[(-1) ** (i - j) * binom(k - sigma + 1 - j, i - j) if i >= j else 0
-          for j in range(size)] for i in range(size)])
-
-
 # ---------------------------------------------------------------------------
 # extremal doubly-even self-dual binary codes [24m, 12m, 4m+4]
 # ---------------------------------------------------------------------------

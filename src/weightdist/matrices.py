@@ -5,10 +5,16 @@ No floating point anywhere: GF entries are canonical integer encodings;
 rational systems hold int entries wherever they are integral, are cleared
 of denominators row by row and eliminated fraction-free over the integers,
 with fractions.Fraction formed only at back-substitution.
+
+Every GF(q) elimination in the package, the row reduction behind code
+construction and kernels as well as the census's walk over column subsets,
+runs one step (`_elimination`): GF(2) vectors are int bitmasks reduced by
+XOR, other fields' vectors are tuples reduced through q x q tables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,14 +66,6 @@ class GFMatrix:
                     raise ValueError(f"entry {x} outside [0, {field.q})")
         return cls(field, tup, cols)
 
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "GFMatrix":
-        return cls(field, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
-
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "GFMatrix":
-        return cls(field, tuple((0,) * cols for _ in range(rows)), cols)
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -104,30 +102,85 @@ def gf_matmul(A: GFMatrix, B: GFMatrix) -> GFMatrix:
     return GFMatrix(f, tuple(out), B.cols)
 
 
-def gf_row_reduce(M: GFMatrix) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over GF(q); returns (rows, pivot columns)."""
-    f = M.field
-    mat = [list(r) for r in M.entries]
-    nrows, ncols = len(mat), M.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = f.inv(mat[r][c])
-        if inv != 1:
-            mat[r] = [f.mul(inv, x) for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                coeff = mat[i][c]
-                mat[i] = [f.sub(x, f.mul(coeff, y)) for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    return mat, pivots
+# q x q multiplication and subtraction tables are built for fields up to this
+# order; larger fields are looked up through their Field methods instead.
+_TABLE_ORDER_LIMIT = 256
+
+
+@functools.lru_cache(maxsize=8)
+def _elimination(f: Field):
+    """The one GF(q) elimination step and its vector representation, as
+    (pack, unpack, step).  pack turns a vector of field encodings into the
+    step's representation and unpack(v, length) turns it back into a tuple:
+    an int bitmask over GF(2) (bit i holds coordinate i), else a tuple.  A
+    zero vector is always the int 0, so a falsy test and list.count(0) find
+    it.  step(v, rest) scales the nonzero v so that its lead (its first
+    nonzero coordinate) is 1, clears that coordinate from every vector in
+    rest, by XOR or through q x q tables, and returns the scaled v and the
+    reduced list."""
+    if f.q == 2:
+        def step(v: int, rest: list) -> tuple[int, list]:
+            low = v & -v
+            return v, [r ^ v if r & low else r for r in rest]
+
+        return (lambda x: sum(bit << i for i, bit in enumerate(x)),
+                lambda v, length: tuple((v >> i) & 1 for i in range(length)), step)
+    if f.q > _TABLE_ORDER_LIMIT:
+        mul, sub, inv = _FieldOp(f.mul, 2), _FieldOp(f.sub, 2), _FieldOp(f.inv, 1)
+    else:
+        elems = range(f.q)
+        mul = [[f.mul(a, b) for b in elems] for a in elems]
+        sub = [[f.sub(a, b) for b in elems] for a in elems]
+        inv = [0] + [f.inv(a) for a in elems[1:]]
+
+    def step(v: tuple, rest: list) -> tuple[tuple, list]:
+        lead = next(i for i, x in enumerate(v) if x)
+        scale = mul[inv[v[lead]]]
+        v = tuple([scale[x] for x in v])
+        out = []
+        for r in rest:
+            c = r[lead] if r else 0
+            if c:
+                mc = mul[c]
+                r = tuple([sub[x][mc[y]] for x, y in zip(r, v)])
+                if not any(r):
+                    r = 0
+            out.append(r)
+        return v, out
+
+    return (lambda x: tuple(x) if any(x) else 0), (lambda v, length: v or (0,) * length), step
+
+
+class _FieldOp:
+    """A field operation indexed like a table, for fields too large to
+    tabulate: op[a][b] == op(a, b), or op[a] == op(a) when unary."""
+
+    __slots__ = ("op", "arity", "args")
+
+    def __init__(self, op, arity, args=()):
+        self.op, self.arity, self.args = op, arity, args
+
+    def __getitem__(self, x):
+        args = self.args + (x,)
+        return self.op(*args) if len(args) == self.arity else _FieldOp(self.op, self.arity, args)
+
+
+def gf_row_reduce(M: GFMatrix) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Reduced row echelon form over GF(q): its nonzero rows, and their
+    pivot columns in increasing order.  Each nonzero row in turn is a pivot
+    whose lead the elimination step clears from the rows still waiting and
+    from the pivots kept so far; sorted by lead, the kept pivots are the
+    RREF, which is unique for the row space."""
+    pack, unpack, step = _elimination(M.field)
+    waiting, kept = [pack(r) for r in M.entries], []
+    while waiting:
+        v, *waiting = waiting
+        if v:
+            v, out = step(v, waiting + kept)
+            waiting, kept = out[:len(waiting)], out[len(waiting):] + [v]
+    # a pivot row is 0 left of its lead and 1 there
+    led = sorted((r.index(1), r) for r in (unpack(v, M.cols) for v in kept))
+    return [r for _, r in led], [c for c, _ in led]
 
 
 def gf_rank(M: GFMatrix) -> int:

@@ -1,0 +1,74 @@
+"""The rank, RREF and kernel oracle for matrices over GF(q), and the
+matrices that differential tests draw to check the package against it.
+
+The oracle is textbook Gauss-Jordan elimination with one Field method call
+per element, kept in the tests so that it is never the code under test: the
+package reduces through `matrices._elimination` instead.
+"""
+
+from hypothesis import strategies as st
+
+from weightdist.fields import GF
+from weightdist.matrices import GFMatrix
+
+
+@st.composite
+def gf_matrices(draw, fields, max_rows=5, max_cols=7):
+    """Tall, square and wide matrices over one of the fields, 0-row and
+    all-zero ones among them; sparse rows and repeated rows make many of
+    them rank deficient."""
+    q = draw(st.sampled_from(fields))
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    entry = draw(st.sampled_from((
+        st.integers(1, q - 1), st.sampled_from((0, 0, 1, q - 1)), st.just(0))))
+    M = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        M[-1] = list(M[0])
+    return GFMatrix.from_rows(GF(q), M, cols=cols)
+
+
+def rref_oracle(M):
+    """The nonzero rows of M's reduced row echelon form, as tuples, and their
+    pivot columns."""
+    f = M.field
+    mat = [list(r) for r in M.entries]
+    nrows = len(mat)
+    pivots = []
+    r = 0
+    for c in range(M.cols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = f.inv(mat[r][c])
+        if inv != 1:
+            mat[r] = [f.mul(inv, x) for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                coeff = mat[i][c]
+                mat[i] = [f.sub(x, f.mul(coeff, y)) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def rank_oracle(M):
+    return len(rref_oracle(M)[1])
+
+
+def kernel_oracle(M):
+    """The kernel basis that is 1 at one free column and 0 at the others,
+    one row per free column in increasing order."""
+    f = M.field
+    rref, pivots = rref_oracle(M)
+    basis = []
+    for fc in (c for c in range(M.cols) if c not in pivots):
+        v = [0] * M.cols
+        v[fc] = 1
+        for row, pc in zip(rref, pivots):
+            v[pc] = f.neg(row[fc])
+        basis.append(tuple(v))
+    return GFMatrix(f, tuple(basis), M.cols)

@@ -216,6 +216,20 @@ def test_distribution_roundtrips_into_solve(code_files, capsys, tmp_path):
     assert json.loads(out2)["A"] == json.loads(out)["A"]
 
 
+@pytest.mark.parametrize("command", ["solve", "crosscheck"])
+def test_knowns_distribution_of_another_code_is_input_error(capsys, command):
+    # a full distribution object names its code; a mismatch with the
+    # parameters is an input error, not a nonexistence certificate
+    rc, mds_849, _ = run(capsys, "mds", "8", "4", "9")
+    assert rc == 0
+    params = ("--n", "8", "--k", "4", "--q", "5", "--d", "5", "--dperp", "5")
+    rc, out, err = run(capsys, command, *params, "--knowns", mds_849)
+    assert rc == 2
+    assert out == "" and "CodeFileFormatError" in err and "--knowns" in err
+    rc, out, _ = run(capsys, command, *params[:5], "9", *params[6:], "--knowns", mds_849)
+    assert rc == 0
+
+
 def test_crosscheck_agrees(code_files, capsys):
     fa, _ = code_files
     rc, out, _ = run(capsys, "crosscheck", "--code", fa, "--knowns",

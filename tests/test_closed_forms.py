@@ -14,14 +14,13 @@ from weightdist.closed_forms import (
     kronecker_delta,
     mds_distribution,
     nmds_distribution,
-    pascal_inverse,
     reed_solomon_code,
 )
 from weightdist.codes import CodeParameters
 from weightdist.corpus import find_amds_specimens
 from weightdist.errors import NegativeEntryError, RangeViolationError, SingularMatrixError
 from weightdist.fields import GF
-from weightdist.matrices import RationalMatrix, binom, solve_exact
+from weightdist.matrices import binom, solve_exact
 from weightdist.moments import (
     binomial_interpolation,
     build_pascal_system,
@@ -152,7 +151,6 @@ def test_amds_input_validation():
     lambda: AmdsInput(8, 4, True, 2, (27,)),
     lambda: AmdsInput(8, 4, 4, 3, (27, 2.0)),
     lambda: extremal_distribution(True),
-    lambda: pascal_inverse(True, 1, 2),
 ])
 def test_closed_forms_reject_bool_and_non_int_parameters(make):
     with pytest.raises(ValueError, match="must be an integer"):
@@ -176,18 +174,6 @@ def test_amds_satisfies_both_moment_systems():
     dist = amds_distribution(AmdsInput(8, 4, 4, 2, (27,)))
     for S in (build_pascal_system(params), build_pless_system(params)):
         assert S.matrix.matvec(dist.counts) == S.rhs
-
-
-def test_pascal_inverse_is_inverse():
-    for k, sigma in [(4, 2), (5, 2), (6, 3), (7, 4), (3, 2)]:
-        size = k - sigma + 2
-        P = RationalMatrix.from_rows([[binom(k - sigma + 1 - j, i - j) for j in range(size)]
-                                      for i in range(size)])
-        Pinv = pascal_inverse(size, k, sigma)
-        for j in range(size):
-            e_j = tuple(int(i == j) for i in range(size))
-            assert P.matvec([row[j] for row in Pinv.entries]) == e_j
-        assert all(P.entries[i][i] == 1 and Pinv.entries[i][i] == 1 for i in range(size))
 
 
 def test_kronecker_delta():

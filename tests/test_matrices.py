@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
 from weightdist.errors import DuplicateIndexError, IndexOutOfRangeError, SingularMatrixError
 from weightdist.fields import GF
@@ -12,6 +13,7 @@ from weightdist.matrices import (
     gf_kernel_basis,
     gf_matmul,
     gf_rank,
+    gf_row_reduce,
     pascal_minor_check,
     rational_kernel_vector,
     rational_rank,
@@ -19,6 +21,8 @@ from weightdist.matrices import (
     solve_exact,
     truncated_pascal,
 )
+
+from gf_oracle import gf_matrices, kernel_oracle, rref_oracle
 
 
 def test_binom_convention():
@@ -32,14 +36,15 @@ def test_binom_convention():
 
 def test_rank_basics():
     f2 = GF(2)
-    assert gf_rank(GFMatrix.zeros(f2, 2, 3)) == 0
-    assert gf_rank(GFMatrix.identity(f2, 4)) == 4
+    assert gf_rank(GFMatrix.from_rows(f2, [[0, 0, 0], [0, 0, 0]])) == 0
+    assert gf_rank(GFMatrix.from_rows(f2, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                           [0, 0, 1, 0], [0, 0, 0, 1]])) == 4
     assert gf_rank(GFMatrix.from_rows(f2, [[1, 1], [1, 1]])) == 1
 
 
 def test_kernel_basics():
     f2 = GF(2)
-    assert gf_kernel_basis(GFMatrix.identity(f2, 3)).rows == 0
+    assert gf_kernel_basis(GFMatrix.from_rows(f2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])).rows == 0
     kb = gf_kernel_basis(GFMatrix.from_rows(f2, [[1, 1]]))
     assert kb.entries == ((1, 1),)
 
@@ -57,6 +62,29 @@ def test_kernel_is_in_kernel_and_dimension_formula():
                 assert all(x == 0 for x in gf_matmul(M, GFMatrix.from_rows(f, [v]).transpose()).column(0))
             if kb.rows:
                 assert gf_rank(kb) == kb.rows
+
+
+# GF(2) bitmasks, prime and extension tables, and two fields above the
+# 256-element table limit, of characteristic 2 and 3
+ELIMINATION_FIELDS = (2, 3, 4, 9, 2 ** 9, 3 ** 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gf_matrices(ELIMINATION_FIELDS, max_rows=7))
+@example(GFMatrix.from_rows(GF(3), [], cols=4))
+@example(GFMatrix.from_rows(GF(5), [[], []]))
+@example(GFMatrix.from_rows(GF(9), [[0, 0, 0], [0, 0, 0]]))
+@example(GFMatrix.from_rows(GF(4), [[1, 2, 3], [1, 2, 3], [2, 3, 1], [0, 1, 1], [3, 1, 2]]))
+@example(GFMatrix.from_rows(GF(2 ** 9), [[0, 5, 511, 7, 0, 1], [0, 10, 509, 14, 0, 2]]))
+@example(GFMatrix.from_rows(GF(3 ** 7), [[0, 2186, 3, 1], [0, 1, 2185, 2]]))
+def test_gf_elimination_matches_the_oracle(M):
+    rows, pivots = rref_oracle(M)
+    assert gf_row_reduce(M) == (rows, pivots)
+    assert gf_rank(M) == len(pivots)
+    kb = gf_kernel_basis(M)
+    assert kb == kernel_oracle(M)
+    zero = GFMatrix.from_rows(M.field, [[0] * kb.rows] * M.rows, cols=kb.rows)
+    assert gf_matmul(M, kb.transpose()) == zero
 
 
 def test_select_columns():
