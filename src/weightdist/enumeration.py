@@ -12,18 +12,25 @@ position, maps the inner block onto itself and scales every word by lam.
 With several workers the normalised outer messages are partitioned into
 disjoint ranges whose histograms are merged by exact addition.
 
-The block table is stored coordinate-major, one contiguous row per code
-position.  The word of table entry u against outer codeword c is compared
-position by position with c itself, which counts the weight of u - c; over
-the whole block that is the histogram of the outer message -m, the same as
-that of m.  Each symbol is one unsigned word, in the smallest dtype that
-holds it; the layout depends on the characteristic p:
-  - p = 2: the canonical encoding itself; vector addition is XOR.
-  - p odd: the base-p digits, each in a field of w bits whose top bit is a
-    guard bit.  The table stores every digit offset by 2^(w-1) - p, so after
-    a canonical digit is added the guard bit is set exactly when the digit
-    sum reached p; subtracting p from those fields re-canonicalises the
-    whole word at once (SWAR: SIMD within a register).
+The block table is stored word-major, one contiguous row per table word
+of the codewords.  The words of table entry u are compared with those of
+outer codeword c, which counts the weight of u - c; over the whole block
+that is the histogram of the outer message -m, the same as that of m.  The
+layout depends on the field:
+  - q = 2: 64 coordinates per uint64 word, coordinate j in bit j % 64 of
+    word j // 64; vector addition is XOR, and the differing coordinates of
+    two words are the popcount of their XOR (np.bitwise_count, numpy >= 2.0).
+  - q = 2^m, m > 1: one symbol per word, the canonical encoding itself;
+    vector addition is XOR.
+  - p odd: one symbol per word, its base-p digits each in a field of w bits
+    whose top bit is a guard bit.  The table stores every digit offset by
+    2^(w-1) - p, so after a canonical digit is added the guard bit is set
+    exactly when the digit sum reached p; subtracting p from those fields
+    re-canonicalises the whole word at once (SWAR: SIMD within a register).
+One symbol per word takes the smallest unsigned dtype that holds it, and
+a word differs or not.  Packing several such symbols per word and counting
+the nonzero fields of their difference was measured slower than this
+per-symbol compare, so only GF(2) packs.
 
 numpy and the process pool are imported inside the functions that use them,
 so that importing the package, and every command that does not enumerate,
@@ -44,19 +51,21 @@ _BLOCK_ROWS = 1 << 16
 
 
 class _Representation:
-    """Field-specific symbol layout: one word per symbol, and the vector
-    addition on it.  Table words carry the offset `zero`, the word of the
-    zero symbol; the packed encodings added to them carry none.  A field of
-    order at most 2^16 holds the word of every element and, for m > 1, its
-    exp/log tables as arrays; a larger one holds nothing of size q."""
+    """Field-specific table layout: the symbols per table word, the vector
+    addition on words, and the count of differing symbols between words.
+    Table words carry the offset `zero`, the word of the zero symbol; the
+    packed encodings added to them carry none.  A field of order at most
+    2^16 holds the word of every element and, for m > 1, its exp/log tables
+    as arrays; a larger one holds nothing of size q."""
 
     def __init__(self, field: Field):
         import numpy as np
 
         p, m = field.p, field.m
         self.field = field
+        self.per_word = 64 if field.q == 2 else 1
         if p == 2:
-            self.kind, bits, zero = "xor", m, 0
+            self.kind, bits, zero = "xor", m * self.per_word, 0
         else:
             self.kind = "packed"
             self.w = w = (2 * p - 2).bit_length() + 1
@@ -84,7 +93,8 @@ class _Representation:
                 self.exp = np.concatenate([field._exp, field._exp, np.zeros(2 * order + 1, int)])
 
     def pack(self, encs) -> np.ndarray:
-        """Canonical encodings as words, base-p digit i in bits [w*i, w*i + w)."""
+        """Canonical encodings as one word each, base-p digit i in bits
+        [w*i, w*i + w)."""
         import numpy as np
 
         e = np.asarray(encs, dtype=np.uint64)
@@ -98,7 +108,9 @@ class _Representation:
         return out
 
     def multiples(self, row: Sequence[int], lams: Sequence[int]) -> np.ndarray:
-        """Packed words of lam * row, one row of the result per lam."""
+        """Table words of lam * row, one row of the result per lam.  When a
+        word holds several symbols (GF(2)), symbol j is bit j % per_word of
+        word j // per_word; otherwise it is word j."""
         import numpy as np
 
         field = self.field
@@ -107,8 +119,16 @@ class _Representation:
         lam = np.asarray(lams, dtype=np.int64)[:, None]
         e = np.asarray(row, dtype=np.int64)[None, :]
         if field.m == 1:
-            return self.words[lam * e % field.p]
-        return self.words[self.exp[self.log[lam] + self.log[e]]]
+            symbols = self.words[lam * e % field.p]
+        else:
+            symbols = self.words[self.exp[self.log[lam] + self.log[e]]]
+        if self.per_word == 1:
+            return symbols
+        rows, n = symbols.shape
+        bits = np.zeros((rows, -(-n // self.per_word) * self.per_word), dtype=self.dtype)
+        bits[:, :n] = symbols
+        shifts = np.arange(self.per_word, dtype=self.dtype)
+        return np.bitwise_or.reduce(bits.reshape(rows, -1, self.per_word) << shifts, axis=2)
 
     def add(self, col: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Table words col plus packed words v, again as table words."""
@@ -116,6 +136,17 @@ class _Representation:
             return col ^ v
         s = col + v
         return s - ((s >> self.guard) & self.low) * self.p
+
+    def differences(self, col: np.ndarray, t) -> np.ndarray:
+        """For each table word in col, how many of its symbols differ from
+        those of the word t: the popcount of the XOR when a word holds
+        several GF(2) symbols (Warren, Hacker's Delight, ch. 5), else
+        whether the word differs."""
+        import numpy as np
+
+        if self.per_word > 1:
+            return np.bitwise_count(col ^ t)
+        return col != t
 
 
 def _normalised_messages(q: int, k: int, start: int, stop: int) -> Iterator[int]:
@@ -143,7 +174,8 @@ def _histogram_range(rep: _Representation, inner: Sequence[Sequence[int]],
     import numpy as np
 
     q = rep.field.q
-    table = [np.full(1, rep.zero) for _ in range(n)]
+    width = -(-n // rep.per_word)  # table words per codeword
+    table = [np.full(1, rep.zero) for _ in range(width)]
     for row in inner:
         mults = rep.multiples(row, range(q))
         table = [rep.add(col, mults[:, j, None]).ravel() for j, col in enumerate(table)]
@@ -157,7 +189,7 @@ def _histogram_range(rep: _Representation, inner: Sequence[Sequence[int]],
     wbuf = np.zeros(q ** len(inner), dtype=wdtype)
     hist = np.zeros(n + 1, dtype=np.int64)
     for v in _normalised_messages(q, len(outer), outer_start, outer_stop):
-        target = np.full(n, rep.zero)
+        target = np.full(width, rep.zero)
         rem = v
         for i in reversed(range(len(outer))):
             lam = rem % q
@@ -168,7 +200,7 @@ def _histogram_range(rep: _Representation, inner: Sequence[Sequence[int]],
                 target = rep.add(target, mult)
         wbuf[:] = 0
         for col, t in zip(table, target):
-            wbuf += col != t
+            wbuf += rep.differences(col, t)
         hist += np.bincount(wbuf, minlength=n + 1) * (q - 1 if v else 1)
     return hist
 

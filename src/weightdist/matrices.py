@@ -128,10 +128,7 @@ def _elimination(f: Field):
     if f.q > _TABLE_ORDER_LIMIT:
         mul, sub, inv = _FieldOp(f.mul, 2), _FieldOp(f.sub, 2), _FieldOp(f.inv, 1)
     else:
-        elems = range(f.q)
-        mul = [[f.mul(a, b) for b in elems] for a in elems]
-        sub = [[f.sub(a, b) for b in elems] for a in elems]
-        inv = [0] + [f.inv(a) for a in elems[1:]]
+        mul, sub, inv = _tables(f)
 
     def step(v: tuple, rest: list) -> tuple[tuple, list]:
         lead = next(i for i, x in enumerate(v) if x)
@@ -149,6 +146,35 @@ def _elimination(f: Field):
         return v, out
 
     return (lambda x: tuple(x) if any(x) else 0), (lambda v, length: v or (0,) * length), step
+
+
+def _sub_table(p: int, m: int) -> list[list[int]]:
+    """sub[a][b] = a - b in GF(p^m), digit by digit: the low base-p digit
+    from the GF(p) table, the others from the table of m - 1 digits."""
+    low = [[(a - b) % p for b in range(p)] for a in range(p)]
+    if m == 1:
+        return low
+    high = _sub_table(p, m - 1)
+    q = p ** m
+    return [[low[a % p][b % p] + p * high[a // p][b // p] for b in range(q)]
+            for a in range(q)]
+
+
+def _tables(f: Field) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """The q x q multiplication and subtraction tables and the inverses of
+    f, without a Field call per entry: modular arithmetic over a prime
+    field; otherwise products from the field's exp/log lists, and
+    differences by XOR for p = 2 or digit by digit for odd p."""
+    p, q = f.p, f.q
+    elems = range(q)
+    if f.m == 1:
+        mul = [[a * b % p for b in elems] for a in elems]
+        return mul, _sub_table(p, 1), [0] + [pow(a, p - 2, p) for a in elems[1:]]
+    order, exp, log = q - 1, f._exp * 2, f._log
+    mul = [[0] * q] + [[0] + [exp[log[a] + log[b]] for b in elems[1:]] for a in elems[1:]]
+    inv = [0] + [exp[order - log[a]] for a in elems[1:]]
+    sub = [[a ^ b for b in elems] for a in elems] if p == 2 else _sub_table(p, f.m)
+    return mul, sub, inv
 
 
 class _FieldOp:

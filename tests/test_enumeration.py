@@ -110,6 +110,51 @@ def test_two_workers_odd_normalised_range(q, k_inner):
         assert weight_histogram(G, budget=None, workers=2) == oracle_histogram(G)
 
 
+def _binary_code(n: int, k: int, seed: int, extra=()) -> GFMatrix:
+    """Rows `extra`, an all-ones row (weight n, so the top of the weight
+    buffer is reached), then random rows; k rows in all."""
+    rng = random.Random(seed)
+    rows = [list(r) for r in extra] + [[1] * n]
+    rows += [[rng.randrange(2) for _ in range(n)] for _ in range(k - len(rows))]
+    return GFMatrix.from_rows(GF(2), rows)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 129, 300])
+def test_binary_words_across_word_boundaries(n):
+    """GF(2) tables pack 64 coordinates per word: codes that end just
+    before, on and after a word boundary, and one with n > 255, the width
+    past which the weight buffer cannot be a uint8; every inner/outer split."""
+    k = min(n, 4)
+    G = _binary_code(n, k, seed=n)
+    expected = oracle_histogram(G)
+    assert expected[n] >= 1
+    for k_inner in range(k + 1):
+        with _patched_split(GF(2), k_inner):
+            assert weight_histogram(G, budget=None) == expected, k_inner
+
+
+@pytest.mark.parametrize("defect", ["zero", "repeat", "sum"])
+def test_rank_deficient_binary_generators_past_one_word(defect):
+    """n = 100 spans two words; the dependent row comes first, so every
+    split puts it in the outer part."""
+    n, rng = 100, random.Random(7)
+    a, b = ([rng.randrange(2) for _ in range(n)] for _ in range(2))
+    extra = {"zero": [0] * n, "repeat": a, "sum": [x ^ y for x, y in zip(a, b)]}[defect]
+    G = _binary_code(n, 5, seed=11, extra=[extra, a, b])
+    expected = oracle_histogram(G)
+    for k_inner in range(6):
+        with _patched_split(GF(2), k_inner):
+            assert weight_histogram(G, budget=None) == expected, k_inner
+
+
+def test_two_workers_binary_past_one_word():
+    """n = 130 spans three words; four outer rows give 16 normalised
+    messages, split over two processes."""
+    G = _binary_code(130, 5, seed=130)
+    with _patched_split(GF(2), 1), patch.object(enumeration.os, "cpu_count", lambda: 2):
+        assert weight_histogram(G, budget=None, workers=2) == oracle_histogram(G)
+
+
 def test_field_beyond_tables_prime():
     """GF(65537) has q > 2^16: no inner table and no whole-field arrays."""
     field = GF(65537)
@@ -178,7 +223,7 @@ def test_two_workers_odd_characteristic():
 
 
 @pytest.mark.parametrize("q, dtype", [
-    (2, np.uint8), (2 ** 9, np.uint16), (3, np.uint8), (3 ** 7, np.uint32),
+    (2, np.uint64), (2 ** 9, np.uint16), (3, np.uint8), (3 ** 7, np.uint32),
     (3 ** 9, np.uint64), (257, np.uint16), (65521, np.uint32),
 ])
 def test_smallest_dtype_and_no_upcast(q, dtype):

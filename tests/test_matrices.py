@@ -8,6 +8,7 @@ from weightdist.errors import DuplicateIndexError, IndexOutOfRangeError, Singula
 from weightdist.fields import GF
 from weightdist.matrices import (
     GFMatrix,
+    _tables,
     RationalMatrix,
     binom,
     gf_kernel_basis,
@@ -85,6 +86,18 @@ def test_gf_elimination_matches_the_oracle(M):
     assert kb == kernel_oracle(M)
     zero = GFMatrix.from_rows(M.field, [[0] * kb.rows] * M.rows, cols=kb.rows)
     assert gf_matmul(M, kb.transpose()) == zero
+
+
+@pytest.mark.parametrize("q", [3, 4, 9, 16, 27, 49, 125, 128, 243, 251, 256])
+def test_elimination_tables_match_field_calls(q):
+    """The elimination's q x q tables, built without Field calls, against
+    one Field call per entry: prime fields, GF(2^m) and odd p with m > 1."""
+    f = GF(q)
+    mul, sub, inv = _tables(f)
+    elems = range(q)
+    assert mul == [[f.mul(a, b) for b in elems] for a in elems]
+    assert sub == [[f.sub(a, b) for b in elems] for a in elems]
+    assert inv == [0] + [f.inv(a) for a in elems[1:]]
 
 
 def test_select_columns():
