@@ -3,18 +3,25 @@ counting facts built on them: the kernel-counting identity relating a code's
 weight distribution to the census of its parity-check matrix, and the
 full-rank regime where every wide-enough column selection has maximal rank.
 
-The census defines no arithmetic of its own: its walk reduces columns with
-the same GF elimination step that builds codes and kernels in `matrices`.
+The census defines no arithmetic of its own.  Its walk reduces a whole level
+of column subsets at a time in numpy rather than through the scalar step of
+`matrices._elimination`, but it uses the same q x q tables (`matrices._tables`)
+and splits at the same order limit: larger fields go through their own
+operations.  numpy is imported when the first census runs.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import math
 from dataclasses import dataclass
 
 from .codes import LinearCode, WeightDistribution, require_ints
 from .errors import BudgetExceededError, RegimeViolationError
-from .matrices import GFMatrix, _elimination, binom, gf_kernel_basis, gf_row_reduce
+from .fields import Field
+from .matrices import (_TABLE_ORDER_LIMIT, GFMatrix, _elimination, _tables, binom,
+                       gf_kernel_basis, gf_row_reduce)
 
 DEFAULT_SUBSET_BUDGET = 10 ** 7
 
@@ -23,6 +30,12 @@ DEFAULT_SUBSET_BUDGET = 10 ** 7
 # a 16-column matrix); otherwise it walks the width asked for alone, so a lone
 # census of a small width on a large matrix does not pay for the table.
 _WHOLE_TABLE_NODES = 1 << 16
+
+# The walk makes at most this many subsets at a time, or the children of one
+# subset when they are more.  It goes depth first and each size holds about
+# two such chunks at most, so its memory stays bounded however many subsets it
+# visits.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -41,7 +54,7 @@ class RankCensus:
 def census(M: GFMatrix, nu: int, budget: int | None = DEFAULT_SUBSET_BUDGET) -> RankCensus:
     """Exhaustive rank census over all binom(cols, nu) column subsets.
 
-    The row for nu is read from a table counts[size][rank] that one DFS over
+    The row for nu is read from a table counts[size][rank] that one walk over
     column subsets builds for every size at once (the Whitney
     rank-generating function of the column matroid), so every later width is
     a lookup.  The whole table is walked only when the budget covers all
@@ -50,18 +63,23 @@ def census(M: GFMatrix, nu: int, budget: int | None = DEFAULT_SUBSET_BUDGET) -> 
     descends only into prefixes that can still reach nu and counts its last
     level at once.
 
-    Each DFS node extends a reduced basis by one column and keeps the other
-    remaining columns reduced modulo its span.  Once the basis has full rank
-    every superset does too, so the node adds binomial counts for its subtree
-    without descending; one rank short of full, it does the same from the
-    number of remaining columns already in the span.  The reduction is the
-    package's one GF elimination step (`matrices._elimination`): GF(2)
-    columns are int bitmasks reduced by XOR, other fields' columns tuples
-    reduced through q x q tables.  A whole table is walked on the kernel of
-    M instead when that has fewer rows, and mapped back by the dual-matroid
-    rank rule r_M(S) = |S| - r_K(E) + r_K(E \\ S).  Tables are kept in a
-    small LRU cache keyed by (matrix, window), so a run's checks share one
-    walk.
+    The walk goes level by level through the tree of column subsets, each
+    subset a child of the one without its last column.  A level is a set of
+    arrays: per subset its last column, its rank and the residual of every
+    column modulo its span.  One set of array operations extends a chunk of
+    subsets by every later column and reduces the residuals by the new one.
+    GF(2) residuals are bitmasks over the rows, reduced by XOR; other fields'
+    are rows of encodings, reduced through q x q tables.  Once a subset has
+    full rank every superset does too, so its subtree is counted by
+    binomials without descending; one rank short of full, likewise from the
+    number of later columns already in its span.  Each step extends waiting
+    subsets of one size, about _CHUNK children's worth: the largest size
+    with that many waiting, else the smallest size with any.  So the walk
+    goes depth first, its memory stays bounded and its chunks stay full.  A
+    whole table is walked on the kernel of M instead when that has fewer
+    rows, and mapped back by the dual-matroid rank rule
+    r_M(S) = |S| - r_K(E) + r_K(E \\ S).  Tables are kept in a small LRU
+    cache keyed by (matrix, window), so a run's checks share one walk.
     """
     t = M.cols
     require_ints(nu=nu)
@@ -108,58 +126,156 @@ def _rank_table(M: GFMatrix, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
     rank = basis.rows
     if (lo, hi) == (0, t) and t - rank < rank:
         K = gf_kernel_basis(M)
-        dual = _walk(K, K.rows, 0, t)
+        dual = _frontier(K, K.rows, 0, t)
         counts = [[0] * (rank + 1) for _ in range(t + 1)]
         for size, row in enumerate(dual):
             for r, c in enumerate(row):
                 if c:
                     counts[t - size][t - size - K.rows + r] += c
     else:
-        counts = _walk(basis, rank, lo, hi)
+        counts = _frontier(basis, rank, lo, hi)
     return tuple(map(tuple, counts))
 
 
-def _walk(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
-    """The DFS over the column subsets of a matrix whose R rows are
-    independent; counts[size][rank] for lo <= size <= hi."""
-    t = M.cols
-    counts = [[0] * (R + 1) for _ in range(t + 1)]
-    pascal = [[binom(m, j) for j in range(t + 1)] for m in range(t + 1)]
-    pack, _, step = _elimination(M.field)
-    columns = [pack(M.column(j)) for j in range(t)]
+@functools.lru_cache(maxsize=8)
+def _array_ops(f: Field):
+    """(dtype, mul, sub, inv) for residual entries over f: the q x q tables
+    of `matrices._tables`, flattened and indexed by a * q + b in narrow ints,
+    or above _TABLE_ORDER_LIMIT the field's own operations on Python ints,
+    the same split as `matrices._elimination`."""
+    import numpy as np
 
-    def node(rest: list, size: int, rank: int) -> None:
-        m = len(rest)
-        if rank >= R - 1:
+    if f.q > _TABLE_ORDER_LIMIT:
+        mul, sub, inv = (np.frompyfunc(op, arity, 1)
+                         for op, arity in ((f.mul, 2), (f.sub, 2), (f.inv, 1)))
+        return object, mul, sub, inv
+    dtype = np.min_scalar_type(f.q - 1)
+    q = np.min_scalar_type(f.q * f.q - 1).type(f.q)
+    mul, sub, inv = (np.array(x, dtype=dtype).ravel() for x in _tables(f))
+    return dtype, (lambda a, b: mul.take(a * q + b)), (lambda a, b: sub.take(a * q + b)), inv.take
+
+
+def _frontier(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
+    """counts[size][rank] for lo <= size <= hi over the column subsets of a
+    matrix whose R rows are independent, walked level by level in numpy."""
+    import numpy as np
+
+    t = M.cols
+    cols = np.arange(t)
+    if M.field.q == 2:
+        # residuals are bitmasks over the rows, (nodes, t); past 64 rows,
+        # Python ints
+        pack = _elimination(M.field)[0]
+        dtype = np.min_scalar_type((1 << R) - 1) if R <= 64 else object
+        root = np.array([[pack(M.column(j)) for j in range(t)]], dtype=dtype)
+
+        def in_span(res):
+            return res == 0
+
+        def independent(v):
+            return v != 0
+
+        def reduce(res, v):
+            low = (v & -v)[:, None]
+            res ^= np.where((res & low) != 0, v[:, None], 0)
+    else:
+        # residuals are columns of R encodings, (nodes, R, t); the lead of a
+        # pivot is scaled to 1 and cleared from every residual through the
+        # field's tables, one row at a time
+        dtype, mul, sub, inv = _array_ops(M.field)
+        root = np.array([M.entries], dtype=dtype).reshape(1, R, t)
+
+        def in_span(res):
+            # row by row: res.any(axis=1) reduces along the middle axis about
+            # four times slower
+            out = np.ones((len(res), t), dtype=bool)
+            for row in res.transpose(1, 0, 2):
+                out &= row == 0
+            return out
+
+        def independent(v):
+            return v.any(axis=1)
+
+        def reduce(res, v):
+            rows = np.arange(len(v))
+            lead = (v != 0).argmax(axis=1)
+            # a zero v is scaled by 1 and stays zero, leaving res unchanged
+            v = mul(inv(np.maximum(v[rows, lead], 1))[:, None], v)
+            c = res[rows, lead]
+            for r in range(R):
+                res[:, r] = sub(res[:, r], mul(v[:, r, None], c))
+
+    def zeros(last, res):
+        """How many columns after each node's last lie in its span."""
+        return (in_span(res) & (cols > last[:, None])).sum(axis=1)
+
+    def extend(size, last, rank, res):
+        """Every node extended by each later column that still lets it reach
+        lo."""
+        p, j = np.nonzero(cols[:t + size - lo + 1] > last[:, None])
+        res = res[p]
+        v = res[np.arange(len(p)), ..., j]
+        reduce(res, v)
+        return j, rank[p] + independent(v), res
+
+    counts = np.zeros((t + 1, R + 1), dtype=np.int64)
+    # nodes at rank >= R - 1, by (size, rank, m remaining columns, z of them
+    # in the span): their subtrees are counted in closed form at the end
+    ends: dict[tuple[int, int, int, int], int] = {}
+    b = t + 1  # every m and z is at most t
+    # per size, the nodes waiting to be extended and their children in all
+    pending: list[list[tuple]] = [[] for _ in range(t + 1)]
+    fans = [0] * (t + 1)
+
+    def settle(size, last, rank, res):
+        """Count new nodes of one size and queue those with children."""
+        done = rank >= R - 1
+        if done.any():
             # every superset of a full-rank set is full rank; one short of
             # full, a superset stays short iff its new columns are in the span
-            z = m if rank == R else rest.count(0)
-            low, full = pascal[z], pascal[m]
-            for j in range(max(lo - size, 0), min(m, hi - size) + 1):
-                row = counts[size + j]
-                row[rank] += low[j]
-                if rank < R:
-                    row[R] += full[j] - low[j]
-            return
+            m = t - 1 - last[done]
+            z = np.where(rank[done] == R, m, zeros(last[done], res[done]))
+            for key, c in collections.Counter(((rank[done] * b + m) * b + z).tolist()).items():
+                key = (size, key // (b * b), key // b % b, key % b)
+                ends[key] = ends.get(key, 0) + c
+            keep = ~done
+            last, rank, res = last[keep], rank[keep], res[keep]
         if size >= lo:
-            counts[size][rank] += 1
-        if size == hi:
-            return
+            counts[size] += np.bincount(rank, minlength=R + 1)
         if size + 1 == hi:
             # the children are leaves: count the nonzero residuals at once
-            zeros = rest.count(0)
-            counts[hi][rank] += zeros
-            counts[hi][rank + 1] += m - zeros
-            return
-        for i in range(min(m, m + size + 1 - lo)):
-            v = rest[i]
-            if v:
-                node(step(v, rest[i + 1:])[1], size + 1, rank + 1)
-            else:
-                node(rest[i + 1:], size + 1, rank)
+            z = zeros(last, res)
+            np.add.at(counts[hi], rank, z)
+            np.add.at(counts[hi], rank + 1, t - 1 - last - z)
+        elif size < hi:
+            fan = min(t, t + size - lo + 1) - 1 - last
+            has = fan > 0
+            if has.any():
+                pending[size].append((last[has], rank[has], res[has], fan[has]))
+                fans[size] += int(fan[has].sum())
 
-    node(columns, 0, 0)
-    return counts
+    settle(0, np.array([-1]), np.zeros(1, dtype=np.int64), root)
+    while any(fans):
+        # make about _CHUNK children of the largest size that has that many
+        # waiting, else of the smallest size waiting: a size fills up before
+        # it is extended, and it is not fed once it is full
+        full = [s for s, f in enumerate(fans) if f >= _CHUNK]
+        size = full[-1] if full else next(s for s, f in enumerate(fans) if f)
+        last, rank, res, fan = (np.concatenate(a) for a in zip(*pending[size]))
+        cut = max(int(np.searchsorted(np.cumsum(fan), _CHUNK, side="right")), 1)
+        pending[size] = [(last[cut:], rank[cut:], res[cut:], fan[cut:])]
+        fans[size] -= int(fan[:cut].sum())
+        settle(size + 1, *extend(size, last[:cut], rank[:cut], res[:cut]))
+
+    out = counts.tolist()
+    for (size, rank, m, z), c in ends.items():
+        for j in range(max(lo - size, 0), min(m, hi - size) + 1):
+            row = out[size + j]
+            low = math.comb(z, j)
+            row[rank] += c * low
+            if rank < R:
+                row[R] += c * (math.comb(m, j) - low)
+    return out
 
 
 def verify_counting_identity(C: LinearCode, A: WeightDistribution, nu: int,
@@ -173,6 +289,9 @@ def verify_counting_identity(C: LinearCode, A: WeightDistribution, nu: int,
     every nu is the core consistency fact this package is built around.
     """
     n, q = C.n, C.field.q
+    if (A.n, A.q) != (n, q):
+        raise ValueError(f"distribution of length {A.n} over GF({A.q}) given for "
+                         f"a code of length {n} over GF({q})")
     if not 1 <= nu <= n:
         raise ValueError(f"need 1 <= nu <= {n}, got {nu}")
     lhs = sum(binom(n - s, nu - s) * A.counts[s] for s in range(nu + 1))
@@ -189,6 +308,9 @@ def check_full_rank_regime(C: LinearCode, nu: int, d_perp: int | None = None,
     outcome."""
     if d_perp is None:
         d_perp = C.parameters().d_perp
+    require_ints(d_perp=d_perp)
+    if not 1 <= d_perp <= C.k + 1:
+        raise ValueError(f"need 1 <= d_perp <= k+1 = {C.k + 1}, got d_perp={d_perp}")
     if nu <= C.n - d_perp:
         raise RegimeViolationError(
             f"nu={nu} is not above n - d_perp = {C.n - d_perp}")

@@ -6,10 +6,12 @@ rational systems hold int entries wherever they are integral, are cleared
 of denominators row by row and eliminated fraction-free over the integers,
 with fractions.Fraction formed only at back-substitution.
 
-Every GF(q) elimination in the package, the row reduction behind code
-construction and kernels as well as the census's walk over column subsets,
-runs one step (`_elimination`): GF(2) vectors are int bitmasks reduced by
-XOR, other fields' vectors are tuples reduced through q x q tables.
+Every scalar GF(q) elimination in the package, the row reduction behind code
+construction and kernels, runs one step (`_elimination`): GF(2) vectors are
+int bitmasks reduced by XOR, other fields' vectors are tuples reduced through
+q x q tables (`_tables`), or through the field's own operations above
+_TABLE_ORDER_LIMIT.  The census's numpy walk over column subsets reduces
+through the same tables and splits at the same limit.
 """
 
 from __future__ import annotations

@@ -117,6 +117,9 @@ def verify_pless_full(A: WeightDistribution, B: WeightDistribution, nu: int
     to its dual's:  sum_{i>=nu} binom(i, nu) A_i  against
     q^(k-nu) sum_j (-1)^j binom(n-j, n-nu) (q-1)^(nu-j) B_j."""
     n, q, k = A.n, A.q, A.k
+    if (B.n, B.q) != (n, q):
+        raise ValueError(f"dual distribution of length {B.n} over GF({B.q}) given for "
+                         f"one of length {n} over GF({q})")
     if not 0 <= nu <= n:
         raise ValueError(f"need 0 <= nu <= {n}")
     lhs = sum(binom(i, nu) * A.counts[i] for i in range(nu, n + 1))

@@ -1,22 +1,25 @@
-"""The rank, RREF and kernel oracle for matrices over GF(q), and the
-matrices that differential tests draw to check the package against it.
+"""The rank, RREF, kernel and census-table oracles for matrices over GF(q),
+and the matrices that differential tests draw to check the package against
+them.
 
-The oracle is textbook Gauss-Jordan elimination with one Field method call
-per element, kept in the tests so that it is never the code under test: the
-package reduces through `matrices._elimination` instead.
+The rank oracle is textbook Gauss-Jordan elimination with one Field method
+call per element, kept in the tests so that it is never the code under
+test: the package reduces through `matrices._elimination` instead.  The
+census-table oracle walks column subsets one Python call each, reducing by
+that scalar step, where the census reduces whole levels of subsets in numpy.
 """
 
 from hypothesis import strategies as st
 
 from weightdist.fields import GF
-from weightdist.matrices import GFMatrix
+from weightdist.matrices import GFMatrix, _elimination, binom
 
 
 @st.composite
 def gf_matrices(draw, fields, max_rows=5, max_cols=7):
     """Tall, square and wide matrices over one of the fields, 0-row and
     all-zero ones among them; sparse rows and repeated rows make many of
-    them rank deficient."""
+    them rank deficient, and some repeat a column."""
     q = draw(st.sampled_from(fields))
     rows = draw(st.integers(0, max_rows))
     cols = draw(st.integers(1, max_cols))
@@ -25,6 +28,9 @@ def gf_matrices(draw, fields, max_rows=5, max_cols=7):
     M = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
     if rows > 1 and draw(st.booleans()):
         M[-1] = list(M[0])
+    if cols > 1 and draw(st.booleans()):
+        for row in M:
+            row[-1] = row[0]
     return GFMatrix.from_rows(GF(q), M, cols=cols)
 
 
@@ -72,3 +78,43 @@ def kernel_oracle(M):
             v[pc] = f.neg(row[fc])
         basis.append(tuple(v))
     return GFMatrix(f, tuple(basis), M.cols)
+
+
+def census_table_oracle(M, lo, hi):
+    """counts[size][rank] for every column subset of M with lo <= size <= hi,
+    rows outside the window zero, as a tuple of tuples of rank(M) + 1
+    entries.  A depth-first walk with one Python call per subset over a
+    basis from the oracle's RREF: each node reduces the later columns by the
+    scalar elimination step (`matrices._elimination`) and, at rank R - 1 or
+    more, counts its subtree by binomials."""
+    R = rank_oracle(M)
+    basis = GFMatrix(M.field, tuple(rref_oracle(M)[0]), M.cols)
+    t = M.cols
+    counts = [[0] * (R + 1) for _ in range(t + 1)]
+    pack, _, step = _elimination(M.field)
+    columns = [pack(basis.column(j)) for j in range(t)]
+
+    def node(rest, size, rank):
+        m = len(rest)
+        if rank >= R - 1:
+            # every superset of a full-rank set is full rank; one short of
+            # full, a superset stays short iff its new columns are in the span
+            z = m if rank == R else rest.count(0)
+            for j in range(max(lo - size, 0), min(m, hi - size) + 1):
+                counts[size + j][rank] += binom(z, j)
+                if rank < R:
+                    counts[size + j][R] += binom(m, j) - binom(z, j)
+            return
+        if size >= lo:
+            counts[size][rank] += 1
+        if size == hi:
+            return
+        for i in range(min(m, m + size + 1 - lo)):
+            v = rest[i]
+            if v:
+                node(step(v, rest[i + 1:])[1], size + 1, rank + 1)
+            else:
+                node(rest[i + 1:], size + 1, rank)
+
+    node(columns, 0, 0)
+    return tuple(map(tuple, counts))

@@ -6,8 +6,12 @@ q in {2,3,4,5}, n <= 10, with cheaply enumerable duals.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +27,7 @@ from weightdist.closed_forms import (
     nmds_distribution,
     reed_solomon_code,
 )
-from weightdist.codes import macwilliams_transform
+from weightdist.codes import macwilliams_transform, random_code
 from weightdist.corpus import find_amds_specimens
 from weightdist.errors import SingularMatrixError
 from weightdist.fields import GF
@@ -230,3 +234,33 @@ def test_criterion_11_oracle_self_consistency(corpus):
             via_transform = macwilliams_transform(code.weight_distribution())
             via_dual = code.dual().weight_distribution()
             assert via_transform.counts == via_dual.counts, code
+
+
+# A fresh interpreter, so that its peak resident size is the census's own.
+# ru_maxrss is in kilobytes on Linux.
+LARGE_CENSUS_SCRIPT = """
+import json, resource
+from weightdist import GF, random_code, verify_counting_identity
+code = random_code(GF(2), 24, 12, seed=2412)
+ok = verify_counting_identity(code, code.weight_distribution(), 12)[2]
+print(json.dumps({"ok": ok, "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+def test_criterion_12_large_censuses():
+    # nu = 12 of a [24,12]_2 (2.7 million subsets) in at most 64 MB, and
+    # every width of a [20,10]_2; each width of either is walked alone
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with _Timer(12, limit=5.0):
+        proc = subprocess.run([sys.executable, "-c", LARGE_CENSUS_SCRIPT], env=env, cwd=root,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["ok"]
+        assert out["maxrss_mb"] <= 64, out
+        code = random_code(GF(2), 20, 10, seed=2010)
+        A = code.weight_distribution()
+        for nu in range(1, code.n + 1):
+            lhs, rhs, ok = verify_counting_identity(code, A, nu)
+            assert ok, (nu, lhs, rhs)

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -5,14 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weightdist.census import (DEFAULT_SUBSET_BUDGET, _window, census, check_full_rank_regime,
-                               verify_counting_identity)
+from weightdist.census import (DEFAULT_SUBSET_BUDGET, _rank_table, _window, census,
+                               check_full_rank_regime, verify_counting_identity)
 from weightdist.codes import LinearCode, random_code
 from weightdist.errors import BudgetExceededError, RegimeViolationError
 from weightdist.fields import GF
 from weightdist.matrices import GFMatrix, binom, select_columns
 
-from gf_oracle import gf_matrices, rank_oracle
+from gf_oracle import census_table_oracle, gf_matrices, rank_oracle
+
+# the module, which the package's `census` function shadows as an attribute
+census_module = importlib.import_module("weightdist.census")
 
 IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
@@ -28,6 +32,23 @@ def test_census_rejects_bool_and_non_int_width(nu):
     M = GFMatrix.from_rows(GF(2), IDENTITY3)
     with pytest.raises(ValueError):
         census(M, nu)
+
+
+@pytest.mark.parametrize("d_perp", [True, 2.5, "3", 0, -1, 6])
+def test_full_rank_regime_rejects_bad_dual_distance(reference_pair, d_perp):
+    # [8,4] codes: 1 <= d_perp <= k + 1 = 5, as CodeParameters requires
+    a, _ = reference_pair
+    with pytest.raises(ValueError):
+        check_full_rank_regime(a, 8, d_perp=d_perp)
+
+
+def test_counting_identity_rejects_a_distribution_of_another_code():
+    code = random_code(GF(2), 10, 5, seed=3)
+    longer = random_code(GF(2), 12, 5, seed=3).weight_distribution()
+    ternary = random_code(GF(3), 10, 5, seed=3).weight_distribution()
+    for A in (longer, ternary):
+        with pytest.raises(ValueError):
+            verify_counting_identity(code, A, 4)
 
 
 def test_census_identity_columns():
@@ -173,6 +194,46 @@ def test_census_budget_limited_walk_matches_oracle(M, budget):
                 census(M, nu, budget=budget)
         else:
             assert census(M, nu, budget=budget).counts == naive_census(M, nu)
+
+
+# edge cases of the walk: no rows, one row, all zero, and repeated columns
+# (in the span of a prefix before it reaches rank R - 1)
+NO_ROWS = GFMatrix.from_rows(GF(3), [], cols=4)
+ONE_ROW = GFMatrix.from_rows(GF(4), [[0, 2, 3, 0, 1]])
+ALL_ZERO = GFMatrix.from_rows(GF(2), [[0] * 5] * 3)
+REPEATS = GFMatrix.from_rows(GF(2), [[1, 1, 0, 1, 1, 0, 0], [0, 0, 1, 0, 0, 1, 1],
+                                     [0, 0, 0, 1, 1, 0, 1], [1, 1, 0, 0, 0, 1, 0]])
+REPEATS_Q = GFMatrix.from_rows(GF(9), [[1, 1, 2, 0, 5, 5], [3, 3, 6, 0, 0, 0],
+                                       [0, 0, 0, 1, 7, 7]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(gf_matrices(CENSUS_FIELDS), st.sampled_from((1, 2, 3, 1024)))
+@example(TALL, 2)
+@example(WIDE, 3)
+@example(LARGE, 1)
+@example(NO_ROWS, 1)
+@example(ONE_ROW, 2)
+@example(ALL_ZERO, 1)
+@example(REPEATS, 2)
+@example(REPEATS_Q, 1)
+def test_rank_table_matches_the_oracle_in_every_window(M, chunk):
+    # every window (lo, hi), the whole one walked on the kernel when that has
+    # fewer rows; chunks of a few subsets make the walk cross chunk edges
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_module, "_CHUNK", chunk)
+        for lo in range(M.cols + 1):
+            for hi in range(lo, M.cols + 1):
+                assert _rank_table.__wrapped__(M, lo, hi) == census_table_oracle(M, lo, hi)
+
+
+def test_census_of_more_than_64_binary_rows():
+    # past 64 rows a GF(2) residual no longer fits a machine word
+    rng = random.Random(64)
+    M = GFMatrix.from_rows(GF(2), [[rng.randrange(2) for _ in range(70)] for _ in range(66)])
+    assert rank_oracle(M) == 66
+    for nu in (1, 2):
+        assert census(M, nu).counts == naive_census(M, nu)
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from weightdist.codes import CodeParameters, macwilliams_transform
+from weightdist.codes import CodeParameters, WeightDistribution, macwilliams_transform
 from weightdist.errors import (
     InconsistentKnownsError,
     NegativeSolutionError,
@@ -71,6 +71,16 @@ def test_verify_pless_full_reference(reference_pair):
     assert ok and lhs == 4 ** 4
     for nu in range(a.n + 1):
         assert verify_pless_full(A, B, nu)[2]
+
+
+def test_verify_pless_full_rejects_a_dual_of_another_length_or_field(reference_pair):
+    a, _ = reference_pair
+    A = a.weight_distribution()
+    longer = mds_distribution(9, 5, 4)
+    binary = WeightDistribution(counts=(1, 0, 0, 0, 14, 0, 0, 0, 1), q=2, k=4)
+    for B in (longer, binary):
+        with pytest.raises(ValueError):
+            verify_pless_full(A, B, 2)
 
 
 def test_solve_recovers_reference_distribution():
