@@ -5,9 +5,9 @@ full-rank regime where every wide-enough column selection has maximal rank.
 
 The census defines no arithmetic of its own.  Its walk reduces a whole level
 of column subsets at a time in numpy rather than through the scalar step of
-`matrices._elimination`, but it uses the same q x q tables (`matrices._tables`)
-and splits at the same order limit: larger fields go through their own
-operations.  numpy is imported when the first census runs.
+`matrices._elimination`, by `fields.array_mul` and `array_sub`: read from q x q
+tables of them up to _TABLE_ORDER_LIMIT, called directly above it.  numpy is
+imported when the first census runs.
 """
 
 from __future__ import annotations
@@ -19,11 +19,14 @@ from dataclasses import dataclass
 
 from .codes import LinearCode, WeightDistribution, require_ints
 from .errors import BudgetExceededError, RegimeViolationError
-from .fields import Field
-from .matrices import (_TABLE_ORDER_LIMIT, GFMatrix, _elimination, _tables, binom,
-                       gf_kernel_basis, gf_row_reduce)
+from .fields import Field, array_mul, array_sub
+from .matrices import GFMatrix, _elimination, binom, gf_kernel_basis, gf_row_reduce
 
 DEFAULT_SUBSET_BUDGET = 10 ** 7
+
+# Fields up to this order reduce residuals through q x q tables of their
+# products and differences; larger ones call the array operations directly.
+_TABLE_ORDER_LIMIT = 256
 
 # A census walks the whole table, which every later width then reads, only
 # when that walk is estimated to visit at most this many subsets (one table of
@@ -69,7 +72,7 @@ def census(M: GFMatrix, nu: int, budget: int | None = DEFAULT_SUBSET_BUDGET) -> 
     column modulo its span.  One set of array operations extends a chunk of
     subsets by every later column and reduces the residuals by the new one.
     GF(2) residuals are bitmasks over the rows, reduced by XOR; other fields'
-    are rows of encodings, reduced through q x q tables.  Once a subset has
+    are rows of encodings, reduced by array arithmetic.  Once a subset has
     full rank every superset does too, so its subtree is counted by
     binomials without descending; one rank short of full, likewise from the
     number of later columns already in its span.  Each step extends waiting
@@ -85,6 +88,8 @@ def census(M: GFMatrix, nu: int, budget: int | None = DEFAULT_SUBSET_BUDGET) -> 
     require_ints(nu=nu)
     if not 1 <= nu <= t:
         raise ValueError(f"need 1 <= nu <= {t}, got {nu}")
+    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int) or budget < 1):
+        raise ValueError(f"budget must be None or a positive integer, got {budget!r}")
     n_subsets = binom(t, nu)
     if budget is not None and n_subsets > budget:
         raise BudgetExceededError(
@@ -139,19 +144,22 @@ def _rank_table(M: GFMatrix, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
 
 @functools.lru_cache(maxsize=8)
 def _array_ops(f: Field):
-    """(dtype, mul, sub, inv) for residual entries over f: the q x q tables
-    of `matrices._tables`, flattened and indexed by a * q + b in narrow ints,
-    or above _TABLE_ORDER_LIMIT the field's own operations on Python ints,
-    the same split as `matrices._elimination`."""
+    """(dtype, mul, sub, inv) for residual entries over f: up to
+    _TABLE_ORDER_LIMIT, `array_mul`, `array_sub` and the inverses tabulated,
+    flattened and read by `take` at a * q + b in narrow ints; above it, the two
+    operations themselves, and `Field.inv` on each pivot's lead."""
     import numpy as np
 
     if f.q > _TABLE_ORDER_LIMIT:
-        mul, sub, inv = (np.frompyfunc(op, arity, 1)
-                         for op, arity in ((f.mul, 2), (f.sub, 2), (f.inv, 1)))
-        return object, mul, sub, inv
+        # encodings are int64 while they fit, else Python ints
+        dtype = np.int64 if f.q <= 1 << 63 else object
+        return (dtype, functools.partial(array_mul, f), functools.partial(array_sub, f),
+                lambda a: np.array([f.inv(x) for x in a.tolist()], dtype=dtype))
     dtype = np.min_scalar_type(f.q - 1)
     q = np.min_scalar_type(f.q * f.q - 1).type(f.q)
-    mul, sub, inv = (np.array(x, dtype=dtype).ravel() for x in _tables(f))
+    e = np.arange(f.q)
+    mul, sub = array_mul(f, e[:, None], e), array_sub(f, e[:, None], e)
+    mul, sub, inv = (x.astype(dtype).ravel() for x in (mul, sub, (mul == 1).argmax(1)))
     return dtype, (lambda a, b: mul.take(a * q + b)), (lambda a, b: sub.take(a * q + b)), inv.take
 
 
@@ -181,7 +189,7 @@ def _frontier(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
     else:
         # residuals are columns of R encodings, (nodes, R, t); the lead of a
         # pivot is scaled to 1 and cleared from every residual through the
-        # field's tables, one row at a time
+        # field's array operations, one row at a time
         dtype, mul, sub, inv = _array_ops(M.field)
         root = np.array([M.entries], dtype=dtype).reshape(1, R, t)
 

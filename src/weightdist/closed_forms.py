@@ -190,6 +190,7 @@ class ExtremalParams:
 def extremal_relation_range(m: int) -> range:
     """Widths nu for which the census identity collapses to a relation on
     the 4m-1 free counts: 20m-4 < nu <= 24m."""
+    ExtremalParams(m)  # validates m
     return range(20 * m - 3, 24 * m + 1)
 
 
@@ -206,9 +207,9 @@ def extremal_system(m: int, nu_set: Sequence[int],
     ep = ExtremalParams(m)
     unknowns = ep.unknown_indices
     pos = {u: i for i, u in enumerate(unknowns)}
-    rows, rhs, labels = [], [], []
+    rows, rhs, labels, widths = [], [], [], extremal_relation_range(m)
     for nu in nu_set:
-        if nu not in extremal_relation_range(m):
+        if nu not in widths:
             raise RangeViolationError(
                 f"nu={nu} outside ({20 * m - 4}, {24 * m}]")
         rows.append([binom(20 * m - 4 * l, nu - 4 * m - 4 * l)
@@ -275,6 +276,7 @@ def reed_solomon_code(field: Field, n: int, k: int) -> LinearCode:
     elements, extended with the point at infinity when n = q+1; an
     [n, k, n-k+1] MDS code.  Test fixture for comparing the closed form
     against the enumeration oracle."""
+    require_ints(n=n, k=k)
     if not 1 <= k <= n <= field.q + 1:
         raise ValueError(f"need 1 <= k <= n <= q+1, got n={n}, k={k}, q={field.q}")
     points = list(range(min(n, field.q)))

@@ -238,6 +238,7 @@ def macwilliams_transform(A: WeightDistribution) -> WeightDistribution:
 
 def random_code(field: Field, n: int, k: int, seed: int) -> LinearCode:
     """Uniformly sampled full-rank generator; deterministic for a seed."""
+    require_ints(n=n, k=k)
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
     rng = random.Random(seed)

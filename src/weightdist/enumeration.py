@@ -43,7 +43,7 @@ import os
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, UnsupportedOrderError
-from .fields import TABLE_ORDER_LIMIT, Field
+from .fields import TABLE_ORDER_LIMIT, Field, array_mul
 from .matrices import GFMatrix
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 8
@@ -55,8 +55,8 @@ class _Representation:
     addition on words, and the count of differing symbols between words.
     Table words carry the offset `zero`, the word of the zero symbol; the
     packed encodings added to them carry none.  A field of order at most
-    2^16 holds the word of every element and, for m > 1, its exp/log tables
-    as arrays; a larger one holds nothing of size q."""
+    2^16 holds the word of every element; a larger one holds nothing of
+    size q."""
 
     def __init__(self, field: Field):
         import numpy as np
@@ -83,14 +83,6 @@ class _Representation:
         self.words = None
         if field.q <= TABLE_ORDER_LIMIT:
             self.words = self.pack(np.arange(field.q))
-            if m > 1:
-                # exp spans two periods, so a sum of two logs needs no
-                # reduction; the log of 0 is a sentinel 2(q-1), and every
-                # sum that contains it reads 0 from the zeros past them.
-                order = field.q - 1
-                self.log = np.array(field._log)
-                self.log[0] = 2 * order
-                self.exp = np.concatenate([field._exp, field._exp, np.zeros(2 * order + 1, int)])
 
     def pack(self, encs) -> np.ndarray:
         """Canonical encodings as one word each, base-p digit i in bits
@@ -113,15 +105,8 @@ class _Representation:
         word j // per_word; otherwise it is word j."""
         import numpy as np
 
-        field = self.field
-        if self.words is None:
-            return self.pack([[field.mul(lam, e) for e in row] for lam in lams])
-        lam = np.asarray(lams, dtype=np.int64)[:, None]
-        e = np.asarray(row, dtype=np.int64)[None, :]
-        if field.m == 1:
-            symbols = self.words[lam * e % field.p]
-        else:
-            symbols = self.words[self.exp[self.log[lam] + self.log[e]]]
+        products = array_mul(self.field, np.asarray(lams)[:, None], np.asarray(row))
+        symbols = self.pack(products) if self.words is None else self.words[products]
         if self.per_word == 1:
             return symbols
         rows, n = symbols.shape
@@ -220,6 +205,8 @@ def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_ENUMERATION_BUDGE
     for a field whose symbols need more than 64 bits (only q >= 3^17)."""
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int) or budget < 1):
+        raise ValueError(f"budget must be None or a positive integer, got {budget!r}")
     field, n, k = G.field, G.cols, G.rows
     rep = _Representation(field)
     q = field.q

@@ -8,11 +8,14 @@ encodings 0,1,2,3 are 0, 1, a, a^2 for a primitive element a.
 Extension fields of order up to 2^16 get log/antilog tables at construction
 time; larger orders (with a caller-supplied modulus) fall back to polynomial
 arithmetic.  Fields are immutable after construction and safe to share
-across workers.
+across workers.  `array_mul` and `array_sub` do the same arithmetic element
+by element on numpy arrays for the census and the enumeration, so no other
+module tabulates a field; numpy is imported only when they run.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 from .errors import (
@@ -114,22 +117,16 @@ def is_irreducible(poly: Sequence[int], p: int) -> bool:
     return True
 
 
-_DEFAULT_MODULUS_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
+@functools.lru_cache(maxsize=64)
 def default_modulus(p: int, m: int) -> tuple[int, ...]:
     """First monic irreducible of degree m over GF(p), scanning the non-leading
     coefficient vector as a base-p counter.  Deterministic; cached."""
-    key = (p, m)
-    if key not in _DEFAULT_MODULUS_CACHE:
-        for e in range(p ** m):
-            cand = _digits(e, p, m) + (1,)
-            if is_irreducible(cand, p):
-                _DEFAULT_MODULUS_CACHE[key] = cand
-                break
-        else:  # cannot happen: irreducibles exist for every (p, m)
-            raise UnsupportedOrderError(f"no irreducible polynomial found for GF({p}^{m})")
-    return _DEFAULT_MODULUS_CACHE[key]
+    for e in range(p ** m):
+        cand = _digits(e, p, m) + (1,)
+        if is_irreducible(cand, p):
+            return cand
+    # cannot happen: irreducibles exist for every (p, m)
+    raise UnsupportedOrderError(f"no irreducible polynomial found for GF({p}^{m})")
 
 
 class Field:
@@ -294,6 +291,55 @@ class Field:
         if self.m == 1:
             return f"GF({self.q})"
         return f"GF({self.q}, poly={','.join(map(str, self.modulus_poly))})"
+
+
+# -- the same arithmetic on numpy arrays -----------------------------------
+
+def _array_dtype(f: Field):
+    """int64 while the product of two encodings fits it, else Python ints."""
+    return "int64" if (f.q - 1) ** 2 < 1 << 63 else object
+
+
+@functools.lru_cache(maxsize=8)
+def _log_exp(f: Field):
+    """The log and exp tables of an extension field as arrays.  exp spans two
+    periods, so a sum of two logs needs no reduction; the log of 0 is a
+    sentinel 2(q-1), and every sum that contains it reads 0 from the zeros
+    past them."""
+    import numpy as np
+
+    log = np.array(f._log)
+    log[0] = 2 * (f.q - 1)
+    return log, np.concatenate([f._exp, f._exp, np.zeros(2 * f.q - 1, int)])
+
+
+def array_mul(f: Field, a, b):
+    """a * b over f, element by element, for integer arrays of encodings that
+    broadcast together: modular products over a prime field, exp[log a +
+    log b] over an extension field with tables, else the field's own `mul`."""
+    import numpy as np
+
+    if f.m == 1:
+        dtype = _array_dtype(f)
+        return np.asarray(a, dtype=dtype) * np.asarray(b, dtype=dtype) % f.p
+    if f._exp is None:
+        return np.frompyfunc(f.mul, 2, 1)(a, b)
+    log, exp = _log_exp(f)
+    return exp[log[a] + log[b]]
+
+
+def array_sub(f: Field, a, b):
+    """a - b over f, element by element, for integer arrays of encodings that
+    broadcast together: XOR for p = 2, else base-p digit by digit, which is
+    the modular difference over a prime field."""
+    import numpy as np
+
+    dtype = _array_dtype(f)
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+    if f.p == 2:
+        return a ^ b
+    p = f.p
+    return sum((a // p ** i % p - b // p ** i % p) % p * p ** i for i in range(f.m))
 
 
 def GF(q: int, modulus_poly: Optional[Sequence[int]] = None) -> Field:

@@ -9,9 +9,8 @@ with fractions.Fraction formed only at back-substitution.
 Every scalar GF(q) elimination in the package, the row reduction behind code
 construction and kernels, runs one step (`_elimination`): GF(2) vectors are
 int bitmasks reduced by XOR, other fields' vectors are tuples reduced through
-q x q tables (`_tables`), or through the field's own operations above
-_TABLE_ORDER_LIMIT.  The census's numpy walk over column subsets reduces
-through the same tables and splits at the same limit.
+the field's own operations.  This module tabulates no field arithmetic and
+never imports numpy.
 """
 
 from __future__ import annotations
@@ -104,11 +103,6 @@ def gf_matmul(A: GFMatrix, B: GFMatrix) -> GFMatrix:
     return GFMatrix(f, tuple(out), B.cols)
 
 
-# q x q multiplication and subtraction tables are built for fields up to this
-# order; larger fields are looked up through their Field methods instead.
-_TABLE_ORDER_LIMIT = 256
-
-
 @functools.lru_cache(maxsize=8)
 def _elimination(f: Field):
     """The one GF(q) elimination step and its vector representation, as
@@ -118,8 +112,8 @@ def _elimination(f: Field):
     zero vector is always the int 0, so a falsy test and list.count(0) find
     it.  step(v, rest) scales the nonzero v so that its lead (its first
     nonzero coordinate) is 1, clears that coordinate from every vector in
-    rest, by XOR or through q x q tables, and returns the scaled v and the
-    reduced list."""
+    rest, by XOR or through the field's own operations, and returns the
+    scaled v and the reduced list."""
     if f.q == 2:
         def step(v: int, rest: list) -> tuple[int, list]:
             low = v & -v
@@ -127,70 +121,26 @@ def _elimination(f: Field):
 
         return (lambda x: sum(bit << i for i, bit in enumerate(x)),
                 lambda v, length: tuple((v >> i) & 1 for i in range(length)), step)
-    if f.q > _TABLE_ORDER_LIMIT:
-        mul, sub, inv = _FieldOp(f.mul, 2), _FieldOp(f.sub, 2), _FieldOp(f.inv, 1)
-    else:
-        mul, sub, inv = _tables(f)
+    mul, add, neg, inv = f.mul, f.add, f.neg, f.inv
 
     def step(v: tuple, rest: list) -> tuple[tuple, list]:
         lead = next(i for i, x in enumerate(v) if x)
-        scale = mul[inv[v[lead]]]
-        v = tuple([scale[x] for x in v])
+        scale = inv(v[lead])
+        v = tuple([mul(scale, x) for x in v])
         out = []
         for r in rest:
             c = r[lead] if r else 0
             if c:
-                mc = mul[c]
-                r = tuple([sub[x][mc[y]] for x, y in zip(r, v)])
+                # r - c v, with c negated once per row: for odd p and m > 1
+                # each of add and neg is a loop over the digits
+                c = neg(c)
+                r = tuple([add(x, mul(c, y)) if y else x for x, y in zip(r, v)])
                 if not any(r):
                     r = 0
             out.append(r)
         return v, out
 
     return (lambda x: tuple(x) if any(x) else 0), (lambda v, length: v or (0,) * length), step
-
-
-def _sub_table(p: int, m: int) -> list[list[int]]:
-    """sub[a][b] = a - b in GF(p^m), digit by digit: the low base-p digit
-    from the GF(p) table, the others from the table of m - 1 digits."""
-    low = [[(a - b) % p for b in range(p)] for a in range(p)]
-    if m == 1:
-        return low
-    high = _sub_table(p, m - 1)
-    q = p ** m
-    return [[low[a % p][b % p] + p * high[a // p][b // p] for b in range(q)]
-            for a in range(q)]
-
-
-def _tables(f: Field) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """The q x q multiplication and subtraction tables and the inverses of
-    f, without a Field call per entry: modular arithmetic over a prime
-    field; otherwise products from the field's exp/log lists, and
-    differences by XOR for p = 2 or digit by digit for odd p."""
-    p, q = f.p, f.q
-    elems = range(q)
-    if f.m == 1:
-        mul = [[a * b % p for b in elems] for a in elems]
-        return mul, _sub_table(p, 1), [0] + [pow(a, p - 2, p) for a in elems[1:]]
-    order, exp, log = q - 1, f._exp * 2, f._log
-    mul = [[0] * q] + [[0] + [exp[log[a] + log[b]] for b in elems[1:]] for a in elems[1:]]
-    inv = [0] + [exp[order - log[a]] for a in elems[1:]]
-    sub = [[a ^ b for b in elems] for a in elems] if p == 2 else _sub_table(p, f.m)
-    return mul, sub, inv
-
-
-class _FieldOp:
-    """A field operation indexed like a table, for fields too large to
-    tabulate: op[a][b] == op(a, b), or op[a] == op(a) when unary."""
-
-    __slots__ = ("op", "arity", "args")
-
-    def __init__(self, op, arity, args=()):
-        self.op, self.arity, self.args = op, arity, args
-
-    def __getitem__(self, x):
-        args = self.args + (x,)
-        return self.op(*args) if len(args) == self.arity else _FieldOp(self.op, self.arity, args)
 
 
 def gf_row_reduce(M: GFMatrix) -> tuple[list[tuple[int, ...]], list[int]]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .codes import CodeParameters, WeightDistribution
+from .codes import CodeParameters, WeightDistribution, require_ints
 from .errors import (
     InconsistentKnownsError,
     NegativeSolutionError,
@@ -117,6 +117,7 @@ def verify_pless_full(A: WeightDistribution, B: WeightDistribution, nu: int
     to its dual's:  sum_{i>=nu} binom(i, nu) A_i  against
     q^(k-nu) sum_j (-1)^j binom(n-j, n-nu) (q-1)^(nu-j) B_j."""
     n, q, k = A.n, A.q, A.k
+    require_ints(nu=nu)
     if (B.n, B.q) != (n, q):
         raise ValueError(f"dual distribution of length {B.n} over GF({B.q}) given for "
                          f"one of length {n} over GF({q})")

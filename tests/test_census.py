@@ -34,6 +34,16 @@ def test_census_rejects_bool_and_non_int_width(nu):
         census(M, nu)
 
 
+@pytest.mark.parametrize("budget", [-1, 0, 2.5, True, "10"])
+def test_census_rejects_a_bad_budget(reference_pair, budget):
+    # a budget is None or an int >= 1; -1 used to read as exceeded (exit 3)
+    a, _ = reference_pair
+    with pytest.raises(ValueError, match="budget"):
+        census(a.H, 2, budget=budget)
+    with pytest.raises(ValueError, match="budget"):
+        verify_counting_identity(a, a.weight_distribution(), 2, budget=budget)
+
+
 @pytest.mark.parametrize("d_perp", [True, 2.5, "3", 0, -1, 6])
 def test_full_rank_regime_rejects_bad_dual_distance(reference_pair, d_perp):
     # [8,4] codes: 1 <= d_perp <= k + 1 = 5, as CodeParameters requires
@@ -148,8 +158,9 @@ def test_small_width_census_detects_distance():
 
 # -- differential tests against the naive oracle ------------------------------
 
-# GF(2) bitmasks; prime and extension tables; GF(3^7), too large for tables
-CENSUS_FIELDS = (2, 3, 4, 5, 7, 8, 9, 3 ** 7)
+# GF(2) bitmasks; prime and extension tables; GF(257), GF(2^9) and GF(3^7),
+# too large for tables
+CENSUS_FIELDS = (2, 3, 4, 5, 7, 8, 9, 257, 2 ** 9, 3 ** 7)
 
 
 def naive_census(M, nu):
@@ -207,6 +218,20 @@ REPEATS_Q = GFMatrix.from_rows(GF(9), [[1, 1, 2, 0, 5, 5], [3, 3, 6, 0, 0, 0],
                                        [0, 0, 0, 1, 7, 7]])
 
 
+def dependent_columns(field, a, b, c, lam):
+    """Columns a, b, lam * a, a + b, c, lam * c and b over the field: rank 3
+    at most, with every kind of dependency among the later columns."""
+    f = field
+    cols = [a, b, [f.mul(lam, x) for x in a], [f.add(x, y) for x, y in zip(a, b)],
+            c, [f.mul(lam, x) for x in c], b]
+    return GFMatrix.from_rows(f, cols).transpose()
+
+
+# the same shape above the table limit, of odd and even characteristic
+DEPENDENT_257 = dependent_columns(GF(257), [1, 2, 5], [256, 255, 9], [7, 0, 1], 128)
+DEPENDENT_512 = dependent_columns(GF(2 ** 9), [1, 2, 511], [5, 0, 3], [0, 7, 1], 300)
+
+
 @settings(max_examples=100, deadline=None)
 @given(gf_matrices(CENSUS_FIELDS), st.sampled_from((1, 2, 3, 1024)))
 @example(TALL, 2)
@@ -217,6 +242,8 @@ REPEATS_Q = GFMatrix.from_rows(GF(9), [[1, 1, 2, 0, 5, 5], [3, 3, 6, 0, 0, 0],
 @example(ALL_ZERO, 1)
 @example(REPEATS, 2)
 @example(REPEATS_Q, 1)
+@example(DEPENDENT_257, 2)
+@example(DEPENDENT_512, 1024)
 def test_rank_table_matches_the_oracle_in_every_window(M, chunk):
     # every window (lo, hi), the whole one walked on the kernel when that has
     # fewer rows; chunks of a few subsets make the walk cross chunk edges

@@ -151,6 +151,9 @@ def test_amds_input_validation():
     lambda: AmdsInput(8, 4, True, 2, (27,)),
     lambda: AmdsInput(8, 4, 4, 3, (27, 2.0)),
     lambda: extremal_distribution(True),
+    lambda: extremal_relation_range(True),
+    lambda: reed_solomon_code(GF(5), 4, True),
+    lambda: reed_solomon_code(GF(5), 4.0, 2),
 ])
 def test_closed_forms_reject_bool_and_non_int_parameters(make):
     with pytest.raises(ValueError, match="must be an integer"):

@@ -147,6 +147,13 @@ def test_random_code_deterministic_and_full_rank():
     assert gf_rank(random_code(f4, 8, 4, seed=9).G) == 4
 
 
+@pytest.mark.parametrize("n, k", [(6, True), (6.0, 3), (6, "3")])
+def test_random_code_rejects_bool_and_non_int_sizes(n, k):
+    # True was taken for the dimension 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        random_code(GF(2), n, k, seed=1)
+
+
 def test_budget_exceeded():
     c = random_code(GF(2), 8, 6, seed=1)
     with pytest.raises(BudgetExceededError):

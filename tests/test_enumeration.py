@@ -207,6 +207,13 @@ def test_pool_is_capped_at_the_core_count():
     assert sizes == [(3, 3)]
 
 
+@pytest.mark.parametrize("budget", [-1, 0, 2.5, True, "10"])
+def test_budget_must_be_none_or_a_positive_integer(budget):
+    G = GFMatrix.from_rows(GF(2), [[1, 0, 1]])
+    with pytest.raises(ValueError, match="budget"):
+        weight_histogram(G, budget=budget)
+
+
 @pytest.mark.parametrize("workers", [0, -3, True, False, 1.0, "2"])
 def test_workers_must_be_a_positive_integer(workers):
     G = GFMatrix.from_rows(GF(2), [[1, 1]])

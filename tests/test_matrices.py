@@ -1,14 +1,15 @@
+import importlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
 from weightdist.errors import DuplicateIndexError, IndexOutOfRangeError, SingularMatrixError
-from weightdist.fields import GF
+from weightdist.fields import GF, array_mul, array_sub
 from weightdist.matrices import (
     GFMatrix,
-    _tables,
     RationalMatrix,
     binom,
     gf_kernel_basis,
@@ -24,6 +25,9 @@ from weightdist.matrices import (
 )
 
 from gf_oracle import gf_matrices, kernel_oracle, rref_oracle
+
+# the module, which the package's `census` function shadows as an attribute
+census_module = importlib.import_module("weightdist.census")
 
 
 def test_binom_convention():
@@ -90,14 +94,18 @@ def test_gf_elimination_matches_the_oracle(M):
 
 @pytest.mark.parametrize("q", [3, 4, 9, 16, 27, 49, 125, 128, 243, 251, 256])
 def test_elimination_tables_match_field_calls(q):
-    """The elimination's q x q tables, built without Field calls, against
-    one Field call per entry: prime fields, GF(2^m) and odd p with m > 1."""
+    """The census walk's q x q tables, and the array operations they are
+    built from, against one Field call per entry: prime fields, GF(2^m) and
+    odd p with m > 1."""
     f = GF(q)
-    mul, sub, inv = _tables(f)
+    dtype, mul, sub, inv = census_module._array_ops(f)
     elems = range(q)
-    assert mul == [[f.mul(a, b) for b in elems] for a in elems]
-    assert sub == [[f.sub(a, b) for b in elems] for a in elems]
-    assert inv == [0] + [f.inv(a) for a in elems[1:]]
+    a, b = np.repeat(np.arange(q), q), np.tile(np.arange(q), q)
+    muls = [f.mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    subs = [f.sub(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert array_mul(f, a, b).tolist() == muls == mul(a.astype(dtype), b.astype(dtype)).tolist()
+    assert array_sub(f, a, b).tolist() == subs == sub(a.astype(dtype), b.astype(dtype)).tolist()
+    assert inv(np.arange(q, dtype=dtype)).tolist() == [0] + [f.inv(x) for x in elems[1:]]
 
 
 def test_select_columns():

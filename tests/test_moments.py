@@ -73,6 +73,14 @@ def test_verify_pless_full_reference(reference_pair):
         assert verify_pless_full(A, B, nu)[2]
 
 
+@pytest.mark.parametrize("nu", [True, 1.0, "1"])
+def test_verify_pless_full_rejects_bool_and_non_int_width(reference_pair, nu):
+    # True was taken for the width 1
+    A = reference_pair[0].weight_distribution()
+    with pytest.raises(ValueError, match="must be an integer"):
+        verify_pless_full(A, macwilliams_transform(A), nu)
+
+
 def test_verify_pless_full_rejects_a_dual_of_another_length_or_field(reference_pair):
     a, _ = reference_pair
     A = a.weight_distribution()
