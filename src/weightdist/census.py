@@ -5,8 +5,7 @@ full-rank regime where every wide-enough column selection has maximal rank.
 
 The census defines no arithmetic of its own.  Its walk reduces a whole level
 of column subsets at a time in numpy rather than through the scalar step of
-`matrices._elimination`, by `fields.array_mul` and `array_sub`: read from q x q
-tables of them up to _TABLE_ORDER_LIMIT, called directly above it.  numpy is
+`matrices._elimination`, by the field's `fields.array_ops`.  numpy is
 imported when the first census runs.
 """
 
@@ -19,14 +18,10 @@ from dataclasses import dataclass
 
 from .codes import LinearCode, WeightDistribution, require_ints
 from .errors import BudgetExceededError, RegimeViolationError
-from .fields import Field, array_mul, array_sub
+from .fields import array_ops
 from .matrices import GFMatrix, _elimination, binom, gf_kernel_basis, gf_row_reduce
 
 DEFAULT_SUBSET_BUDGET = 10 ** 7
-
-# Fields up to this order reduce residuals through q x q tables of their
-# products and differences; larger ones call the array operations directly.
-_TABLE_ORDER_LIMIT = 256
 
 # A census walks the whole table, which every later width then reads, only
 # when that walk is estimated to visit at most this many subsets (one table of
@@ -142,27 +137,6 @@ def _rank_table(M: GFMatrix, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, counts))
 
 
-@functools.lru_cache(maxsize=8)
-def _array_ops(f: Field):
-    """(dtype, mul, sub, inv) for residual entries over f: up to
-    _TABLE_ORDER_LIMIT, `array_mul`, `array_sub` and the inverses tabulated,
-    flattened and read by `take` at a * q + b in narrow ints; above it, the two
-    operations themselves, and `Field.inv` on each pivot's lead."""
-    import numpy as np
-
-    if f.q > _TABLE_ORDER_LIMIT:
-        # encodings are int64 while they fit, else Python ints
-        dtype = np.int64 if f.q <= 1 << 63 else object
-        return (dtype, functools.partial(array_mul, f), functools.partial(array_sub, f),
-                lambda a: np.array([f.inv(x) for x in a.tolist()], dtype=dtype))
-    dtype = np.min_scalar_type(f.q - 1)
-    q = np.min_scalar_type(f.q * f.q - 1).type(f.q)
-    e = np.arange(f.q)
-    mul, sub = array_mul(f, e[:, None], e), array_sub(f, e[:, None], e)
-    mul, sub, inv = (x.astype(dtype).ravel() for x in (mul, sub, (mul == 1).argmax(1)))
-    return dtype, (lambda a, b: mul.take(a * q + b)), (lambda a, b: sub.take(a * q + b)), inv.take
-
-
 def _frontier(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
     """counts[size][rank] for lo <= size <= hi over the column subsets of a
     matrix whose R rows are independent, walked level by level in numpy."""
@@ -190,7 +164,7 @@ def _frontier(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
         # residuals are columns of R encodings, (nodes, R, t); the lead of a
         # pivot is scaled to 1 and cleared from every residual through the
         # field's array operations, one row at a time
-        dtype, mul, sub, inv = _array_ops(M.field)
+        dtype, mul, sub, inv = array_ops(M.field)
         root = np.array([M.entries], dtype=dtype).reshape(1, R, t)
 
         def in_span(res):

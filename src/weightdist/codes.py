@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .enumeration import DEFAULT_ENUMERATION_BUDGET, weight_histogram
+from .enumeration import DEFAULT_ENUMERATION_BUDGET, check_budget, weight_histogram
 from .errors import (
     NonIntegralResultError,
     RankDeficientGeneratorError,
@@ -66,10 +66,6 @@ class CodeParameters:
     @property
     def defect(self) -> int:
         return self.n - self.k + 1 - self.d
-
-    @property
-    def dual_defect(self) -> int:
-        return self.k + 1 - self.d_perp
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,9 @@ class LinearCode:
     def weight_distribution(self, budget: int | None = DEFAULT_ENUMERATION_BUDGET,
                             workers: int = 1) -> WeightDistribution:
         """Exact distribution by enumeration, one message per line of
-        nonzero multiples (see `weight_histogram`)."""
+        nonzero multiples (see `weight_histogram`).  The distribution is
+        cached, and the budget is checked on every call."""
+        check_budget(self.field.q ** self.k, budget)
         if self._distribution is None:
             counts = weight_histogram(self.G, budget=budget, workers=workers)
             dist = WeightDistribution(tuple(counts), self.field.q, self.k)

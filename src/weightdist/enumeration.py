@@ -13,24 +13,21 @@ With several workers the normalised outer messages are partitioned into
 disjoint ranges whose histograms are merged by exact addition.
 
 The block table is stored word-major, one contiguous row per table word
-of the codewords.  The words of table entry u are compared with those of
-outer codeword c, which counts the weight of u - c; over the whole block
-that is the histogram of the outer message -m, the same as that of m.  The
-layout depends on the field:
+of the codewords.  Its entries are built, and each outer codeword c is
+formed, by subtraction, which over all multiples of a row ranges over the
+same set as addition: the table holds the inner codewords and the target is
+-c.  The words of table entry u are compared with those of the target, which
+counts the weight of u + c; over the whole block that is the histogram of
+the outer message m.  Two layouts:
   - q = 2: 64 coordinates per uint64 word, coordinate j in bit j % 64 of
-    word j // 64; vector addition is XOR, and the differing coordinates of
+    word j // 64; subtraction is XOR, and the differing coordinates of
     two words are the popcount of their XOR (np.bitwise_count, numpy >= 2.0).
-  - q = 2^m, m > 1: one symbol per word, the canonical encoding itself;
-    vector addition is XOR.
-  - p odd: one symbol per word, its base-p digits each in a field of w bits
-    whose top bit is a guard bit.  The table stores every digit offset by
-    2^(w-1) - p, so after a canonical digit is added the guard bit is set
-    exactly when the digit sum reached p; subtracting p from those fields
-    re-canonicalises the whole word at once (SWAR: SIMD within a register).
-One symbol per word takes the smallest unsigned dtype that holds it, and
-a word differs or not.  Packing several such symbols per word and counting
-the nonzero fields of their difference was measured slower than this
-per-symbol compare, so only GF(2) packs.
+  - every other field: one canonical encoding per word, in the narrowest
+    dtype that holds q - 1, with the field's own array operations
+    (`fields.array_ops`); a word differs or not.
+Packing several such symbols per word and counting the nonzero fields of
+their difference was measured slower than this per-symbol compare, so only
+GF(2) packs.
 
 numpy and the process pool are imported inside the functions that use them,
 so that importing the package, and every command that does not enumerate,
@@ -42,96 +39,28 @@ from __future__ import annotations
 import os
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceededError, UnsupportedOrderError
-from .fields import TABLE_ORDER_LIMIT, Field, array_mul
+from .errors import BudgetExceededError
+from .fields import TABLE_ORDER_LIMIT, Field, array_ops
 from .matrices import GFMatrix
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 8
 _BLOCK_ROWS = 1 << 16
 
 
-class _Representation:
-    """Field-specific table layout: the symbols per table word, the vector
-    addition on words, and the count of differing symbols between words.
-    Table words carry the offset `zero`, the word of the zero symbol; the
-    packed encodings added to them carry none.  A field of order at most
-    2^16 holds the word of every element; a larger one holds nothing of
-    size q."""
+def _multiples(field: Field, row: Sequence[int], lams: Sequence[int]) -> np.ndarray:
+    """Table words of lam * row, one row of the result per lam: over GF(2)
+    symbol j is bit j % 64 of word j // 64, otherwise it is word j."""
+    import numpy as np
 
-    def __init__(self, field: Field):
-        import numpy as np
-
-        p, m = field.p, field.m
-        self.field = field
-        self.per_word = 64 if field.q == 2 else 1
-        if p == 2:
-            self.kind, bits, zero = "xor", m * self.per_word, 0
-        else:
-            self.kind = "packed"
-            self.w = w = (2 * p - 2).bit_length() + 1
-            bits = m * w
-            low = sum(1 << (w * i) for i in range(m))
-            zero = ((1 << (w - 1)) - p) * low
-        if bits > 64:
-            raise UnsupportedOrderError(
-                f"GF({field.q}) symbols need {bits} bits; enumeration packs at most 64")
-        self.dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
-                          if np.dtype(t).itemsize * 8 >= bits)
-        self.zero = self.dtype(zero)
-        if p != 2:
-            self.guard, self.low, self.p = self.dtype(w - 1), self.dtype(low), self.dtype(p)
-        self.words = None
-        if field.q <= TABLE_ORDER_LIMIT:
-            self.words = self.pack(np.arange(field.q))
-
-    def pack(self, encs) -> np.ndarray:
-        """Canonical encodings as one word each, base-p digit i in bits
-        [w*i, w*i + w)."""
-        import numpy as np
-
-        e = np.asarray(encs, dtype=np.uint64)
-        if self.kind == "xor":
-            return e.astype(self.dtype)
-        p, w = self.field.p, self.w
-        out = np.zeros(e.shape, dtype=self.dtype)
-        for i in range(self.field.m):
-            out |= (e % p).astype(self.dtype) << self.dtype(w * i)
-            e = e // p
-        return out
-
-    def multiples(self, row: Sequence[int], lams: Sequence[int]) -> np.ndarray:
-        """Table words of lam * row, one row of the result per lam.  When a
-        word holds several symbols (GF(2)), symbol j is bit j % per_word of
-        word j // per_word; otherwise it is word j."""
-        import numpy as np
-
-        products = array_mul(self.field, np.asarray(lams)[:, None], np.asarray(row))
-        symbols = self.pack(products) if self.words is None else self.words[products]
-        if self.per_word == 1:
-            return symbols
-        rows, n = symbols.shape
-        bits = np.zeros((rows, -(-n // self.per_word) * self.per_word), dtype=self.dtype)
-        bits[:, :n] = symbols
-        shifts = np.arange(self.per_word, dtype=self.dtype)
-        return np.bitwise_or.reduce(bits.reshape(rows, -1, self.per_word) << shifts, axis=2)
-
-    def add(self, col: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Table words col plus packed words v, again as table words."""
-        if self.kind == "xor":
-            return col ^ v
-        s = col + v
-        return s - ((s >> self.guard) & self.low) * self.p
-
-    def differences(self, col: np.ndarray, t) -> np.ndarray:
-        """For each table word in col, how many of its symbols differ from
-        those of the word t: the popcount of the XOR when a word holds
-        several GF(2) symbols (Warren, Hacker's Delight, ch. 5), else
-        whether the word differs."""
-        import numpy as np
-
-        if self.per_word > 1:
-            return np.bitwise_count(col ^ t)
-        return col != t
+    dtype, mul, _, _ = array_ops(field)
+    symbols = mul(np.asarray(lams, dtype=dtype)[:, None], np.asarray(row, dtype=dtype))
+    if field.q != 2:
+        return symbols
+    rows, n = symbols.shape
+    bits = np.zeros((rows, -(-n // 64) * 64), dtype=np.uint64)
+    bits[:, :n] = symbols
+    shifts = np.arange(64, dtype=np.uint64)
+    return np.bitwise_or.reduce(bits.reshape(rows, -1, 64) << shifts, axis=2)
 
 
 def _normalised_messages(q: int, k: int, start: int, stop: int) -> Iterator[int]:
@@ -149,7 +78,7 @@ def _normalised_messages(q: int, k: int, start: int, stop: int) -> Iterator[int]
         first += size
 
 
-def _histogram_range(rep: _Representation, inner: Sequence[Sequence[int]],
+def _histogram_range(field: Field, inner: Sequence[Sequence[int]],
                      outer: Sequence[Sequence[int]], n: int,
                      outer_start: int, outer_stop: int) -> np.ndarray:
     """Weight histogram of { sum_i m_i row_i } over the normalised outer
@@ -158,42 +87,58 @@ def _histogram_range(rep: _Representation, inner: Sequence[Sequence[int]],
     stands for its q - 1 multiples."""
     import numpy as np
 
-    q = rep.field.q
-    width = -(-n // rep.per_word)  # table words per codeword
-    table = [np.full(1, rep.zero) for _ in range(width)]
+    q = field.q
+    dtype, _, sub, _ = array_ops(field)
+    if q == 2:
+        word, width = np.uint64, -(-n // 64)  # table words per codeword
+
+        def differing(col, t):
+            return np.bitwise_count(col ^ t)
+    else:
+        word, width, differing = dtype, n, np.not_equal
+    table = [np.zeros(1, dtype=word) for _ in range(width)]
     for row in inner:
-        mults = rep.multiples(row, range(q))
-        table = [rep.add(col, mults[:, j, None]).ravel() for j, col in enumerate(table)]
+        mults = _multiples(field, row, range(q))
+        table = [sub(col, mults[:, j, None]).ravel() for j, col in enumerate(table)]
     # Every multiple of each outer row up front when the field is small;
     # beyond 2^16 one at a time, so nothing of size q is allocated.
     outer_mults = None
-    if rep.words is not None:
-        outer_mults = [rep.multiples(row, range(q)) for row in outer]
+    if q <= TABLE_ORDER_LIMIT:
+        outer_mults = [_multiples(field, row, range(q)) for row in outer]
 
     wdtype = np.uint8 if n <= 255 else np.int64
     wbuf = np.zeros(q ** len(inner), dtype=wdtype)
     hist = np.zeros(n + 1, dtype=np.int64)
     for v in _normalised_messages(q, len(outer), outer_start, outer_stop):
-        target = np.full(width, rep.zero)
+        target = np.zeros(width, dtype=word)
         rem = v
         for i in reversed(range(len(outer))):
             lam = rem % q
             rem //= q
             if lam:
                 mult = (outer_mults[i][lam] if outer_mults is not None
-                        else rep.multiples(outer[i], [lam])[0])
-                target = rep.add(target, mult)
+                        else _multiples(field, outer[i], [lam])[0])
+                target = sub(target, mult)
         wbuf[:] = 0
         for col, t in zip(table, target):
-            wbuf += rep.differences(col, t)
+            wbuf += differing(col, t)
         hist += np.bincount(wbuf, minlength=n + 1) * (q - 1 if v else 1)
     return hist
 
 
 def _worker(args) -> list[int]:
     p, m, modulus, inner, outer, n, start, stop = args
-    rep = _Representation(Field(p, m, modulus or None))
-    return _histogram_range(rep, inner, outer, n, start, stop).tolist()
+    return _histogram_range(Field(p, m, modulus or None), inner, outer, n, start, stop).tolist()
+
+
+def check_budget(words: int, budget: int | None) -> None:
+    """Refuse a budget that is not None or an int >= 1 (ValueError), and an
+    enumeration of more words than it allows (BudgetExceededError)."""
+    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int) or budget < 1):
+        raise ValueError(f"budget must be None or a positive integer, got {budget!r}")
+    if budget is not None and words > budget:
+        raise BudgetExceededError(
+            f"enumeration of {words} codewords exceeds budget {budget}")
 
 
 def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_ENUMERATION_BUDGET,
@@ -201,19 +146,12 @@ def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_ENUMERATION_BUDGE
     """Exact weight histogram (A_0..A_n) of the row space of G, by
     enumeration of one message per line of nonzero multiples (see the
     module docstring).  The budget caps all q^rows(G) messages.  At most
-    `os.cpu_count()` worker processes run.  Raises UnsupportedOrderError
-    for a field whose symbols need more than 64 bits (only q >= 3^17)."""
+    `os.cpu_count()` worker processes run."""
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int) or budget < 1):
-        raise ValueError(f"budget must be None or a positive integer, got {budget!r}")
     field, n, k = G.field, G.cols, G.rows
-    rep = _Representation(field)
     q = field.q
-    total = q ** k
-    if budget is not None and total > budget:
-        raise BudgetExceededError(
-            f"enumeration of {total} codewords exceeds budget {budget}")
+    check_budget(q ** k, budget)
     if k == 0:
         return [1] + [0] * n
     rows = [list(r) for r in G.entries]
@@ -226,7 +164,7 @@ def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_ENUMERATION_BUDGE
 
     workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or n_outer < 2 * workers:
-        return _histogram_range(rep, inner, outer, n, 0, n_outer).tolist()
+        return _histogram_range(field, inner, outer, n, 0, n_outer).tolist()
 
     from concurrent.futures import ProcessPoolExecutor
     bounds = [n_outer * i // workers for i in range(workers + 1)]

@@ -9,8 +9,10 @@ Extension fields of order up to 2^16 get log/antilog tables at construction
 time; larger orders (with a caller-supplied modulus) fall back to polynomial
 arithmetic.  Fields are immutable after construction and safe to share
 across workers.  `array_mul` and `array_sub` do the same arithmetic element
-by element on numpy arrays for the census and the enumeration, so no other
-module tabulates a field; numpy is imported only when they run.
+by element on numpy arrays, and `array_ops` gives the census and the
+enumeration those operations in the narrowest dtype, read from q x q tables
+for small fields, so no other module tabulates a field; numpy is imported
+only when they run.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .errors import (
 )
 
 TABLE_ORDER_LIMIT = 1 << 16
+
+# Fields up to this order get q x q tables of their products and differences
+# from `array_ops`; larger ones compute each array operation directly.
+_PAIR_TABLE_LIMIT = 256
 
 
 def is_prime(n: int) -> bool:
@@ -340,6 +346,50 @@ def array_sub(f: Field, a, b):
         return a ^ b
     p = f.p
     return sum((a // p ** i % p - b // p ** i % p) % p * p ** i for i in range(f.m))
+
+
+@functools.lru_cache(maxsize=8)
+def array_ops(f: Field):
+    """(dtype, mul, sub, inv) on arrays of encodings over f, where dtype is the
+    narrowest that holds q - 1 (Python ints past 2^64) and each operation
+    takes and returns it.  Up to _PAIR_TABLE_LIMIT, products, differences
+    and inverses are read by `take` from tables, the pair tables flattened
+    at a * q + b in narrow ints; above it, `array_mul`, `array_sub` and
+    `Field.inv` are called on each array.  Two differences need no table:
+    XOR for p = 2 (packed words included), and over an odd prime field
+    a - b, which wraps in the unsigned dtype where a < b and is made exact
+    by adding p back there."""
+    import numpy as np
+
+    q = f.q
+    dtype = np.min_scalar_type(q - 1)
+    if q <= _PAIR_TABLE_LIMIT:
+        e = np.arange(q)
+        at = np.min_scalar_type(q * q - 1).type(q)
+
+        def lift(op):
+            flat = op(f, e[:, None], e).astype(dtype).ravel()
+            return lambda a, b: flat.take(a * at + b)
+
+        inv = np.array([0] + [f.inv(x) for x in range(1, q)], dtype=dtype).take
+    else:
+        def lift(op):
+            return lambda a, b: op(f, a, b).astype(dtype)
+
+        def inv(a):
+            return np.array([f.inv(x) for x in a.tolist()], dtype=dtype)
+    if f.p == 2:
+        sub = np.bitwise_xor
+    elif f.m == 1 and dtype != object:
+        p = dtype.type(f.p)
+
+        def sub(a, b):
+            d = a - b
+            d += p * (a < b)
+            return d
+    else:
+        sub = lift(array_sub)
+    return dtype, lift(array_mul), sub, inv
 
 
 def GF(q: int, modulus_poly: Optional[Sequence[int]] = None) -> Field:

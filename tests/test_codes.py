@@ -160,6 +160,20 @@ def test_budget_exceeded():
         c.weight_distribution(budget=63)
 
 
+@pytest.mark.parametrize("budget, error", [
+    (1, BudgetExceededError), (31, BudgetExceededError), (-1, ValueError), (True, ValueError),
+])
+def test_cached_distribution_still_checks_the_budget(budget, error):
+    # the cached counts were returned whatever the budget said
+    c = random_code(GF(2), 10, 5, seed=1)
+    A = c.weight_distribution(budget=None)
+    assert c.weight_distribution(budget=32) is A
+    with pytest.raises(error):
+        c.weight_distribution(budget=budget)
+    with pytest.raises(error):
+        c.min_distance(budget)
+
+
 def test_support_size_is_weight_and_parity_check_dependence():
     # every codeword's support selects dependent columns of H
     for q, n, k, s in [(2, 7, 3, 10), (3, 6, 3, 11), (4, 6, 2, 12)]:

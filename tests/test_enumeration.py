@@ -1,8 +1,8 @@
 """Enumeration checked against the codeword oracle.
 
 `LinearCode.codewords()` encodes every message with plain `Field.add` and
-`Field.mul`, so its histogram shares no code with the packed block tables
-and scans every message, not one per line of nonzero multiples.
+`Field.mul`, so its histogram shares no code with the block tables and
+scans every message, not one per line of nonzero multiples.
 """
 
 import random
@@ -15,16 +15,18 @@ from hypothesis import strategies as st
 
 from weightdist import enumeration
 from weightdist.codes import LinearCode
-from weightdist.enumeration import _Representation, weight_histogram
-from weightdist.errors import UnsupportedOrderError
-from weightdist.fields import GF, Field
+from weightdist.enumeration import weight_histogram
+from weightdist.errors import BudgetExceededError
+from weightdist.fields import GF, Field, array_ops
 from weightdist.matrices import GFMatrix
 
-# Between them the fields take every word dtype: GF(2), GF(4), GF(16), GF(3),
-# GF(9) uint8; GF(2^9), GF(27), GF(25), GF(125), GF(49), GF(257) uint16;
-# GF(3^6), GF(3^7), GF(65521) uint32; GF(3^9) uint64.
-FIELDS = [GF(q) for q in (2, 4, 16, 2 ** 9, 3, 9, 27, 3 ** 6, 3 ** 7, 3 ** 9, 25, 125, 49,
-                          257, 65521)]
+# GF(2) packs uint64 words; the others keep one encoding per word: uint8
+# through GF(256), among them the widest odd prime GF(251), whose subtraction
+# wraps furthest, and uint16 from GF(257) to GF(65521).  Prime fields,
+# GF(2^m) and odd p with m > 1 each fall on both sides of the 256-element
+# tables.
+FIELDS = [GF(q) for q in (2, 4, 16, 256, 2 ** 9, 3, 9, 27, 243, 3 ** 6, 3 ** 7, 3 ** 9, 25, 125,
+                          49, 251, 257, 65521)]
 # Codes above this many words keep the default split, since a message space
 # run wholly through the outer loop costs ~15 us a word; GF(3^9) and
 # GF(65521) still get their one-row codes.
@@ -159,8 +161,11 @@ def test_field_beyond_tables_prime():
     """GF(65537) has q > 2^16: no inner table and no whole-field arrays."""
     field = GF(65537)
     G = GFMatrix.from_rows(field, [[1, 0, 65536, 3, 40000]])
-    assert _Representation(field).words is None
-    assert weight_histogram(G, budget=None) == oracle_histogram(G)
+    with patch.object(enumeration, "_histogram_range", wraps=enumeration._histogram_range) as run:
+        assert weight_histogram(G, budget=None) == oracle_histogram(G)
+    (call,) = run.call_args_list
+    _, inner, outer, _, start, stop = call.args
+    assert (len(inner), len(outer), start, stop) == (0, 1, 0, 2)
 
 
 def test_field_beyond_tables_explicit_modulus():
@@ -230,20 +235,25 @@ def test_two_workers_odd_characteristic():
 
 
 @pytest.mark.parametrize("q, dtype", [
-    (2, np.uint64), (2 ** 9, np.uint16), (3, np.uint8), (3 ** 7, np.uint32),
-    (3 ** 9, np.uint64), (257, np.uint16), (65521, np.uint32),
+    (2, np.uint64), (2 ** 9, np.uint16), (3, np.uint8), (251, np.uint8), (256, np.uint8),
+    (3 ** 7, np.uint16), (3 ** 9, np.uint16), (257, np.uint16), (65521, np.uint16),
+    (65537, np.uint32),
 ])
 def test_smallest_dtype_and_no_upcast(q, dtype):
-    rep = _Representation(GF(q))
-    assert rep.dtype is dtype
-    col = np.full(3, rep.zero)
-    assert rep.add(col, rep.pack([q - 1] * 3)).dtype == dtype
+    """Table words are uint64 over GF(2), else the narrowest dtype that holds
+    q - 1, and subtracting them keeps it."""
+    field = GF(q)
+    words = enumeration._multiples(field, [q - 1] * 3, [1, q - 1])
+    assert words.dtype == dtype
+    assert array_ops(field)[2](words[0], words[1]).dtype == dtype
 
 
-def test_fields_wider_than_64_bits_are_unsupported():
+def test_field_wider_than_64_bits_needs_no_packing():
+    """GF(3^17) has no log tables and its digits would not fit 64 bits
+    packed; one encoding per word needs neither.  Every nonzero multiple of
+    the one row has weight 2."""
     field = Field(3, 17, (1, 2) + (0,) * 15 + (1,))
     G = GFMatrix.from_rows(field, [[1, 2]])
-    with pytest.raises(UnsupportedOrderError):
-        weight_histogram(G, budget=None)
-    with pytest.raises(UnsupportedOrderError):
+    assert weight_histogram(G, budget=None) == [1, 0, field.q - 1]
+    with pytest.raises(BudgetExceededError):
         weight_histogram(G)

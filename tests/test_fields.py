@@ -9,7 +9,9 @@ from weightdist.errors import (
     ReduciblePolynomialError,
     UnsupportedOrderError,
 )
-from weightdist.fields import GF, Field, array_mul, array_sub, default_modulus, is_irreducible
+from weightdist.fields import (
+    GF, Field, array_mul, array_ops, array_sub, default_modulus, is_irreducible,
+)
 
 
 def prime_powers_up_to(limit):
@@ -156,12 +158,13 @@ def test_large_order_with_polynomial_uses_polynomial_arithmetic():
     assert f.pow(3, f.q - 1) == 1
 
 
-# above the 256-element census tables: a prime field, GF(2^m) and odd p with
-# m > 1 with log tables, one without them, and a prime field whose products
-# overflow int64; built in the test, so that collection does not hold them
+# above the 256-element tables: a prime field, GF(2^m) and odd p with m > 1
+# with log tables, one without them, and a prime field whose products
+# overflow int64; then GF(251), the odd prime whose differences wrap furthest
+# in uint8; built in the test, so that collection does not hold them
 @pytest.mark.parametrize("q, modulus", [
     (257, None), (2 ** 9, None), (3 ** 7, None), (2 ** 16, None),
-    (3 ** 11, (2, 0, 1) + (0,) * 8 + (1,)), (4294967311, None),
+    (3 ** 11, (2, 0, 1) + (0,) * 8 + (1,)), (4294967311, None), (251, None),
 ])
 def test_array_operations_match_field_calls_on_random_and_extreme_pairs(q, modulus):
     field = GF(q, modulus)
@@ -169,5 +172,8 @@ def test_array_operations_match_field_calls_on_random_and_extreme_pairs(q, modul
     elems = [0, 1, 2, q - 2, q - 1, q // 2 + 7] + [rng.randrange(q) for _ in range(58)]
     a = np.array([x for x in elems for _ in elems])
     b = np.array(elems * len(elems))
-    for got, op in ((array_mul(field, a, b), field.mul), (array_sub(field, a, b), field.sub)):
+    dtype, mul, sub, _ = array_ops(field)
+    narrow = a.astype(dtype), b.astype(dtype)
+    for got, op in ((array_mul(field, a, b), field.mul), (array_sub(field, a, b), field.sub),
+                    (mul(*narrow), field.mul), (sub(*narrow), field.sub)):
         assert got.tolist() == [op(x, y) for x, y in zip(a.tolist(), b.tolist())]
