@@ -287,7 +287,9 @@ def check_full_rank_regime(C: LinearCode, nu: int, d_perp: int | None = None,
     """For nu wider than n minus the dual distance, every (n-k) x nu column
     selection of H must have full rank n-k; returns whether the census is
     concentrated there.  A False is a bug or a wrong d_perp, never a valid
-    outcome."""
+    outcome.  With d_perp None the dual distance comes from `C.parameters()`,
+    which enumerates C under the default enumeration budget and raises
+    BudgetExceededError past it; budget caps only the census."""
     if d_perp is None:
         d_perp = C.parameters().d_perp
     require_ints(d_perp=d_perp)

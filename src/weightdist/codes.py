@@ -169,8 +169,8 @@ class LinearCode:
 
     def weight_distribution(self, budget: int | None = DEFAULT_ENUMERATION_BUDGET,
                             workers: int = 1) -> WeightDistribution:
-        """Exact distribution by enumeration, one message per line of
-        nonzero multiples (see `weight_histogram`).  The distribution is
+        """Exact distribution by `weight_histogram`: the table enumeration,
+        or for a high-rate code the syndrome count.  The distribution is
         cached, and the budget is checked on every call."""
         check_budget(self.field.q ** self.k, budget)
         if self._distribution is None:
@@ -211,6 +211,20 @@ def krawtchouk(n: int, q: int, j: int, i: int) -> int:
     return acc
 
 
+def _krawtchouk_matrix(n: int, q: int) -> list[list[int]]:
+    """Rows K_0..K_n of K_j(i) = krawtchouk(n, q, j, i), i = 0..n, in O(n^2)
+    integer operations: K_0(i) = 1, K_j(0) = binom(n, j)(q-1)^j, and
+    K_j(i) = K_j(i-1) - K_{j-1}(i-1) - (q-1) K_{j-1}(i)."""
+    K = [[1] * (n + 1)]
+    for j in range(1, n + 1):
+        prev = K[-1]
+        row = [prev[0] * (n - j + 1) * (q - 1) // j]
+        for i in range(1, n + 1):
+            row.append(row[-1] - prev[i - 1] - (q - 1) * prev[i])
+        K.append(row)
+    return K
+
+
 def macwilliams_transform(A: WeightDistribution) -> WeightDistribution:
     """Distribution of the dual code, B_j = q^{-k} sum_i A_i K_j(i).
 
@@ -221,8 +235,8 @@ def macwilliams_transform(A: WeightDistribution) -> WeightDistribution:
     n, q, k = A.n, A.q, A.k
     qk = q ** k
     counts = []
-    for j in range(n + 1):
-        s = sum(A.counts[i] * krawtchouk(n, q, j, i) for i in range(n + 1))
+    for j, K_j in enumerate(_krawtchouk_matrix(n, q)):
+        s = sum(a * K for a, K in zip(A.counts, K_j))
         if s % qk:
             raise NonIntegralResultError(
                 f"B_{j} = {s}/{qk} is not an integer; invalid input distribution")

@@ -1,16 +1,18 @@
-"""Exhaustive codeword enumeration for exact weight counting.
+"""Exact weight counting by two routes, each an exact count of codewords:
+`weight_histogram` takes whichever costs fewer element operations.
 
-The weight of every one of the q^k messages is tallied, so the result is
-exact by construction; numpy integer arrays are only the carrier.  A nonzero
-codeword c and its q - 1 nonzero multiples share one weight, so only one
-message per line of multiples is encoded.  The message space splits into an
-inner block table and an outer part: the block is histogrammed once with the
-outer part zero, and then once for each outer message whose first nonzero
-coefficient is 1, counted q - 1 times.  This is exact at the message level,
-also for a rank-deficient generator: m -> lam*m keeps the first nonzero
-position, maps the inner block onto itself and scales every word by lam.
-With several workers the normalised outer messages are partitioned into
-disjoint ranges whose histograms are merged by exact addition.
+The table enumeration tallies the weight of every one of the q^k messages,
+so the result is exact by construction; numpy integer arrays are only the
+carrier.  A nonzero codeword c and its q - 1 nonzero multiples share one
+weight, so only one message per line of multiples is encoded.  The message
+space splits into an inner block table and an outer part: the block is
+histogrammed once with the outer part zero, and then once for each outer
+message whose first nonzero coefficient is 1, counted q - 1 times.  This is
+exact at the message level, also for a rank-deficient generator: m -> lam*m
+keeps the first nonzero position, maps the inner block onto itself and
+scales every word by lam.  With several workers the normalised outer
+messages are partitioned into disjoint ranges whose histograms are merged
+by exact addition.
 
 The block table is stored word-major, one contiguous row per table word
 of the codewords.  Its entries are built, and each outer codeword c is
@@ -29,6 +31,22 @@ Packing several such symbols per word and counting the nonzero fields of
 their difference was measured slower than this per-symbol compare, so only
 GF(2) packs.
 
+The syndrome count (Wolf's trellis: J. K. Wolf, IEEE Trans. Inf. Theory 24,
+1978) serves high-rate codes, whose q^(n-k) syndromes are far fewer than
+their messages.  With H = `gf_kernel_basis(G)`, r rows, a codeword is a
+vector x with H x^T = 0.  Column by column, it counts the vectors over the
+columns so far by syndrome and weight: a next coordinate a != 0 moves a
+vector from syndrome s - a h_j to s and adds one to its weight.  After the
+last column the count at syndrome 0 is the number of codewords of each
+weight, each reached by q^(rows - rank) messages.  So it counts the same
+codewords as the table, by a different walk over the same space; it uses no
+MacWilliams transform, nor any other identity between weight distributions
+that the package checks.  It is taken only when q^r fits the block table
+and n m (p - 1) q^r (n + 1), its element operations, is below the table's
+ceil(q^k / (q - 1)) messages times its words per codeword.  Counts are int64
+while q^k < 2^63 and Python ints beyond.  Worker processes split only the
+table enumeration.
+
 numpy and the process pool are imported inside the functions that use them,
 so that importing the package, and every command that does not enumerate,
 never loads them.
@@ -41,7 +59,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError
 from .fields import TABLE_ORDER_LIMIT, Field, array_ops
-from .matrices import GFMatrix
+from .matrices import GFMatrix, gf_kernel_basis
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 8
 _BLOCK_ROWS = 1 << 16
@@ -141,17 +159,61 @@ def check_budget(words: int, budget: int | None) -> None:
             f"enumeration of {words} codewords exceeds budget {budget}")
 
 
-def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_ENUMERATION_BUDGET,
-                     workers: int = 1) -> list[int]:
+def _syndrome_histogram(G: GFMatrix, H: GFMatrix) -> list[int]:
+    """Exact weight histogram (A_0..A_n) of the row space of G, counted over
+    the q^r syndromes of H = `gf_kernel_basis(G)`, which has r = n - rank(G)
+    rows (see the module docstring)."""
+    import numpy as np
+
+    field, n, r = G.field, G.cols, H.rows
+    p, q = field.p, field.q
+    dtype, mul, sub, _ = array_ops(field)
+    # syndrome s is state sum_i s_i q^i; digits[s] holds its coordinates
+    states = np.arange(q ** r)
+    powers = np.array([q ** i for i in range(r)], dtype=np.int64)
+    digits = np.empty((q ** r, r), dtype=dtype)
+    rest = states.copy()
+    for i in range(r):
+        digits[:, i] = rest % q
+        rest //= q
+    # counts[s, w]: vectors over the columns so far with syndrome s and weight
+    # w.  It and every coset sum below count vectors of one fiber of a linear
+    # map, at most q^rank(G) of them, so int64 holds them while q^rows does.
+    counts = np.zeros((q ** r, n + 1), dtype=np.int64 if q ** G.rows < 1 << 63 else object)
+    counts[0, 0] = 1
+    for j in range(n):
+        column = np.asarray(H.column(j), dtype=dtype)
+        below = counts[:, :j + 1]
+        if not column.any():
+            counts[:, 1:j + 2] += below * (q - 1)
+            continue
+        # sum over a != 0 of below[s - a h_j]: the sum over the coset of the
+        # line <h_j> through s, less below[s].  x^i h_j (i < m) span the line
+        # over GF(p), so the coset sum is m sums over p states each, along
+        # c x^i h_j (c in GF(p)), whose encoding scalar is c p^i.
+        coset = below
+        for i in range(field.m):
+            scalars = np.array([c * p ** i for c in range(1, p)], dtype=dtype)
+            multiples = mul(scalars[:, None], column)
+            if p == 2:
+                # each coordinate is m bits of the state, so a difference
+                # is an XOR of states
+                sources = states ^ (multiples @ powers)[:, None]
+            else:
+                sources = [sub(digits, t) @ powers for t in multiples]
+            coset = coset + sum(coset[src] for src in sources)
+        counts[:, 1:j + 2] += coset - below
+    scale = q ** (G.rows - n + r)
+    return [int(c) * scale for c in counts[0]]
+
+
+def _table_histogram(G: GFMatrix, workers: int) -> list[int]:
     """Exact weight histogram (A_0..A_n) of the row space of G, by
-    enumeration of one message per line of nonzero multiples (see the
-    module docstring).  The budget caps all q^rows(G) messages.  At most
-    `os.cpu_count()` worker processes run."""
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    enumeration of one message per line of nonzero multiples through the
+    block table (see the module docstring), split over at most `workers`
+    processes."""
     field, n, k = G.field, G.cols, G.rows
     q = field.q
-    check_budget(q ** k, budget)
     if k == 0:
         return [1] + [0] * n
     rows = [list(r) for r in G.entries]
@@ -176,3 +238,36 @@ def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_ENUMERATION_BUDGE
         for part in pool.map(_worker, jobs):
             hist = [a + b for a, b in zip(hist, part)]
     return hist
+
+
+def _syndromes_cost_less(field: Field, n: int, rows: int, r: int) -> bool:
+    """Whether counting over q^r syndromes, n m (p - 1) q^r (n + 1) element
+    operations, costs less than enumerating the table of a generator with
+    this many rows, ceil(q^rows / (q - 1)) messages of one table word per
+    64 coordinates over GF(2) and per coordinate otherwise; syndrome
+    counts wider than the block table never qualify."""
+    q = field.q
+    width = -(-n // 64) if q == 2 else n
+    return (q ** r <= _BLOCK_ROWS
+            and n * field.m * (field.p - 1) * q ** r * (n + 1) < -(-q ** rows // (q - 1)) * width)
+
+
+def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_ENUMERATION_BUDGET,
+                     workers: int = 1) -> list[int]:
+    """Exact weight histogram (A_0..A_n) of the row space of G, by whichever
+    of the two exact counts costs fewer element operations (see the module
+    docstring).  The budget caps all q^rows(G) messages on either route;
+    `workers` splits the table enumeration, of which at most
+    `os.cpu_count()` processes run."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    field, n, k = G.field, G.cols, G.rows
+    q = field.q
+    check_budget(q ** k, budget)
+    # r >= n - k, so the first test sends a code to the table without an
+    # elimination; only a rank-deficient G can pass it and fail the second
+    if _syndromes_cost_less(field, n, k, max(n - k, 0)):
+        H = gf_kernel_basis(G)
+        if _syndromes_cost_less(field, n, k, H.rows):
+            return _syndrome_histogram(G, H)
+    return _table_histogram(G, workers)

@@ -136,6 +136,16 @@ def test_full_rank_regime_reference(reference_pair):
         check_full_rank_regime(a, 3, d_perp=4)
 
 
+def test_full_rank_regime_enumerates_under_the_default_budget():
+    """Without d_perp the dual distance is enumerated at the default budget,
+    which 2^27 words exceed even once the distribution is cached."""
+    code = random_code(GF(2), 30, 27, seed=30)
+    d_perp = code.parameters(budget=None).d_perp
+    assert check_full_rank_regime(code, 30, d_perp=d_perp, budget=None)
+    with pytest.raises(BudgetExceededError):
+        check_full_rank_regime(code, 30, budget=None)
+
+
 def test_regime_substitution_reproduces_moment_rhs(reference_pair):
     # in the full-rank regime the census side collapses to
     # binom(n, nu) q^(nu + k - n)

@@ -1,9 +1,14 @@
+import re
+from unittest.mock import patch
+
 import pytest
 
+from weightdist import enumeration
 from weightdist.codes import (
     CodeParameters,
     LinearCode,
     WeightDistribution,
+    _krawtchouk_matrix,
     krawtchouk,
     macwilliams_transform,
     random_code,
@@ -107,6 +112,22 @@ def test_krawtchouk_column_orthogonality():
     assert krawtchouk(2, 2, 1, 1) == 0
 
 
+@pytest.mark.parametrize("n, q", [(1, 2), (7, 2), (12, 3), (9, 4), (6, 27), (5, 257)])
+def test_krawtchouk_matrix_matches_krawtchouk(n, q):
+    K = _krawtchouk_matrix(n, q)
+    assert K == [[krawtchouk(n, q, j, i) for i in range(n + 1)] for j in range(n + 1)]
+
+
+@pytest.mark.parametrize("counts, q, k, message", [
+    ((1, 0, 2), 2, 1, "B_0 = 3/2 is not an integer; invalid input distribution"),
+    ((1, 0, 3), 2, 2, "B_1 = -1 is negative; invalid input distribution"),
+    ((1, 3, 0), 2, 2, "B_1 = 2/4 is not an integer; invalid input distribution"),
+])
+def test_macwilliams_error_messages(counts, q, k, message):
+    with pytest.raises(NonIntegralResultError, match=f"^{re.escape(message)}$"):
+        macwilliams_transform(WeightDistribution(counts, q=q, k=k))
+
+
 def test_macwilliams_small_cases():
     rep = repetition_code()
     B = macwilliams_transform(rep.weight_distribution())
@@ -205,7 +226,9 @@ def test_distribution_invariants_on_corpus(corpus):
 
 def test_workers_match_serial():
     c = random_code(GF(3), 8, 5, seed=77)
-    assert weight_histogram(c.G, workers=2) == weight_histogram(c.G, workers=1)
+    with patch.object(enumeration, "_table_histogram", wraps=enumeration._table_histogram) as table:
+        assert weight_histogram(c.G, workers=2) == weight_histogram(c.G, workers=1)
+    assert table.call_count == 2
 
 
 def test_validate_rejects_bad_distributions():

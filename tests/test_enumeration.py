@@ -1,24 +1,29 @@
-"""Enumeration checked against the codeword oracle.
+"""Both exact counts, the table enumeration and the syndrome count, checked
+against the codeword oracle.
 
 `LinearCode.codewords()` encodes every message with plain `Field.add` and
-`Field.mul`, so its histogram shares no code with the block tables and
-scans every message, not one per line of nonzero multiples.
+`Field.mul`, so its histogram shares no code with the block tables or the
+syndrome counts, and scans every message, not one per line of nonzero
+multiples.
 """
 
+import math
 import random
+from contextlib import contextmanager
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weightdist import enumeration
-from weightdist.codes import LinearCode
+from weightdist.codes import LinearCode, macwilliams_transform, random_code
+from weightdist.closed_forms import reed_solomon_code
 from weightdist.enumeration import weight_histogram
 from weightdist.errors import BudgetExceededError
 from weightdist.fields import GF, Field, array_ops
-from weightdist.matrices import GFMatrix
+from weightdist.matrices import GFMatrix, gf_kernel_basis
 
 # GF(2) packs uint64 words; the others keep one encoding per word: uint8
 # through GF(256), among them the widest odd prime GF(251), whose subtraction
@@ -59,13 +64,73 @@ def codes_and_splits(draw, field: Field):
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_weight_histogram_matches_codeword_oracle(field, data):
+    """The table route, whatever the routing would pick for the code."""
     G, k_inner = data.draw(codes_and_splits(field))
     with patch.object(enumeration, "_BLOCK_ROWS", field.q ** k_inner):
-        assert weight_histogram(G, budget=None) == oracle_histogram(G)
+        assert enumeration._table_histogram(G, 1) == oracle_histogram(G)
 
 
+@st.composite
+def syndrome_codes(draw, field: Field):
+    """A generator matrix with at most MAX_WORDS messages, and at most
+    MAX_WORDS syndromes when it has full rank; n may be below k."""
+    q = field.q
+    max_k, max_r = 1, 0
+    while q ** (max_k + 1) <= MAX_WORDS:
+        max_k += 1
+    while q ** (max_r + 1) <= MAX_WORDS:
+        max_r += 1
+    k = draw(st.integers(1, max_k))
+    n = draw(st.integers(1, k + max_r))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    return GFMatrix.from_rows(field, rows)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.q})")
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_syndrome_histogram_matches_codeword_oracle(field, data):
+    """The syndrome route, over full-rank and rank-deficient generators
+    alike; a rank deficiency that leaves over MAX_WORDS syndromes is
+    skipped."""
+    G = data.draw(syndrome_codes(field))
+    H = gf_kernel_basis(G)
+    assume(field.q ** H.rows <= MAX_WORDS)
+    assert enumeration._syndrome_histogram(G, H) == oracle_histogram(G)
+
+
+def _edge_generators(field: Field) -> dict[str, GFMatrix]:
+    """Three columns each, so that no count here has over 16^3 states."""
+    q, rng = field.q, random.Random(field.q)
+    # upper triangular with a nonzero diagonal: full rank
+    square = [[rng.randrange(1, q) if j == i else rng.randrange(q) if j > i else 0
+               for j in range(3)] for i in range(3)]
+    return {"k=0": GFMatrix.from_rows(field, [], cols=3),
+            "k=n": GFMatrix.from_rows(field, square),
+            "zero rows": GFMatrix.from_rows(field, [[0, 0, 0], [0, 0, 0]]),
+            "repeated row": GFMatrix.from_rows(field, [square[0], square[1], square[0]])}
+
+
+@pytest.mark.parametrize("field", [GF(q) for q in (2, 3, 4, 9, 16)], ids=lambda f: f"GF({f.q})")
+def test_both_routes_on_edge_generators(field):
+    """No rows (H is the identity), a full space (H has no rows), all-zero
+    rows and a repeated row (rank below the row count)."""
+    for name, G in _edge_generators(field).items():
+        expected = oracle_histogram(G)
+        assert enumeration._syndrome_histogram(G, gf_kernel_basis(G)) == expected, name
+        assert enumeration._table_histogram(G, 1) == expected, name
+
+
+@contextmanager
 def _patched_split(field: Field, k_inner: int):
-    return patch.object(enumeration, "_BLOCK_ROWS", field.q ** k_inner)
+    """The inner table holds k_inner rows, and the call inside must take the
+    table route, which is what the split is."""
+    with patch.object(enumeration, "_BLOCK_ROWS", field.q ** k_inner), \
+            patch.object(enumeration, "_table_histogram",
+                         wraps=enumeration._table_histogram) as table:
+        yield
+    assert table.called
 
 
 @pytest.mark.parametrize("q", [4, 9, 27])
@@ -257,3 +322,44 @@ def test_field_wider_than_64_bits_needs_no_packing():
     assert weight_histogram(G, budget=None) == [1, 0, field.q - 1]
     with pytest.raises(BudgetExceededError):
         weight_histogram(G)
+    # the whole space GF(q)^3, q^3 > 2^63 words: H has no rows, so the
+    # syndrome count has one state and counts in Python ints
+    full = GFMatrix.from_rows(field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with patch.object(enumeration, "_syndrome_histogram",
+                      wraps=enumeration._syndrome_histogram) as syndrome:
+        assert weight_histogram(full, budget=None) == [math.comb(3, w) * (field.q - 1) ** w
+                                                       for w in range(4)]
+    assert syndrome.called
+
+
+@pytest.mark.parametrize("q, n, k, route", [
+    (2, 32, 24, "_syndrome_histogram"), (9, 9, 8, "_syndrome_histogram"),
+    (3, 20, 14, "_syndrome_histogram"), (2, 16, 8, "_table_histogram"),
+    (3, 14, 7, "_table_histogram"), (4, 12, 6, "_table_histogram"),
+])
+def test_routing_of_the_benchmark_codes(q, n, k, route):
+    """The high-rate codes of the enumerate benchmark count syndromes, and
+    agree with the table route; the verify benchmark's codes take the table
+    route without computing a parity-check matrix."""
+    field = GF(q)
+    code = reed_solomon_code(field, n, k) if q == 9 else random_code(field, n, k, seed=n)
+    with patch.object(enumeration, "_syndrome_histogram",
+                      wraps=enumeration._syndrome_histogram) as syndrome, \
+            patch.object(enumeration, "_table_histogram",
+                         wraps=enumeration._table_histogram) as table, \
+            patch.object(enumeration, "gf_kernel_basis", wraps=gf_kernel_basis) as kernel:
+        got = weight_histogram(code.G)
+    if route == "_syndrome_histogram":
+        assert syndrome.called and not table.called
+        assert got == enumeration._table_histogram(code.G, 1)
+    else:
+        assert table.called and not syndrome.called and not kernel.called
+
+
+def test_counts_past_int64_are_exact():
+    """2^72 codewords: the syndrome counts are Python ints, equal to the
+    MacWilliams transform of the dual [80,8]_2, which the table enumerates."""
+    code = random_code(GF(2), 80, 72, seed=80)
+    A = weight_histogram(code.G, budget=None)
+    assert sum(A) == 2 ** 72
+    assert macwilliams_transform(code.dual().weight_distribution()).counts == tuple(A)
