@@ -5,8 +5,9 @@ full-rank regime where every wide-enough column selection has maximal rank.
 
 The census defines no arithmetic of its own.  Its walk reduces a whole level
 of column subsets at a time in numpy rather than through the scalar step of
-`matrices._elimination`, by the field's `fields.array_ops`.  numpy is
-imported when the first census runs.
+`matrices._elimination`, by the field's `fields.array_ops`, from a basis
+read from the memoised `matrices.gf_row_reduce`.  numpy is imported when the
+first census runs.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import math
 from dataclasses import dataclass
 
 from .codes import LinearCode, WeightDistribution, require_ints
-from .errors import BudgetExceededError, RegimeViolationError
+from .enumeration import check_budget
+from .errors import RegimeViolationError
 from .fields import array_ops
-from .matrices import GFMatrix, _elimination, binom, gf_kernel_basis, gf_row_reduce
+from .matrices import GFMatrix, _elimination, binom, gf_kernel_basis, gf_rank, gf_row_reduce
 
 DEFAULT_SUBSET_BUDGET = 10 ** 7
 
@@ -83,12 +85,7 @@ def census(M: GFMatrix, nu: int, budget: int | None = DEFAULT_SUBSET_BUDGET) -> 
     require_ints(nu=nu)
     if not 1 <= nu <= t:
         raise ValueError(f"need 1 <= nu <= {t}, got {nu}")
-    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int) or budget < 1):
-        raise ValueError(f"budget must be None or a positive integer, got {budget!r}")
-    n_subsets = binom(t, nu)
-    if budget is not None and n_subsets > budget:
-        raise BudgetExceededError(
-            f"census over {n_subsets} subsets exceeds budget {budget}")
+    check_budget(binom(t, nu), budget, "census over {} subsets")
     table = _rank_table(M, *_window(M, nu, budget))
     counts = {r: c for r, c in enumerate(table[nu]) if c}
     return RankCensus(nu=nu, counts=counts, source_dims=(M.rows, t))
@@ -103,7 +100,7 @@ def _window(M: GFMatrix, nu: int, budget: int | None) -> tuple[int, int]:
         return nu, nu
     # nodes rarely lie deeper than full rank, which a whole table walked on
     # the side with fewer rows reaches after min(rank, t - rank) columns
-    rank = _reduced(M).rows
+    rank = gf_rank(M)
     stop = min(rank, t - rank)
     if sum(binom(t, j) for j in range(stop + 1)) <= _WHOLE_TABLE_NODES:
         return 0, t
@@ -111,18 +108,11 @@ def _window(M: GFMatrix, nu: int, budget: int | None) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=16)
-def _reduced(M: GFMatrix) -> GFMatrix:
-    """The nonzero rows of M's reduced row echelon form: a basis of its row
-    space, with as many rows as M has rank."""
-    return GFMatrix(M.field, tuple(gf_row_reduce(M)[0]), M.cols)
-
-
-@functools.lru_cache(maxsize=16)
 def _rank_table(M: GFMatrix, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
     """counts[size][rank] for every column subset with lo <= size <= hi;
     rows outside the window are zero."""
     t = M.cols
-    basis = _reduced(M)
+    basis = GFMatrix(M.field, gf_row_reduce(M)[0], t)  # the nonzero rows of M's RREF
     rank = basis.rows
     if (lo, hi) == (0, t) and t - rank < rank:
         K = gf_kernel_basis(M)

@@ -381,15 +381,19 @@ def cmd_fixtures(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=_positive_int, default=DEFAULT_ENUMERATION_BUDGET,
-                        help="max codewords to enumerate (default 1e8)")
-    common.add_argument("--census-budget", type=_positive_int, default=DEFAULT_SUBSET_BUDGET,
-                        help="max column subsets per census (default 1e7)")
-    common.add_argument("--workers", type=_positive_int, default=1,
-                        help="parallel workers for enumeration, capped at the core count")
+    # every command takes --format and --output, and only the count flags
+    # that it reads
+    common, budget, census_budget, workers = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4))
     common.add_argument("--format", choices=("json", "csv", "table"), default="json")
     common.add_argument("--output", help="write to this path instead of stdout")
+    budget.add_argument("--budget", type=_positive_int, default=DEFAULT_ENUMERATION_BUDGET,
+                        help="max codewords to enumerate (default 1e8)")
+    census_budget.add_argument("--census-budget", type=_positive_int,
+                               default=DEFAULT_SUBSET_BUDGET,
+                               help="max column subsets per census (default 1e7)")
+    workers.add_argument("--workers", type=_positive_int, default=1,
+                         help="parallel workers for enumeration, capped at the core count")
 
     params_help = argparse.ArgumentParser(add_help=False)
     params_help.add_argument("--code", help="code file to derive parameters from")
@@ -404,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact weight distributions of linear codes over finite fields.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("enumerate", parents=[common],
+    s = sub.add_parser("enumerate", parents=[budget, workers, common],
                        help="brute-force distribution and parameters of a code file")
     s.add_argument("codefile")
     s.set_defaults(func=cmd_enumerate)
@@ -413,14 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("codefile")
     s.set_defaults(func=cmd_dual)
 
-    s = sub.add_parser("census", parents=[common],
+    s = sub.add_parser("census", parents=[census_budget, common],
                        help="rank census of the parity-check (or generator) columns")
     s.add_argument("codefile")
     s.add_argument("--nu", type=int, required=True)
     s.add_argument("--matrix", choices=("h", "g"), default="h")
     s.set_defaults(func=cmd_census)
 
-    s = sub.add_parser("verify", parents=[common],
+    s = sub.add_parser("verify", parents=[budget, census_budget, workers, common],
                        help="run consistency checks against the enumeration oracle")
     s.add_argument("codefile")
     s.add_argument("--which", choices=("identity", "pless", "regime", "crosscheck", "all"),
@@ -430,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(negative testing)")
     s.set_defaults(func=cmd_verify)
 
-    s = sub.add_parser("solve", parents=[common, params_help],
+    s = sub.add_parser("solve", parents=[budget, common, params_help],
                        help="recover a distribution from known weights")
     s.add_argument("--knowns", required=True,
                    help='JSON map {"i": "A_i"} (inline or a file path); '
@@ -438,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--system", choices=("pascal", "pless"), default="pascal")
     s.set_defaults(func=cmd_solve)
 
-    s = sub.add_parser("crosscheck", parents=[common, params_help],
+    s = sub.add_parser("crosscheck", parents=[budget, common, params_help],
                        help="solve both systems and compare")
     s.add_argument("--knowns", required=True)
     s.set_defaults(func=cmd_crosscheck)
@@ -471,11 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("m", type=int)
     s.set_defaults(func=cmd_extremal)
 
-    s = sub.add_parser("pless-report", parents=[common, params_help],
+    s = sub.add_parser("pless-report", parents=[budget, common, params_help],
                        help="ranks of the two moment systems and their stack")
     s.set_defaults(func=cmd_pless_report)
 
-    s = sub.add_parser("fixtures", parents=[common],
+    s = sub.add_parser("fixtures", parents=[budget, common],
                        help="regenerate golden files (default ./fixtures)")
     s.set_defaults(func=cmd_fixtures)
 

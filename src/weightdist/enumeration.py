@@ -149,14 +149,14 @@ def _worker(args) -> list[int]:
     return _histogram_range(Field(p, m, modulus or None), inner, outer, n, start, stop).tolist()
 
 
-def check_budget(words: int, budget: int | None) -> None:
-    """Refuse a budget that is not None or an int >= 1 (ValueError), and an
-    enumeration of more words than it allows (BudgetExceededError)."""
+def check_budget(words: int, budget: int | None,
+                 work: str = "enumeration of {} codewords") -> None:
+    """Refuse a budget that is not None or an int >= 1 (ValueError), and more
+    words than it allows (BudgetExceededError, naming the `work` done)."""
     if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int) or budget < 1):
         raise ValueError(f"budget must be None or a positive integer, got {budget!r}")
     if budget is not None and words > budget:
-        raise BudgetExceededError(
-            f"enumeration of {words} codewords exceeds budget {budget}")
+        raise BudgetExceededError(f"{work.format(words)} exceeds budget {budget}")
 
 
 def _syndrome_histogram(G: GFMatrix, H: GFMatrix) -> list[int]:

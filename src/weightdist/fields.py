@@ -7,12 +7,13 @@ encodings 0,1,2,3 are 0, 1, a, a^2 for a primitive element a.
 
 Extension fields of order up to 2^16 get log/antilog tables at construction
 time; larger orders (with a caller-supplied modulus) fall back to polynomial
-arithmetic.  Fields are immutable after construction and safe to share
-across workers.  `array_mul` and `array_sub` do the same arithmetic element
-by element on numpy arrays, and `array_ops` gives the census and the
-enumeration those operations in the narrowest dtype, read from q x q tables
-for small fields, so no other module tabulates a field; numpy is imported
-only when they run.
+arithmetic.  For odd p with m > 1, `Field.add`, `neg` and `sub` and
+`array_sub` sum digit by digit in one helper, `_digitwise`.  Fields are
+immutable after construction and safe to share across workers.  `array_mul`
+and `array_sub` do the same arithmetic element by element on numpy arrays,
+and `array_ops` gives the census and the enumeration those operations in
+the narrowest dtype, read from q x q tables for small fields, so no other
+module tabulates a field; numpy is imported only when they run.
 """
 
 from __future__ import annotations
@@ -70,6 +71,17 @@ def _digits(e: int, p: int, m: int) -> tuple[int, ...]:
         out.append(e % p)
         e //= p
     return tuple(out)
+
+
+def _digitwise(a, b, sign: int, p: int, powers: Sequence[int]):
+    """a + sign * b over GF(p^m) for odd p, powers = p^1..p^(m-1): digit i is
+    (a // w + sign * (b // w)) % p at w = p^i, as the higher digits only add
+    multiples of p.  a and b are Python ints or signed numpy arrays (int64 or
+    object) that broadcast together; unsigned ones would wrap at sign * b."""
+    s = (a + sign * b) % p
+    for w in powers:
+        s += (a // w + sign * (b // w)) % p * w
+    return s
 
 
 def _poly_rem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -142,7 +154,7 @@ class Field:
     matrices and codes over structurally different fields never silently mix.
     """
 
-    __slots__ = ("p", "m", "q", "modulus_poly", "_exp", "_log", "_hash")
+    __slots__ = ("p", "m", "q", "modulus_poly", "_powers", "_exp", "_log", "_hash")
 
     def __init__(self, p: int, m: int = 1, modulus_poly: Optional[Sequence[int]] = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -173,6 +185,7 @@ class Field:
         self.m = m
         self.q = q
         self.modulus_poly = modulus
+        self._powers = tuple(p ** i for i in range(1, m))
         self._hash = hash((p, m, modulus))
         self._exp: Optional[list[int]] = None
         self._log: Optional[list[int]] = None
@@ -228,28 +241,21 @@ class Field:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        s, mult = 0, 1
-        for _ in range(self.m):
-            s += ((a + b) % self.p) * mult
-            a //= self.p
-            b //= self.p
-            mult *= self.p
-        return s
+        return _digitwise(a, b, 1, self.p, self._powers)
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.m == 1:
             return (-a) % self.p
-        s, mult = 0, 1
-        for _ in range(self.m):
-            s += ((-a) % self.p) * mult
-            a //= self.p
-            mult *= self.p
-        return s
+        return _digitwise(0, a, -1, self.p, self._powers)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.p == 2:
+            return a ^ b
+        if self.m == 1:
+            return (a - b) % self.p
+        return _digitwise(a, b, -1, self.p, self._powers)
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -336,16 +342,15 @@ def array_mul(f: Field, a, b):
 
 def array_sub(f: Field, a, b):
     """a - b over f, element by element, for integer arrays of encodings that
-    broadcast together: XOR for p = 2, else base-p digit by digit, which is
-    the modular difference over a prime field."""
+    broadcast together: XOR for p = 2, else base-p digit by digit
+    (`_digitwise`), which is the modular difference over a prime field."""
     import numpy as np
 
     dtype = _array_dtype(f)
     a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
     if f.p == 2:
         return a ^ b
-    p = f.p
-    return sum((a // p ** i % p - b // p ** i % p) % p * p ** i for i in range(f.m))
+    return _digitwise(a, b, -1, f.p, f._powers)
 
 
 @functools.lru_cache(maxsize=8)

@@ -9,8 +9,9 @@ with fractions.Fraction formed only at back-substitution.
 Every scalar GF(q) elimination in the package, the row reduction behind code
 construction and kernels, runs one step (`_elimination`): GF(2) vectors are
 int bitmasks reduced by XOR, other fields' vectors are tuples reduced through
-the field's own operations.  This module tabulates no field arithmetic and
-never imports numpy.
+the field's own `mul` and `sub`.  `gf_row_reduce` is memoised per matrix, so
+every rank, kernel and basis of one matrix reads one reduction.  This module
+tabulates no field arithmetic and never imports numpy.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _elimination(f: Field):
 
         return (lambda x: sum(bit << i for i, bit in enumerate(x)),
                 lambda v, length: tuple((v >> i) & 1 for i in range(length)), step)
-    mul, add, neg, inv = f.mul, f.add, f.neg, f.inv
+    mul, sub, inv = f.mul, f.sub, f.inv
 
     def step(v: tuple, rest: list) -> tuple[tuple, list]:
         lead = next(i for i, x in enumerate(v) if x)
@@ -131,10 +132,7 @@ def _elimination(f: Field):
         for r in rest:
             c = r[lead] if r else 0
             if c:
-                # r - c v, with c negated once per row: for odd p and m > 1
-                # each of add and neg is a loop over the digits
-                c = neg(c)
-                r = tuple([add(x, mul(c, y)) if y else x for x, y in zip(r, v)])
+                r = tuple([sub(x, mul(c, y)) if y else x for x, y in zip(r, v)])
                 if not any(r):
                     r = 0
             out.append(r)
@@ -143,12 +141,14 @@ def _elimination(f: Field):
     return (lambda x: tuple(x) if any(x) else 0), (lambda v, length: v or (0,) * length), step
 
 
-def gf_row_reduce(M: GFMatrix) -> tuple[list[tuple[int, ...]], list[int]]:
+@functools.lru_cache(maxsize=32)
+def gf_row_reduce(M: GFMatrix) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over GF(q): its nonzero rows, and their
     pivot columns in increasing order.  Each nonzero row in turn is a pivot
     whose lead the elimination step clears from the rows still waiting and
     from the pivots kept so far; sorted by lead, the kept pivots are the
-    RREF, which is unique for the row space."""
+    RREF, which is unique for the row space.  Memoised in a bounded cache,
+    so every caller shares the tuples it returns."""
     pack, unpack, step = _elimination(M.field)
     waiting, kept = [pack(r) for r in M.entries], []
     while waiting:
@@ -158,7 +158,7 @@ def gf_row_reduce(M: GFMatrix) -> tuple[list[tuple[int, ...]], list[int]]:
             waiting, kept = out[:len(waiting)], out[len(waiting):] + [v]
     # a pivot row is 0 left of its lead and 1 there
     led = sorted((r.index(1), r) for r in (unpack(v, M.cols) for v in kept))
-    return [r for _, r in led], [c for c, _ in led]
+    return tuple(r for _, r in led), tuple(c for c, _ in led)
 
 
 def gf_rank(M: GFMatrix) -> int:

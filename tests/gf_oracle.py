@@ -1,6 +1,9 @@
-"""The rank, RREF, kernel and census-table oracles for matrices over GF(q),
-and the matrices that differential tests draw to check the package against
-them.
+"""The digit-by-digit addition oracle for GF(p^m), the rank, RREF, kernel
+and census-table oracles for matrices over GF(q), and the matrices that
+differential tests draw to check the package against them.
+
+The addition oracle extracts the base-p digits of both operands one at a
+time, where the package sums digits of a // p^i and b // p^i in place.
 
 The rank oracle is textbook Gauss-Jordan elimination with one Field method
 call per element, kept in the tests so that it is never the code under
@@ -13,6 +16,18 @@ from hypothesis import strategies as st
 
 from weightdist.fields import GF
 from weightdist.matrices import GFMatrix, _elimination, binom
+
+
+def digitwise_oracle(f, a, b, sign):
+    """a + sign * b over f, for sign 1 or -1, from the base-p digits of a and
+    b extracted one at a time."""
+    p, s, w = f.p, 0, 1
+    for _ in range(f.m):
+        s += (a % p + sign * (b % p)) % p * w
+        a //= p
+        b //= p
+        w *= p
+    return s
 
 
 @st.composite

@@ -69,15 +69,32 @@ def test_enumerate_budget_exceeded(code_files, capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    ("--workers", "0"), ("--workers", "-3"), ("--budget", "0"), ("--budget", "-5"),
-    ("--census-budget", "-1"), ("--workers", "two"),
+    ("enumerate", "--workers", "0"), ("enumerate", "--workers", "-3"),
+    ("enumerate", "--budget", "0"), ("enumerate", "--budget", "-5"),
+    ("verify", "--census-budget", "-1"), ("enumerate", "--workers", "two"),
 ])
 def test_count_flags_must_be_positive_integers(code_files, capsys, flags):
     fa, _ = code_files
+    command, *flag = flags
     with pytest.raises(SystemExit) as exc:
-        run(capsys, "enumerate", fa, *flags)
+        run(capsys, command, fa, *flag)
     assert exc.value.code == 2
     assert "expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["mds", "8", "4", "9"], ["--workers", "2"]),
+    (["dual", "{code}"], ["--budget", "10"]),
+    (["extremal", "1"], ["--census-budget", "10"]),
+    (["census", "{code}", "--nu", "2"], ["--budget", "10"]),
+    (["enumerate", "{code}"], ["--census-budget", "10"]),
+])
+def test_commands_refuse_count_flags_they_do_not_read(code_files, capsys, command, flags):
+    fa, _ = code_files
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, *(str(fa) if a == "{code}" else a for a in command), *flags)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_enumerate_formats(code_files, capsys):

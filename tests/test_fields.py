@@ -10,8 +10,10 @@ from weightdist.errors import (
     UnsupportedOrderError,
 )
 from weightdist.fields import (
-    GF, Field, array_mul, array_ops, array_sub, default_modulus, is_irreducible,
+    GF, Field, _digitwise, array_mul, array_ops, array_sub, default_modulus, is_irreducible,
 )
+
+from gf_oracle import digitwise_oracle
 
 
 def prime_powers_up_to(limit):
@@ -118,6 +120,40 @@ def test_addition_matches_digitwise_polynomial_addition():
                 s = f.add(a, b)
                 for d in range(m):
                     assert (s // p ** d) % p == ((a // p ** d) + (b // p ** d)) % p
+
+
+def _check_sums_against_the_digit_oracle(f, a, b):
+    """add, neg and sub on Python ints, and array_sub and the digit helper on
+    int64 and object arrays, against the oracle on the pairs (a[i], b[i])."""
+    pairs = list(zip(a.tolist(), b.tolist()))
+    diffs = [digitwise_oracle(f, x, y, -1) for x, y in pairs]
+    assert [f.add(x, y) for x, y in pairs] == [digitwise_oracle(f, x, y, 1) for x, y in pairs]
+    assert [f.sub(x, y) for x, y in pairs] == diffs
+    assert [f.neg(y) for _, y in pairs] == [digitwise_oracle(f, 0, y, -1) for _, y in pairs]
+    for dtype in (np.int64, object):
+        x, y = a.astype(dtype), b.astype(dtype)
+        assert array_sub(f, x, y).tolist() == diffs
+        assert _digitwise(x, y, -1, f.p, f._powers).tolist() == diffs
+
+
+@pytest.mark.parametrize("q", [9, 25, 27])
+def test_sums_match_the_digit_oracle_on_all_pairs(q):
+    f = GF(q)
+    _check_sums_against_the_digit_oracle(f, np.repeat(np.arange(q), q), np.tile(np.arange(q), q))
+
+
+# GF(3^7) with log tables; above 2^16, an explicit modulus of degree 11 over
+# GF(3), and GF(55127^2), whose arrays hold Python ints (x^2 + 1 is
+# irreducible since 55127 = 3 mod 4)
+@pytest.mark.parametrize("p, m, modulus", [
+    (3, 7, None), (3, 11, (2, 0, 1) + (0,) * 8 + (1,)), (55127, 2, (1, 0, 1)),
+])
+def test_sums_match_the_digit_oracle_on_random_pairs(p, m, modulus):
+    f = Field(p, m, modulus)
+    rng = random.Random(f.q)
+    elems = [0, 1, p - 1, p, f.q - 2, f.q - 1] + [rng.randrange(f.q) for _ in range(34)]
+    _check_sums_against_the_digit_oracle(
+        f, np.array([x for x in elems for _ in elems]), np.array(elems * len(elems)))
 
 
 def test_field_axioms_gf9():

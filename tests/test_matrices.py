@@ -1,10 +1,15 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+from weightdist import enumeration
+from weightdist.census import census
+from weightdist.closed_forms import reed_solomon_code
+from weightdist.codes import random_code
 from weightdist.errors import DuplicateIndexError, IndexOutOfRangeError, SingularMatrixError
 from weightdist.fields import GF, array_mul, array_ops, array_sub
 from weightdist.matrices import (
@@ -80,12 +85,33 @@ ELIMINATION_FIELDS = (2, 3, 4, 9, 2 ** 9, 3 ** 7)
 @example(GFMatrix.from_rows(GF(3 ** 7), [[0, 2186, 3, 1], [0, 1, 2185, 2]]))
 def test_gf_elimination_matches_the_oracle(M):
     rows, pivots = rref_oracle(M)
-    assert gf_row_reduce(M) == (rows, pivots)
+    assert gf_row_reduce(M) == (tuple(rows), tuple(pivots))
     assert gf_rank(M) == len(pivots)
     kb = gf_kernel_basis(M)
     assert kb == kernel_oracle(M)
     zero = GFMatrix.from_rows(M.field, [[0] * kb.rows] * M.rows, cols=kb.rows)
     assert gf_matmul(M, kb.transpose()) == zero
+
+
+def test_each_matrix_is_reduced_once():
+    """Building a code, counting it over its syndromes and taking its
+    parity-check census at every width read one memoised reduction of G and
+    one of H; a low-rate code's census walks the kernel of H, read from the
+    same reduction of H."""
+    gf_row_reduce.cache_clear()
+    codes = [random_code(GF(3), 20, 14, seed=20), reed_solomon_code(GF(9), 9, 8),
+             random_code(GF(2), 12, 3, seed=12)]
+    for code in codes:
+        with patch.object(enumeration, "_syndrome_histogram",
+                          wraps=enumeration._syndrome_histogram) as syndrome:
+            code.weight_distribution()
+        assert syndrome.called == (code.k > code.n - code.k)
+        for nu in range(1, code.n + 1):
+            census(code.H, nu)
+    assert gf_row_reduce.cache_info().misses == len({M for c in codes for M in (c.G, c.H)}) == 6
+    rows, pivots = gf_row_reduce(codes[0].G)
+    assert type(rows) is type(pivots) is type(rows[0]) is tuple
+    assert gf_row_reduce.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("q", [3, 4, 9, 16, 27, 49, 125, 128, 243, 251, 256])
