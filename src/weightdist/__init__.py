@@ -15,7 +15,6 @@ from .closed_forms import (
     extremal_distribution,
     extremal_relation_range,
     extremal_system,
-    kronecker_delta,
     mds_distribution,
     nmds_distribution,
     reed_solomon_code,

@@ -45,7 +45,6 @@ from .errors import (
     NonIntegralResultError,
     NonIntegralSolutionError,
     SingularMatrixError,
-    SingularSelectionError,
     WeightDistError,
     ZeroCodeError,
 )
@@ -72,7 +71,6 @@ _MATH_ERRORS = (
     NegativeSolutionError,
     NegativeEntryError,
     NonIntegralResultError,
-    SingularSelectionError,
     ZeroCodeError,
 )
 

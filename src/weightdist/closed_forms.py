@@ -6,69 +6,55 @@ checks that a code with the requested parameters exists.  Negative or
 non-integral outputs are surfaced (as values or errors, per function), since
 they are exactly the evidence one wants when probing nonexistence.
 
-The MDS, near-MDS and almost-MDS distributions are one closed form: once the
-counts below n - k + s are fixed (A_0 = 1, zeros, then s seed counts), the
-census identity is a lower-triangular Pascal system in the rest, solved by
-its explicit inverse.  MDS is the no-seed case and near-MDS the one-seed case.
-
-The extremal relations have the binomial-Vandermonde structure of the moment
-systems, so the extremal distribution is solved by the same interpolation.
+All four are one solve.  Once the counts outside a set of unknowns are
+fixed, the census identity at as many widths nearest n is a binomial-
+Vandermonde system in the unknowns, which `_pascal_counts` solves by
+`moments.binomial_interpolation`.  For the MDS, near-MDS and almost-MDS
+distributions the fixed counts are A_0 = 1, zeros, then s seed counts; MDS
+is the no-seed case and near-MDS the one-seed case.  For the extremal type II
+distribution they are A_0 = A_24m = 1 and zeros, and the widths the solve
+did not use are checked afterwards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
 from typing import Sequence
 
 from .codes import LinearCode, WeightDistribution, require_ints
 from .errors import (
+    InconsistentKnownsError,
     NegativeEntryError,
+    NonIntegralSolutionError,
     RangeViolationError,
-    SingularSelectionError,
 )
 from .fields import Field
 from .matrices import GFMatrix, RationalMatrix, binom
 from .moments import MomentSystem, binomial_interpolation
 
 
-def kronecker_delta(a, b) -> int:
-    return 1 if a == b else 0
-
-
-def _defect_counts(n: int, k: int, q: int, seeds: Sequence[int]) -> tuple[int, ...]:
-    """Counts of a length-n, dimension-k code over GF(q) with A_1..A_{n-k-1}
-    zero, dual distance k + 1 - s and the s = len(seeds) counts
-    A_{n-k}, ..., A_{n-k+s-1} given as seeds, negatives included.
-
-    With those in place the census identity's widths above n - d_perp are a
-    lower-triangular Pascal system in the rest, whose explicit inverse gives,
-    for 0 <= i <= k - s,
-
-        A_{n-k+s+i} = sum_{j<=i} (-1)^(i-j) binom(k-s-j, i-j) b_j,
-        b_j = binom(n, n-k+s+j)(q^(j+s)-1) - sum_{h<s} binom(k-h, s+j-h) A_{n-k+h}.
-
-    No seeds gives the MDS distribution, one seed the near-MDS one.  A_0 is
-    set last: at k = n the i = 0 entry is the count of nonzero words of
-    weight 0."""
-    s = len(seeds)
-    m, lo = k - s, n - k + s
-    # c_j = (-1)^j b_j, so that A_{lo+i} = (-1)^i sum_{j<=i} binom(m-j, i-j) c_j
-    c = [(-1) ** j * (comb(n, lo + j) * (q ** (j + s) - 1)
-                      - sum(comb(k - h, s + j - h) * a for h, a in enumerate(seeds)))
-         for j in range(m + 1)]
+def _pascal_counts(n: int, k: int, q: int, known: dict[int, int],
+                   unknowns: Sequence[int]) -> tuple[int | Fraction, ...]:
+    """A_0..A_n of a length-n, dimension-k code over GF(q): `known` at its
+    weights, zero off `known` and `unknowns`, and the unknowns solved,
+    negatives and fractions included, from the census identity
+    sum_s binom(n-s, nu-s) A_s = binom(n, nu) q^(nu+k-n) at the len(unknowns)
+    widths nearest n, which must lie above n - d_perp.  Width nu's entry at
+    A_s is binom(x, j) at the node x = n - s and the degree j = n - nu."""
+    widths = range(n - len(unknowns) + 1, n + 1)
+    rhs = [binom(n, nu) * q ** (nu + k - n)
+           - sum(binom(n - s, nu - s) * a for s, a in known.items()) for nu in widths]
+    x = binomial_interpolation([n - s for s in unknowns], [n - nu for nu in widths], rhs)
     counts = [0] * (n + 1)
-    counts[n - k:lo] = seeds
-    for i in range(m + 1):
-        acc = sum(comb(m - j, i - j) * c[j] for j in range(i + 1))
-        counts[lo + i] = -acc if i & 1 else acc
-    counts[0] = 1
+    for s, a in [*known.items(), *zip(unknowns, x)]:
+        counts[s] = a
     return tuple(counts)
 
 
 def mds_distribution(n: int, k: int, q: int) -> WeightDistribution:
-    """Distribution of a maximum-distance-separable [n, k, n-k+1]_q code, the
-    no-seed case of the defect closed form:
+    """Distribution of a maximum-distance-separable [n, k, n-k+1]_q code,
+    solved for A_d..A_n from A_0 = 1 alone:
     A_w = binom(n, w) sum_j (-1)^j binom(w, j) (q^(w-d+1-j) - 1) for w >= d.
     Depends on nothing but the parameters (defect sum zero)."""
     require_ints(n=n, k=k, q=q)
@@ -76,13 +62,13 @@ def mds_distribution(n: int, k: int, q: int) -> WeightDistribution:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if q < 2:
         raise ValueError("field order must be >= 2")
-    return WeightDistribution(_defect_counts(n, k, q, ()), q, k)
+    return WeightDistribution(_pascal_counts(n, k, q, {0: 1}, range(n - k + 1, n + 1)), q, k)
 
 
 def nmds_distribution(n: int, k: int, q: int, a_d: int) -> WeightDistribution:
     """Distribution of a near-MDS [n, k, n-k]_q code (defect 1 on both
-    sides), the one-seed case of the defect closed form, pinned by the count
-    a_d of minimum-weight words:
+    sides), solved for A_{d+1}..A_n from A_0 = 1 and the count a_d of
+    minimum-weight words:
 
         A_{n-k+i} = binom(n, k-i) sum_{j<i} (-1)^j binom(n-k+i, j)(q^(i-j)-1)
                     + (-1)^i binom(k, i) a_d.
@@ -96,7 +82,8 @@ def nmds_distribution(n: int, k: int, q: int, a_d: int) -> WeightDistribution:
         raise ValueError("field order must be >= 2")
     if a_d < 0:
         raise ValueError("minimum-weight count must be >= 0")
-    return WeightDistribution(_defect_counts(n, k, q, (a_d,)), q, k)
+    counts = _pascal_counts(n, k, q, {0: 1, n - k: a_d}, range(n - k + 1, n + 1))
+    return WeightDistribution(counts, q, k)
 
 
 def check_nonnegative(counts: Sequence[int], reason: str) -> None:
@@ -137,10 +124,11 @@ class AmdsInput:
 
 def amds_counts(inp: AmdsInput) -> tuple[int, ...]:
     """Raw closed-form counts for an almost-MDS code, negatives included: the
-    defect closed form with the sigma - 1 seeds, i.e. the explicit inverse of
-    the lower-triangular Pascal system that the census identity induces once
-    A_0..A_{n-k+sigma-2} are in place."""
-    return _defect_counts(inp.n, inp.k, inp.q, inp.seed_weights)
+    census identity solved for A_{n-k+sigma-1}..A_n once A_0..A_{n-k+sigma-2}
+    are in place."""
+    n, k, lo = inp.n, inp.k, inp.n - inp.k
+    known = {0: 1, **dict(zip(range(lo, n), inp.seed_weights))}
+    return _pascal_counts(n, k, inp.q, known, range(lo + inp.sigma - 1, n + 1))
 
 
 def amds_distribution(inp: AmdsInput) -> WeightDistribution:
@@ -214,8 +202,7 @@ def extremal_system(m: int, nu_set: Sequence[int],
                 f"nu={nu} outside ({20 * m - 4}, {24 * m}]")
         rows.append([binom(20 * m - 4 * l, nu - 4 * m - 4 * l)
                      for l in range(1, 4 * m)])
-        rhs.append(binom(24 * m, nu) * (2 ** (nu - 12 * m) - 1)
-                   - kronecker_delta(24 * m, nu))
+        rhs.append(binom(24 * m, nu) * (2 ** (nu - 12 * m) - 1) - (nu == 24 * m))
         labels.append(nu)
     if include_symmetry:
         for l in range(1, 2 * m):
@@ -230,41 +217,27 @@ def extremal_system(m: int, nu_set: Sequence[int],
 
 
 def extremal_distribution(m: int) -> WeightDistribution:
-    """Full distribution of a [24m, 12m, 4m+4] extremal type II code.
-
-    Solves the relations of the 4m-1 largest widths, then verifies the
-    solution against every relation width and the symmetry pattern.  Width
-    nu's entry at A_u is binom(24m-u, 24m-nu): binom(x, j) at the node
-    x = 24m - u and the degree j = 24m - nu.  The degrees are 0..4m-2 and the
-    nodes are distinct, so every minor is nonzero and the selection is solved
-    exactly by binomial interpolation."""
+    """Full distribution of a [24m, 12m, 4m+4] extremal type II code: the
+    free counts solved from A_0 = A_24m = 1 at the 4m-1 largest widths, then
+    the unused widths 20m-3..20m+1, the symmetry and the total checked.  A
+    count that is not a nonnegative integer raises NonIntegralSolutionError
+    or NegativeEntryError naming its weight: no such code exists."""
     ep = ExtremalParams(m)
-    unknowns = ep.unknown_indices
-    widths = range(20 * m + 2, 24 * m + 1)
-    x = binomial_interpolation([ep.n - u for u in unknowns], [ep.n - nu for nu in widths],
-                               extremal_system(m, widths).rhs)
-    counts = [0] * (ep.n + 1)
-    counts[0] = counts[ep.n] = 1
-    for u, v in zip(unknowns, x):
-        if v.denominator != 1 or v < 0:
-            raise SingularSelectionError(
-                f"selection {tuple(widths)} solved to invalid count A_{u} = {v}")
-        counts[u] = int(v)
-    dist = WeightDistribution(tuple(counts), 2, ep.k)
-    _verify_extremal(m, dist)
-    return dist
-
-
-def _verify_extremal(m: int, dist: WeightDistribution) -> None:
-    full = extremal_system(m, list(extremal_relation_range(m)), include_symmetry=True)
-    vec = [dist.counts[u] for u in full.col_labels]
-    got = full.matrix.matvec(vec)
-    for label, lhs, rhs in zip(full.row_labels, got, full.rhs):
-        if lhs != rhs:
-            raise SingularSelectionError(
-                f"solved distribution violates relation {label!r}")
-    if dist.total() != 2 ** (12 * m):
-        raise SingularSelectionError("solved distribution has wrong total")
+    n, k = ep.n, ep.k
+    counts = _pascal_counts(n, k, 2, {0: 1, n: 1}, ep.unknown_indices)
+    code = f"[{n},{k},{ep.d}] extremal type II code"
+    for u, v in enumerate(counts):
+        if v.denominator != 1:
+            raise NonIntegralSolutionError(f"A_{u} = {v} is not an integer; no {code} exists")
+    check_nonnegative(counts, f"no {code} exists")
+    for nu in range(20 * m - 3, 20 * m + 2):
+        off = (sum(binom(n - s, nu - s) * a for s, a in enumerate(counts))
+               - binom(n, nu) * 2 ** (nu + k - n))
+        if off:
+            raise InconsistentKnownsError(f"relation at width {nu} off by {off}")
+    if counts != counts[::-1] or sum(counts) != 2 ** k:
+        raise InconsistentKnownsError("solved distribution is not symmetric or has wrong total")
+    return WeightDistribution(counts, 2, k)
 
 
 # ---------------------------------------------------------------------------

@@ -118,11 +118,6 @@ class RangeViolationError(WeightDistError, ValueError):
     """Relation index outside the range the formula is stated for."""
 
 
-class SingularSelectionError(WeightDistError):
-    """The extremal solve gave a count that is not a nonnegative integer, or
-    a distribution that violates a relation, the symmetry or the total."""
-
-
 # -- file formats -----------------------------------------------------------
 
 class CodeFileFormatError(WeightDistError, ValueError):

@@ -14,9 +14,9 @@ Both families are integral, and each of their rows is the polynomial
 binom(x, j) of one degree j evaluated at distinct integer nodes x, one node
 per column.  The builders record that structure, and a square reduced
 system is solved as the dual Vandermonde problem in the binomial basis
-(Bjorck & Pereyra 1970) in O(u^2) integer operations.  The extremal type II
-relations share that structure, and `closed_forms.extremal_distribution`
-solves them with the same `binomial_interpolation`.
+(Bjorck & Pereyra 1970) in O(u^2) integer operations.  Every closed form in
+`closed_forms` (MDS, NMDS, AMDS, extremal type II) solves the truncated-
+Pascal rows nearest n with the same `binomial_interpolation`.
 """
 
 from __future__ import annotations

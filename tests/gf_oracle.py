@@ -5,6 +5,10 @@ differential tests draw to check the package against them.
 The addition oracle extracts the base-p digits of both operands one at a
 time, where the package sums digits of a // p^i and b // p^i in place.
 
+The Golay and quadratic-residue codes are built here from their cyclic
+definitions, as the enumerated codes that the extremal type II closed form
+is checked against.
+
 The rank oracle is textbook Gauss-Jordan elimination with one Field method
 call per element, kept in the tests so that it is never the code under
 test: the package reduces through `matrices._elimination` instead.  The
@@ -14,6 +18,7 @@ that scalar step, where the census reduces whole levels of subsets in numpy.
 
 from hypothesis import strategies as st
 
+from weightdist.codes import LinearCode
 from weightdist.fields import GF
 from weightdist.matrices import GFMatrix, _elimination, binom
 
@@ -133,3 +138,27 @@ def census_table_oracle(M, lo, hi):
 
     node(columns, 0, 0)
     return tuple(map(tuple, counts))
+
+
+def _extended_cyclic_code(word, k):
+    """The binary code spanned by the cyclic shifts of `word`, which must have
+    dimension k, extended by an overall parity bit."""
+    f = GF(2)
+    shifts = GFMatrix.from_rows(f, [word[-i:] + word[:-i] for i in range(len(word))])
+    basis, pivots = rref_oracle(shifts)
+    assert len(pivots) == k
+    return LinearCode(GFMatrix.from_rows(f, [list(r) + [sum(r) % 2] for r in basis]))
+
+
+def golay_code():
+    """The extended binary Golay [24, 12, 8] code: the length-23 cyclic code
+    of g(x) = 1 + x^2 + x^4 + x^5 + x^6 + x^10 + x^11 plus a parity bit."""
+    return _extended_cyclic_code([int(i in (0, 2, 4, 5, 6, 10, 11)) for i in range(23)], 12)
+
+
+def quadratic_residue_47_code():
+    """The extended binary quadratic-residue [48, 24, 12] code: the span of
+    the cyclic shifts of the sum of x^r over the quadratic residues r mod 47,
+    of dimension 24, plus a parity bit."""
+    residues = {r * r % 47 for r in range(1, 47)}
+    return _extended_cyclic_code([int(i in residues) for i in range(47)], 24)

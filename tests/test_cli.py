@@ -347,7 +347,6 @@ EXIT_CODES = {
     "InconsistentKnownsError": 1,
     "NegativeEntryError": 1,
     "RangeViolationError": 2,
-    "SingularSelectionError": 1,
     "CodeFileFormatError": 2,
 }
 ERROR_CLASSES = {name: cls for name, cls in vars(errors).items()

@@ -1,8 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from gf_oracle import golay_code, quadratic_residue_47_code
 
+from weightdist import closed_forms
 from weightdist.closed_forms import (
     AmdsInput,
     ExtremalParams,
@@ -11,22 +14,23 @@ from weightdist.closed_forms import (
     extremal_distribution,
     extremal_relation_range,
     extremal_system,
-    kronecker_delta,
     mds_distribution,
     nmds_distribution,
     reed_solomon_code,
 )
 from weightdist.codes import CodeParameters
 from weightdist.corpus import find_amds_specimens
-from weightdist.errors import NegativeEntryError, RangeViolationError, SingularMatrixError
+from weightdist.errors import (
+    InconsistentKnownsError,
+    NegativeEntryError,
+    NonIntegralSolutionError,
+    RangeViolationError,
+    SingularMatrixError,
+)
 from weightdist.fields import GF
 from weightdist.matrices import binom, solve_exact
-from weightdist.moments import (
-    binomial_interpolation,
-    build_pascal_system,
-    build_pless_system,
-    solve_with_knowns,
-)
+from weightdist.moments import build_pascal_system, build_pless_system, solve_with_knowns
+from weightdist.reference import GOLAY_FREE_COUNTS
 
 
 def test_mds_minimum_weight_count():
@@ -87,34 +91,33 @@ def test_amds_reference_reduction_to_nmds():
     assert b.counts == (1, 0, 0, 0, 30, 48, 96, 48, 33)
 
 
-def _pascal_solution(n, k, q, seeds):
-    """The raw truncated-Pascal solution, negatives included, of the code with
-    A_0 = 1, A_1..A_{n-k-1} = 0, A_{n-k}.. = seeds and dual distance
-    k + 1 - len(seeds): interpolation on the reduced system, not the closed
-    form's inverse."""
+def _is_pascal_solution(counts, n, k, q, seeds):
+    """Whether counts is the raw truncated-Pascal solution, negatives
+    included, of the code with A_0 = 1, A_1..A_{n-k-1} = 0, A_{n-k}.. = seeds
+    and dual distance k + 1 - len(seeds): the knowns are in place and every
+    row of the system holds.  Every maximal minor of the system is nonzero,
+    so no other vector passes."""
     s = len(seeds)
     S = build_pascal_system(CodeParameters(n=n, k=k, d=n - k + (s == 0), d_perp=k + 1 - s, q=q))
     known = ([1] + [0] * (n - k - 1) + list(seeds))[:n - k + s]
-    rhs = [b - sum(row[i] * v for i, v in enumerate(known))
-           for row, b in zip(S.matrix.entries, S.rhs)]
-    return tuple(known) + binomial_interpolation(S.nodes[len(known):], S.degrees, rhs)
+    return counts[:len(known)] == tuple(known) and S.matrix.matvec(counts) == S.rhs
 
 
 def test_amds_equals_nmds_exhaustive_grid():
-    """nmds_distribution and amds_counts at sigma = 2 agree with the raw
-    Pascal solution over the grid, and so do mds_distribution (k = n
+    """nmds_distribution and amds_counts at sigma = 2 agree and are the raw
+    Pascal solution over the grid, and so are mds_distribution (k = n
     included) and amds_counts at every sigma, inconsistent seeds included."""
     for q in (2, 3, 4, 5):
         for n in range(2, 13):
             for k in range(1, n):
                 for ad in range(0, 51):
-                    expect = _pascal_solution(n, k, q, (ad,))
-                    assert nmds_distribution(n, k, q, ad).counts == expect, (q, n, k, ad)
-                    assert amds_counts(AmdsInput(n, k, q, 2, (ad,))) == expect, (q, n, k, ad)
+                    got = nmds_distribution(n, k, q, ad).counts
+                    assert _is_pascal_solution(got, n, k, q, (ad,)), (q, n, k, ad)
+                    assert amds_counts(AmdsInput(n, k, q, 2, (ad,))) == got, (q, n, k, ad)
     for q in (2, 3, 4, 5, 7, 8, 9):
         for n in range(1, 13):
             for k in range(1, n + 1):
-                assert mds_distribution(n, k, q).counts == _pascal_solution(n, k, q, ()), (q, n, k)
+                assert _is_pascal_solution(mds_distribution(n, k, q).counts, n, k, q, ()), (q, n, k)
     rng = random.Random(8)
     negative = 0
     for q in (2, 3, 4, 5):
@@ -123,7 +126,7 @@ def test_amds_equals_nmds_exhaustive_grid():
                 for sigma in range(2, k + 2):
                     seeds = tuple(rng.randrange(0, 60) for _ in range(sigma - 1))
                     got = amds_counts(AmdsInput(n, k, q, sigma, seeds))
-                    assert got == _pascal_solution(n, k, q, seeds), (q, n, k, seeds)
+                    assert _is_pascal_solution(got, n, k, q, seeds), (q, n, k, seeds)
                     negative += min(got) < 0
     assert negative > 100
 
@@ -179,11 +182,6 @@ def test_amds_satisfies_both_moment_systems():
         assert S.matrix.matvec(dist.counts) == S.rhs
 
 
-def test_kronecker_delta():
-    assert kronecker_delta(24, 24) == 1
-    assert kronecker_delta(24, 23) == 0
-
-
 def test_extremal_params():
     ep = ExtremalParams(1)
     assert (ep.n, ep.k, ep.d) == (24, 12, 8)
@@ -227,6 +225,37 @@ def test_extremal_golay():
     assert dist.counts[16] == 759
     assert dist.counts[24] == 1
     assert dist.total() == 2 ** 12
+
+
+@pytest.mark.parametrize("m, make", [(1, golay_code), (2, quadratic_residue_47_code)])
+def test_extremal_equals_enumerated_golay_and_qr47(m, make):
+    A = make().weight_distribution()
+    assert A.counts == extremal_distribution(m).counts
+    if m == 1:
+        assert GOLAY_FREE_COUNTS == {i: A.counts[i] for i in (8, 12, 16)}
+
+
+@pytest.mark.parametrize("weight, entry, error, match", [
+    (12, -5, NegativeEntryError, "A_12 = -5 is negative; no \\[24,12,8\\] extremal"),
+    (12, Fraction(1, 3), NonIntegralSolutionError, "A_12 = 1/3 is not an integer"),
+    (12, 2577, InconsistentKnownsError, "relation at width 17"),
+    # weight 23 is in none of the unused widths 17..21
+    (23, 1, InconsistentKnownsError, "not symmetric"),
+])
+def test_extremal_invalid_solve_is_nonexistence(monkeypatch, weight, entry, error, match):
+    """A count that is not a nonnegative integer, or one that breaks a width
+    the interpolation did not use, the symmetry or the total, certifies that
+    no such code exists."""
+    solve = closed_forms._pascal_counts
+
+    def tampered(*args):
+        counts = list(solve(*args))
+        counts[weight] = entry
+        return tuple(counts)
+
+    monkeypatch.setattr(closed_forms, "_pascal_counts", tampered)
+    with pytest.raises(error, match=match):
+        extremal_distribution(1)
 
 
 def test_extremal_m2_known_enumerator():
