@@ -1,32 +1,43 @@
 """Exact weight counting by two routes, each an exact count of codewords:
 `weight_histogram` takes whichever costs fewer element operations.
 
-The table enumeration tallies the weight of every one of the q^k messages,
-so the result is exact by construction; numpy integer arrays are only the
-carrier.  A nonzero codeword c and its q - 1 nonzero multiples share one
-weight, so only one message per line of multiples is encoded.  The message
-space splits into an inner block table and an outer part: the block is
-histogrammed once with the outer part zero, and then once for each outer
-message whose first nonzero coefficient is 1, counted q - 1 times.  This is
-exact at the message level, also for a rank-deficient generator: m -> lam*m
-keeps the first nonzero position, maps the inner block onto itself and
-scales every word by lam.  With several workers the normalised outer
-messages are partitioned into disjoint ranges whose histograms are merged
-by exact addition.
+The table enumeration tallies the weight of every message of the reduced
+row echelon form of G (`gf_row_reduce`, memoised, and already paid for
+when a `LinearCode` builds H), so the result is exact by construction;
+numpy integer arrays are only the carrier.  Its rank rows are independent,
+so each codeword has one message, and the counts are multiplied by
+q^(rows - rank) for the messages of G.  A nonzero codeword c and its q - 1
+nonzero multiples share one weight, so only one message per line of
+multiples is encoded.  The message space splits into an inner block table
+and an outer part: the block is histogrammed once with the outer part zero,
+and then once for each outer message whose first nonzero coefficient is 1,
+counted q - 1 times.  This is exact at the message level: m -> lam*m keeps
+the first nonzero position, maps the inner block onto itself and scales
+every word by lam.  With several workers the normalised outer messages are
+partitioned into disjoint ranges whose histograms are merged by exact
+addition.
 
 The block table is stored word-major, one contiguous row per table word
-of the codewords.  Its entries are built, and each outer codeword c is
-formed, by subtraction, which over all multiples of a row ranges over the
-same set as addition: the table holds the inner codewords and the target is
--c.  The words of table entry u are compared with those of the target, which
-counts the weight of u + c; over the whole block that is the histogram of
-the outer message m.  Two layouts:
+of the codewords.  The first inner row's table is its own multiples; every
+further entry, and each outer codeword c, is formed by subtraction, which
+over all multiples of a row ranges over the same set as addition: the table
+holds the inner codewords and the target is -c.  The words of table entry u
+are compared with those of the target, which counts the weight of u + c;
+over the whole block that is the histogram of the outer message m.  Two
+layouts:
   - q = 2: 64 coordinates per uint64 word, coordinate j in bit j % 64 of
     word j // 64; subtraction is XOR, and the differing coordinates of
     two words are the popcount of their XOR (np.bitwise_count, numpy >= 2.0).
+    Every coordinate stays in the words, since a pivot bit costs no pass
+    of its own.
   - every other field: one canonical encoding per word, in the narrowest
     dtype that holds q - 1, with the field's own array operations
-    (`fields.array_ops`); a word differs or not.
+    (`fields.array_ops`); a word differs or not.  Only the n - rank
+    non-pivot coordinates are words: a codeword's pivot coordinates are its
+    message digits.  The weight buffer is seeded with the number of nonzero
+    digits of each inner message, one array in the table's index order, and
+    an outer message's own count of nonzero digits shifts where its
+    histogram lands.  Each compare writes into one preallocated buffer.
 Packing several such symbols per word and counting the nonzero fields of
 their difference was measured slower than this per-symbol compare, so only
 GF(2) packs.
@@ -59,7 +70,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError
 from .fields import TABLE_ORDER_LIMIT, Field, array_ops
-from .matrices import GFMatrix, gf_kernel_basis
+from .matrices import GFMatrix, gf_kernel_basis, gf_row_reduce
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 8
 _BLOCK_ROWS = 1 << 16
@@ -102,45 +113,71 @@ def _histogram_range(field: Field, inner: Sequence[Sequence[int]],
     """Weight histogram of { sum_i m_i row_i } over the normalised outer
     messages [outer_start, outer_stop) (see `_normalised_messages`), each
     combined with every inner-block message; every nonzero outer message
-    stands for its q - 1 multiples."""
+    stands for its q - 1 multiples.  The rows are those of a reduced row
+    echelon form of length n: whole over GF(2), and otherwise only their
+    non-pivot coordinates, since a codeword's pivot coordinates are its
+    message digits.  There the weight buffer is seeded with the digit
+    weight of each inner message (its number of nonzero base-q digits, in
+    the table's index order), and the outer message's own digit weight
+    shifts where its histogram lands."""
     import numpy as np
 
     q = field.q
     dtype, _, sub, _ = array_ops(field)
-    if q == 2:
+    pivots_out = q != 2  # whether the rows leave their pivot coordinates out
+    size = q ** len(inner)
+    if pivots_out:
+        word, width = dtype, len((inner or outer)[0])
+        diff = np.empty(size, dtype=np.uint8)
+        flags = diff.view(np.bool_)
+
+        def differing(col, t):
+            np.not_equal(col, t, out=flags)
+            return diff
+    else:
+        # a preallocated XOR buffer, eight bytes a word, measured slower
         word, width = np.uint64, -(-n // 64)  # table words per codeword
 
         def differing(col, t):
             return np.bitwise_count(col ^ t)
-    else:
-        word, width, differing = dtype, n, np.not_equal
-    table = [np.zeros(1, dtype=word) for _ in range(width)]
-    for row in inner:
+    wdtype = np.uint8 if n <= 255 else np.int64
+    # Table index u holds lam_0 row_0 - lam_1 row_1 - ... over the base-q
+    # digits lam_i of u, the first inner row's least significant, and
+    # digits[u] counts the nonzero lam_i: the pivot weight of inner message
+    # u, whatever the signs.  Over GF(2) it stays one zero, broadcast.
+    table = [np.zeros(1, dtype=word)] * width
+    digits = np.zeros(1, dtype=wdtype)
+    for i, row in enumerate(inner):
         mults = _multiples(field, row, range(q))
-        table = [sub(col, mults[:, j, None]).ravel() for j, col in enumerate(table)]
+        if i == 0:
+            table = list(np.ascontiguousarray(mults.T))
+        else:
+            table = [sub(col, mults[:, j, None]).ravel() for j, col in enumerate(table)]
+        if pivots_out:
+            digits = (digits + (np.arange(q) != 0)[:, None]).ravel()
     # Every multiple of each outer row up front when the field is small;
     # beyond 2^16 one at a time, so nothing of size q is allocated.
     outer_mults = None
     if q <= TABLE_ORDER_LIMIT:
         outer_mults = [_multiples(field, row, range(q)) for row in outer]
 
-    wdtype = np.uint8 if n <= 255 else np.int64
-    wbuf = np.zeros(q ** len(inner), dtype=wdtype)
+    wbuf = np.empty(size, dtype=wdtype)
     hist = np.zeros(n + 1, dtype=np.int64)
     for v in _normalised_messages(q, len(outer), outer_start, outer_stop):
         target = np.zeros(width, dtype=word)
-        rem = v
+        rem, shift = v, 0
         for i in reversed(range(len(outer))):
             lam = rem % q
             rem //= q
             if lam:
+                shift += pivots_out
                 mult = (outer_mults[i][lam] if outer_mults is not None
                         else _multiples(field, outer[i], [lam])[0])
                 target = sub(target, mult)
-        wbuf[:] = 0
+        np.copyto(wbuf, digits)
         for col, t in zip(table, target):
-            wbuf += differing(col, t)
-        hist += np.bincount(wbuf, minlength=n + 1) * (q - 1 if v else 1)
+            np.add(wbuf, differing(col, t), out=wbuf)
+        hist[shift:] += np.bincount(wbuf, minlength=n + 1 - shift) * (q - 1 if v else 1)
     return hist
 
 
@@ -209,14 +246,22 @@ def _syndrome_histogram(G: GFMatrix, H: GFMatrix) -> list[int]:
 
 def _table_histogram(G: GFMatrix, workers: int) -> list[int]:
     """Exact weight histogram (A_0..A_n) of the row space of G, by
-    enumeration of one message per line of nonzero multiples through the
-    block table (see the module docstring), split over at most `workers`
-    processes."""
-    field, n, k = G.field, G.cols, G.rows
+    enumeration of one message per line of nonzero multiples of its reduced
+    row echelon form through the block table (see the module docstring),
+    split over at most `workers` processes; each codeword is reached by
+    q^(rows - rank) messages of G."""
+    field, n = G.field, G.cols
     q = field.q
+    rref, pivots = gf_row_reduce(G)
+    k = len(pivots)
+    scale = q ** (G.rows - k)
     if k == 0:
-        return [1] + [0] * n
-    rows = [list(r) for r in G.entries]
+        return [scale] + [0] * n
+    if q == 2:
+        rows = [list(r) for r in rref]
+    else:
+        free = sorted(set(range(n)).difference(pivots))
+        rows = [[r[j] for j in free] for r in rref]
 
     k_inner = 0
     while k_inner < k and q ** (k_inner + 1) <= _BLOCK_ROWS:
@@ -226,18 +271,18 @@ def _table_histogram(G: GFMatrix, workers: int) -> list[int]:
 
     workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or n_outer < 2 * workers:
-        return _histogram_range(field, inner, outer, n, 0, n_outer).tolist()
-
-    from concurrent.futures import ProcessPoolExecutor
-    bounds = [n_outer * i // workers for i in range(workers + 1)]
-    modulus = tuple(field.modulus_poly)
-    jobs = [(field.p, field.m, modulus, inner, outer, n, bounds[i], bounds[i + 1])
-            for i in range(workers)]
-    hist = [0] * (n + 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_worker, jobs):
-            hist = [a + b for a, b in zip(hist, part)]
-    return hist
+        hist = _histogram_range(field, inner, outer, n, 0, n_outer).tolist()
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        bounds = [n_outer * i // workers for i in range(workers + 1)]
+        modulus = tuple(field.modulus_poly)
+        jobs = [(field.p, field.m, modulus, inner, outer, n, bounds[i], bounds[i + 1])
+                for i in range(workers)]
+        hist = [0] * (n + 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(_worker, jobs):
+                hist = [a + b for a, b in zip(hist, part)]
+    return [a * scale for a in hist]
 
 
 def _syndromes_cost_less(field: Field, n: int, rows: int, r: int) -> bool:

@@ -23,7 +23,7 @@ from weightdist.closed_forms import reed_solomon_code
 from weightdist.enumeration import weight_histogram
 from weightdist.errors import BudgetExceededError
 from weightdist.fields import GF, Field, array_ops
-from weightdist.matrices import GFMatrix, gf_kernel_basis
+from weightdist.matrices import GFMatrix, gf_kernel_basis, gf_rank, gf_row_reduce
 
 # GF(2) packs uint64 words; the others keep one encoding per word: uint8
 # through GF(256), among them the widest odd prime GF(251), whose subtraction
@@ -164,6 +164,120 @@ def test_rank_deficient_generators_large_field(defect):
     for k_inner in range(3):
         with _patched_split(field, k_inner):
             assert weight_histogram(G, budget=None) == expected, k_inner
+
+
+def _table_at_every_split(G: GFMatrix) -> None:
+    """The table route, which enumerates G's reduced row echelon form, at
+    every inner/outer split of its rank rows, against the oracle, which
+    encodes every message of G itself."""
+    expected = oracle_histogram(G)
+    for k_inner in range(gf_rank(G) + 1):
+        with patch.object(enumeration, "_BLOCK_ROWS", G.field.q ** k_inner):
+            assert enumeration._table_histogram(G, 1) == expected, k_inner
+
+
+def _random_rows(field: Field, k: int, n: int, seed: int) -> list[list[int]]:
+    rng = random.Random(seed)
+    return [[rng.randrange(field.q) for _ in range(n)] for _ in range(k)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 27])
+@pytest.mark.parametrize("first", ["zero", "repeated"])
+def test_pivots_past_the_leading_columns(q, first):
+    """A zero first column puts every pivot one column right; a first column
+    repeated in the second leaves the second without a pivot."""
+    field = GF(q)
+    k = {2: 6, 3: 5, 4: 4, 9: 3, 16: 3, 27: 2}[q]
+    rows = _random_rows(field, k, 7, seed=q)
+    for row in rows:
+        row[0] = 0 if first == "zero" else row[1]
+    G = GFMatrix.from_rows(field, rows)
+    rref, pivots = gf_row_reduce(G)
+    assert pivots != tuple(range(len(pivots))) and rref != G.entries
+    _table_at_every_split(G)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 27])
+def test_full_space_has_no_non_pivot_coordinate(q):
+    """k = n at full rank: every coordinate is a pivot, so the table has no
+    words and each weight is the digit weight of the message alone."""
+    field = GF(q)
+    n = {2: 8, 3: 5, 4: 4, 9: 3, 27: 2}[q]
+    seed = 0
+    while gf_rank(G := GFMatrix.from_rows(field, _random_rows(field, n, n, seed))) < n:
+        seed += 1
+    assert G.entries != gf_row_reduce(G)[0]
+    _table_at_every_split(G)
+    assert enumeration._table_histogram(G, 1) == [math.comb(n, w) * (q - 1) ** w
+                                                  for w in range(n + 1)]
+
+
+@pytest.mark.parametrize("q", [3, 4, 9, 27])
+@pytest.mark.parametrize("defect", ["zero", "repeat", "multiple"])
+def test_dependent_row_last(q, defect):
+    """A zero row, a repeated row or a scalar multiple of another row, last
+    in G, after the rows the inner table holds at every split."""
+    field = GF(q)
+    k = {3: 5, 4: 4, 9: 3, 27: 2}[q]
+    rows = _random_rows(field, k - 1, 5, seed=q + 1)
+    extra = {"zero": [0] * 5, "repeat": rows[0],
+             "multiple": [field.mul(q - 1, e) for e in rows[0]]}[defect]
+    _table_at_every_split(GFMatrix.from_rows(field, rows + [extra]))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_several_dependent_rows_on_both_sides(q):
+    """A zero row first, then the independent rows, then a repeat of the
+    first of them and a multiple of the last: rank 3 (GF(3)) or 2 (GF(4))
+    of 6 or 5 rows, with pivots past the leading columns."""
+    field = GF(q)
+    rows = _random_rows(field, 5 - q, 6, seed=10 * q)
+    for row in rows:
+        row[0] = row[2]
+    G = GFMatrix.from_rows(field, [[0] * 6] + rows
+                           + [rows[0], [field.mul(2, e) for e in rows[-1]]])
+    assert gf_rank(G) == 5 - q
+    _table_at_every_split(G)
+
+
+@pytest.mark.parametrize("q", [3 ** 7, 257])
+def test_one_row_tables_of_large_fields(q):
+    """One row whose first nonzero entry is not 1, so that its RREF is a
+    scaled copy: the inner table is that row's own q multiples, or the outer
+    part is that one row."""
+    field = GF(q)
+    _table_at_every_split(GFMatrix.from_rows(field, [[0, 5, q - 1, 100, 1, 0]]))
+
+
+def test_two_workers_two_outer_rows_pivots_past_the_leading_columns():
+    """Four rows of rank 3 over GF(9), the first column repeated in the
+    second: one inner row and two outer rows, 1 + 1 + 9 normalised messages
+    split over two processes."""
+    field = GF(9)
+    rows = _random_rows(field, 3, 6, seed=9)
+    for row in rows:
+        row[1] = row[0]
+    G = GFMatrix.from_rows(field, rows + [rows[1]])
+    assert gf_rank(G) == 3
+    with patch.object(enumeration, "_BLOCK_ROWS", 9), \
+            patch.object(enumeration.os, "cpu_count", lambda: 2), \
+            patch.object(enumeration, "_histogram_range",
+                         wraps=enumeration._histogram_range) as run:
+        assert enumeration._table_histogram(G, 2) == oracle_histogram(G)
+    assert not run.called  # both ranges ran in the worker processes
+
+
+@pytest.mark.parametrize("n", [65, 100, 130])
+def test_binary_rank_deficient_past_one_word_pivots_past_the_leading_columns(n):
+    """GF(2) keeps every coordinate in its words: n > 64 with a zero first
+    column, a repeated row last and the sum of two rows first."""
+    field = GF(2)
+    rows = _random_rows(field, 4, n, seed=n)
+    for row in rows:
+        row[0] = 0
+    G = GFMatrix.from_rows(field, [[x ^ y for x, y in zip(rows[0], rows[1])]] + rows + [rows[2]])
+    assert gf_rank(G) == 4
+    _table_at_every_split(G)
 
 
 @pytest.mark.parametrize("q, k_inner", [(4, 1), (3, 1)])
