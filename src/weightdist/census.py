@@ -3,16 +3,15 @@ counting facts built on them: the kernel-counting identity relating a code's
 weight distribution to the census of its parity-check matrix, and the
 full-rank regime where every wide-enough column selection has maximal rank.
 
-The census defines no arithmetic of its own.  Its walk reduces a whole level
-of column subsets at a time in numpy rather than through the scalar step of
-`matrices._elimination`, by the field's `fields.array_ops`, from a basis
-read from the memoised `matrices.gf_row_reduce`.  numpy is imported when the
-first census runs.
+The census defines no arithmetic of its own.  Its walk decides the columns
+in order and reduces a chunk of column subsets of one depth at a time in
+numpy rather than through the scalar step of `matrices._elimination`, by the
+field's `fields.array_ops`, from a basis read from the memoised
+`matrices.gf_row_reduce`.  numpy is imported when the first census runs.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -31,11 +30,11 @@ DEFAULT_SUBSET_BUDGET = 10 ** 7
 # census of a small width on a large matrix does not pay for the table.
 _WHOLE_TABLE_NODES = 1 << 16
 
-# The walk makes at most this many subsets at a time, or the children of one
-# subset when they are more.  It goes depth first and each size holds about
-# two such chunks at most, so its memory stays bounded however many subsets it
-# visits.
-_CHUNK = 1024
+# Each step of the walk takes at most this many nodes of one depth and makes
+# their children, two per node.  It goes depth first and each depth holds
+# about three such chunks at most, so its memory stays bounded however many
+# subsets it visits.
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -59,23 +58,23 @@ def census(M: GFMatrix, nu: int, budget: int | None = DEFAULT_SUBSET_BUDGET) -> 
     rank-generating function of the column matroid), so every later width is
     a lookup.  The whole table is walked only when the budget covers all
     2^cols subsets and the walk is estimated to stay small (see
-    _WHOLE_TABLE_NODES); otherwise the walk covers width nu alone: it
-    descends only into prefixes that can still reach nu and counts its last
-    level at once.
+    _WHOLE_TABLE_NODES); otherwise the walk covers width nu alone: it keeps
+    only subsets that can still reach nu and counts those one column short
+    of it at once.
 
-    The walk goes level by level through the tree of column subsets, each
-    subset a child of the one without its last column.  A level is a set of
-    arrays: per subset its last column, its rank and the residual of every
-    column modulo its span.  One set of array operations extends a chunk of
-    subsets by every later column and reduces the residuals by the new one.
-    GF(2) residuals are bitmasks over the rows, reduced by XOR; other fields'
-    are rows of encodings, reduced by array arithmetic.  Once a subset has
-    full rank every superset does too, so its subtree is counted by
-    binomials without descending; one rank short of full, likewise from the
-    number of later columns already in its span.  Each step extends waiting
-    subsets of one size, about _CHUNK children's worth: the largest size
-    with that many waiting, else the smallest size with any.  So the walk
-    goes depth first, its memory stays bounded and its chunks stay full.  A
+    The walk decides the columns in order (`_frontier`).  A node at depth d
+    is a subset of the first d columns, held as its size, its rank and the
+    residuals of the columns not yet decided modulo its span; its children
+    skip column d or take it, and taking it reduces the other residuals by
+    column d's.  GF(2) residuals are bitmasks over the rows, reduced by XOR;
+    other fields' are columns of encodings, reduced by array arithmetic.
+    Once a subset has full rank every superset does too, so its subtree is
+    counted by binomials without descending; one rank short of full,
+    likewise from the number of undecided columns already in its span; and
+    one column short of the largest size counted, from the same number.
+    Each step takes up to _CHUNK waiting nodes of one depth: the deepest
+    with that many waiting, else the shallowest with any.  So the walk goes
+    depth first, its memory stays bounded and its chunks stay full.  A
     whole table is walked on the kernel of M instead when that has fewer
     rows, and mapped back by the dual-matroid rank rule
     r_M(S) = |S| - r_K(E) + r_K(E \\ S).  Tables are kept in a small LRU
@@ -127,126 +126,146 @@ def _rank_table(M: GFMatrix, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, counts))
 
 
+def _key_type(R: int, t: int):
+    """The dtype of the walk's node keys over t columns and R rows: int64
+    while the largest, (R + 1) (t + 1)^3 - 1, fits it, else Python ints."""
+    import numpy as np
+
+    return np.int64 if (R + 1) * (t + 1) ** 3 <= 1 << 63 else object
+
+
 def _frontier(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
     """counts[size][rank] for lo <= size <= hi over the column subsets of a
-    matrix whose R rows are independent, walked level by level in numpy."""
+    matrix whose R rows are independent, walked depth by depth in numpy.
+
+    A node at depth d is a subset of columns 0..d-1 with its size, its rank
+    and the residuals of columns d..t-1 modulo its span, so every node of one
+    depth has the same width.  Its two children skip column d (the residuals
+    less their first) or take it (the rest reduced by the first).  A node
+    ends, and its subtree is counted in closed form, once its rank is R - 1
+    or more, once its size is hi - 1 or more, or once at most one column is
+    left to decide: from there a superset of j more columns has the node's
+    rank when all j lie in its span and one more otherwise, which is exact
+    for j <= 1 at any rank and for every j at rank R - 1 or R."""
     import numpy as np
 
     t = M.cols
-    cols = np.arange(t)
+    # residuals are (rows, nodes, width) arrays, so that a residual is zero
+    # where a reduction over the first axis, the fast one in numpy, is false
     if M.field.q == 2:
-        # residuals are bitmasks over the rows, (nodes, t); past 64 rows,
-        # Python ints
+        # one row of bitmasks over the rows of M; past 64 rows, Python ints
         pack = _elimination(M.field)[0]
         dtype = np.min_scalar_type((1 << R) - 1) if R <= 64 else object
-        root = np.array([[pack(M.column(j)) for j in range(t)]], dtype=dtype)
+        root = np.array([[[pack(M.column(j)) for j in range(t)]]], dtype=dtype)
 
-        def in_span(res):
-            return res == 0
-
-        def independent(v):
-            return v != 0
-
-        def reduce(res, v):
-            low = (v & -v)[:, None]
-            res ^= np.where((res & low) != 0, v[:, None], 0)
+        def take(res):
+            """Whether each node's first residual is independent, and the rest
+            reduced by it."""
+            v, rest = res[:, :, :1], res[:, :, 1:]
+            low = v & -v
+            return v[0, :, 0] != 0, rest ^ np.where((rest & low) != 0, v, 0)
     else:
-        # residuals are columns of R encodings, (nodes, R, t); the lead of a
-        # pivot is scaled to 1 and cleared from every residual through the
-        # field's array operations, one row at a time
+        # R rows of encodings; the lead of the first residual is scaled to 1
+        # and cleared from the rest in one broadcast through the field's array
+        # operations
         dtype, mul, sub, inv = array_ops(M.field)
-        root = np.array([M.entries], dtype=dtype).reshape(1, R, t)
+        root = np.array(M.entries, dtype=dtype).reshape(R, 1, t)
 
-        def in_span(res):
-            # row by row: res.any(axis=1) reduces along the middle axis about
-            # four times slower
-            out = np.ones((len(res), t), dtype=bool)
-            for row in res.transpose(1, 0, 2):
-                out &= row == 0
-            return out
+        def take(res):
+            v, rest = res[:, :, 0], res[:, :, 1:]
+            nodes = np.arange(v.shape[1])
+            nonzero = v != 0
+            lead = nonzero.argmax(axis=0)
+            # a zero v is scaled by 1 and stays zero, leaving rest unchanged
+            v = mul(v, inv(np.maximum(v[lead, nodes], 1)))
+            return nonzero[lead, nodes], sub(rest, mul(v[:, :, None], rest[lead, nodes]))
 
-        def independent(v):
-            return v.any(axis=1)
+    def zeros(res):
+        """How many of each node's residuals are zero; einsum sums the short
+        rows about twice as fast as sum(axis=1)."""
+        return np.einsum("ij->i", np.logical_not(res.any(axis=0)), dtype=np.int64)
 
-        def reduce(res, v):
-            rows = np.arange(len(v))
-            lead = (v != 0).argmax(axis=1)
-            # a zero v is scaled by 1 and stays zero, leaving res unchanged
-            v = mul(inv(np.maximum(v[rows, lead], 1))[:, None], v)
-            c = res[rows, lead]
-            for r in range(R):
-                res[:, r] = sub(res[:, r], mul(v[:, r, None], c))
+    # a node's rank and size are one int, rank * b + size, so that one
+    # comparison finds the nodes at rank R - 1 or more; an ended node is
+    # counted by ((rank * b + size) * b + m) * b + z, for the m columns left
+    # to decide and the z of them in its span
+    b = t + 1
+    # ended nodes by key, whose subtrees are counted in closed form at the
+    # end, and the keys not yet tallied
+    ends: dict[int, int] = {}
+    ended: list = []
+    # the blocks of nodes waiting for their children, and how many nodes, by
+    # depth: only depths with any waiting are keys
+    pending: dict[int, list[tuple]] = {}
+    waiting: dict[int, int] = {}
 
-    def zeros(last, res):
-        """How many columns after each node's last lie in its span."""
-        return (in_span(res) & (cols > last[:, None])).sum(axis=1)
+    def tally():
+        keys, cs = np.unique(np.concatenate(ended), return_counts=True)
+        for key, c in zip(keys.tolist(), cs.tolist()):
+            ends[key] = ends.get(key, 0) + c
+        ended.clear()
 
-    def extend(size, last, rank, res):
-        """Every node extended by each later column that still lets it reach
-        lo."""
-        p, j = np.nonzero(cols[:t + size - lo + 1] > last[:, None])
-        res = res[p]
-        v = res[np.arange(len(p)), ..., j]
-        reduce(res, v)
-        return j, rank[p] + independent(v), res
+    def settle(d, node, res):
+        """Note the nodes of depth d that end and queue the others."""
+        m = t - d
+        if m <= 1:
+            done = np.ones(len(node), dtype=bool)
+        else:
+            done = node >= (R - 1) * b
+            if d >= hi - 1:
+                done |= node % b >= hi - 1
+        if np.count_nonzero(done):
+            # a full-rank node's residuals are all zero, so z = m there
+            ended.append(((node * b + m) * b + zeros(res))[done])
+            if sum(map(len, ended)) >= _CHUNK:
+                tally()
+        keep = ~done
+        if m < lo:
+            # a node that skipped a column may no longer reach lo
+            keep &= node % b + m >= lo
+        n = np.count_nonzero(keep)
+        if n:
+            block = (node, res) if n == len(node) else (node[keep], res[:, keep])
+            pending.setdefault(d, []).append(block)
+            waiting[d] = waiting.get(d, 0) + n
 
-    counts = np.zeros((t + 1, R + 1), dtype=np.int64)
-    # nodes at rank >= R - 1, by (size, rank, m remaining columns, z of them
-    # in the span): their subtrees are counted in closed form at the end
-    ends: dict[tuple[int, int, int, int], int] = {}
-    b = t + 1  # every m and z is at most t
-    # per size, the nodes waiting to be extended and their children in all
-    pending: list[list[tuple]] = [[] for _ in range(t + 1)]
-    fans = [0] * (t + 1)
+    settle(0, np.zeros(1, dtype=_key_type(R, t)), root)
+    while waiting:
+        # take up to _CHUNK nodes of the deepest depth that has that many
+        # waiting, else of the shallowest depth waiting: a depth fills up
+        # before it is taken, and it is not fed once it is full
+        d = max((d for d, w in waiting.items() if w >= _CHUNK), default=min(waiting))
+        # whole blocks, the last one cut; what is left of it is copied, since
+        # a view would keep the whole block alive
+        blocks, chunk, n = pending[d], [], 0
+        while blocks and n < _CHUNK:
+            node, res = blocks.pop()
+            if n + len(node) > _CHUNK:
+                blocks.append((node[_CHUNK - n:], res[:, _CHUNK - n:].copy()))
+                node, res = node[:_CHUNK - n], res[:, :_CHUNK - n]
+            chunk.append((node, res))
+            n += len(node)
+        waiting[d] -= n
+        if not waiting[d]:
+            del waiting[d], pending[d]
+        if len(chunk) > 1:
+            nodes, residuals = zip(*chunk)
+            node, res = np.concatenate(nodes), np.concatenate(residuals, axis=1)
+        independent, taken = take(res)
+        settle(d + 1, node, res[:, :, 1:])
+        settle(d + 1, node + 1 + b * independent, taken)
 
-    def settle(size, last, rank, res):
-        """Count new nodes of one size and queue those with children."""
-        done = rank >= R - 1
-        if done.any():
-            # every superset of a full-rank set is full rank; one short of
-            # full, a superset stays short iff its new columns are in the span
-            m = t - 1 - last[done]
-            z = np.where(rank[done] == R, m, zeros(last[done], res[done]))
-            for key, c in collections.Counter(((rank[done] * b + m) * b + z).tolist()).items():
-                key = (size, key // (b * b), key // b % b, key % b)
-                ends[key] = ends.get(key, 0) + c
-            keep = ~done
-            last, rank, res = last[keep], rank[keep], res[keep]
-        if size >= lo:
-            counts[size] += np.bincount(rank, minlength=R + 1)
-        if size + 1 == hi:
-            # the children are leaves: count the nonzero residuals at once
-            z = zeros(last, res)
-            np.add.at(counts[hi], rank, z)
-            np.add.at(counts[hi], rank + 1, t - 1 - last - z)
-        elif size < hi:
-            fan = min(t, t + size - lo + 1) - 1 - last
-            has = fan > 0
-            if has.any():
-                pending[size].append((last[has], rank[has], res[has], fan[has]))
-                fans[size] += int(fan[has].sum())
-
-    settle(0, np.array([-1]), np.zeros(1, dtype=np.int64), root)
-    while any(fans):
-        # make about _CHUNK children of the largest size that has that many
-        # waiting, else of the smallest size waiting: a size fills up before
-        # it is extended, and it is not fed once it is full
-        full = [s for s, f in enumerate(fans) if f >= _CHUNK]
-        size = full[-1] if full else next(s for s, f in enumerate(fans) if f)
-        last, rank, res, fan = (np.concatenate(a) for a in zip(*pending[size]))
-        cut = max(int(np.searchsorted(np.cumsum(fan), _CHUNK, side="right")), 1)
-        pending[size] = [(last[cut:], rank[cut:], res[cut:], fan[cut:])]
-        fans[size] -= int(fan[:cut].sum())
-        settle(size + 1, *extend(size, last[:cut], rank[:cut], res[:cut]))
-
-    out = counts.tolist()
-    for (size, rank, m, z), c in ends.items():
+    if ended:
+        tally()
+    out = [[0] * (R + 1) for _ in range(t + 1)]
+    for key, c in ends.items():
+        rank, size, m, z = key // b ** 3, key // (b * b) % b, key // b % b, key % b
         for j in range(max(lo - size, 0), min(m, hi - size) + 1):
             row = out[size + j]
             low = math.comb(z, j)
             row[rank] += c * low
             if rank < R:
-                row[R] += c * (math.comb(m, j) - low)
+                row[rank + 1] += c * (math.comb(m, j) - low)
     return out
 
 

@@ -75,6 +75,16 @@ class GFMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """The hash of every field, computed on first use and kept: each memo
+        lookup hashes its matrix, and the generated hash would walk every
+        entry each time."""
+        return hash((self.field, self.entries, self.cols))
+
     def transpose(self) -> "GFMatrix":
         if not self.entries:
             return GFMatrix(self.field, tuple(() for _ in range(self.cols)), 0)

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from weightdist.census import (DEFAULT_SUBSET_BUDGET, _rank_table, _window, cens
 from weightdist.codes import LinearCode, random_code
 from weightdist.errors import BudgetExceededError, RegimeViolationError
 from weightdist.fields import GF
-from weightdist.matrices import GFMatrix, binom, select_columns
+from weightdist.matrices import GFMatrix, binom, gf_matmul, gf_rank, gf_row_reduce, select_columns
 
 from gf_oracle import census_table_oracle, gf_matrices, rank_oracle
 
@@ -264,6 +265,87 @@ def test_rank_table_matches_the_oracle_in_every_window(M, chunk):
                 assert _rank_table.__wrapped__(M, lo, hi) == census_table_oracle(M, lo, hi)
 
 
+def subset_table_oracle(M, lo, hi):
+    """counts[size][rank] for lo <= size <= hi, in the shape _rank_table
+    returns, from the rank of every column subset taken on its own: no
+    binomial closed form."""
+    t = M.cols
+    counts = [[0] * (rank_oracle(M) + 1) for _ in range(t + 1)]
+    for size in range(lo, hi + 1):
+        for S in itertools.combinations(range(t), size):
+            counts[size][rank_oracle(select_columns(M, S))] += 1
+    return tuple(map(tuple, counts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gf_matrices(CENSUS_FIELDS, max_rows=8, max_cols=8), st.sampled_from((1, 3, 1024)))
+@example(TALL, 1)
+@example(REPEATS_Q, 3)
+@example(DEPENDENT_512, 1024)
+def test_rank_table_matches_every_subset_ranked_alone(M, chunk):
+    # the walk ends a node in closed form at rank R - 1 or more and at size
+    # hi - 1 or more, as census_table_oracle does at the first; here every
+    # subset is ranked on its own instead.  Tall matrices of rank above
+    # cols - rank walk their whole table on the kernel.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_module, "_CHUNK", chunk)
+        for lo in range(M.cols + 1):
+            for hi in range(lo, M.cols + 1):
+                assert _rank_table.__wrapped__(M, lo, hi) == subset_table_oracle(M, lo, hi)
+
+
+def invertible(field, n, rng):
+    """A random invertible n x n matrix over the field."""
+    while True:
+        A = GFMatrix.from_rows(field, [[rng.randrange(field.q) for _ in range(n)]
+                                       for _ in range(n)], cols=n)
+        if gf_rank(A) == n:
+            return A
+
+
+def assert_walks_agree(M, windows, rng):
+    """The table of M in each window is that of M with its columns permuted
+    and that of M times an invertible matrix on the left.  Both reach the
+    walk: a permutation reorders the columns it decides, and the walk run
+    directly on an invertible combination of M's reduced rows reduces other
+    residuals than on the rows themselves."""
+    perm = list(range(M.cols))
+    rng.shuffle(perm)
+    permuted = select_columns(M, perm)
+    mixed = gf_matmul(invertible(M.field, M.rows, rng), M)
+    basis = GFMatrix(M.field, gf_row_reduce(M)[0], M.cols)
+    R = basis.rows
+    mixed_basis = gf_matmul(invertible(M.field, R, rng), basis)
+    for lo, hi in windows:
+        table = _rank_table.__wrapped__(M, lo, hi)
+        assert _rank_table.__wrapped__(permuted, lo, hi) == table
+        assert _rank_table.__wrapped__(mixed, lo, hi) == table
+        # the direct walk, never on the kernel
+        direct = census_module._frontier(basis, R, lo, hi)
+        assert census_module._frontier(mixed_basis, R, lo, hi) == direct
+        assert census_module._frontier(select_columns(basis, perm), R, lo, hi) == direct
+
+
+@settings(max_examples=40, deadline=None)
+@given(gf_matrices(CENSUS_FIELDS, max_rows=6, max_cols=8), st.randoms(use_true_random=False))
+@example(LARGE, random.Random(0))
+@example(DEPENDENT_257, random.Random(1))
+@example(DEPENDENT_512, random.Random(2))
+@example(dependent_columns(GF(3 ** 7), [1, 2, 2186], [5, 0, 3], [0, 7, 1], 1000),
+         random.Random(3))
+def test_rank_table_is_invariant_under_permutation_and_row_mixing(M, rng):
+    t = M.cols
+    assert_walks_agree(M, [(0, t)] + [(nu, nu) for nu in range(t + 1)], rng)
+
+
+def test_rank_table_invariance_past_64_binary_rows():
+    # 66 independent rows of 70 columns: residuals are Python ints
+    rng = random.Random(66)
+    M = GFMatrix.from_rows(GF(2), [[rng.randrange(2) for _ in range(70)] for _ in range(66)])
+    assert gf_rank(M) == 66
+    assert_walks_agree(M, [(1, 1), (2, 2)], rng)
+
+
 def test_census_of_more_than_64_binary_rows():
     # past 64 rows a GF(2) residual no longer fits a machine word
     rng = random.Random(64)
@@ -285,6 +367,21 @@ def test_dual_matroid_rank_rule(q, n, data):
             rest = [j for j in range(n) if j not in S]
             assert (rank_oracle(select_columns(code.H, S))
                     == size - k + rank_oracle(select_columns(code.G, rest)))
+
+
+def test_walk_keys_past_int64():
+    # an ended node's key is at most (R + 1) (t + 1)^3 - 1; past int64 the
+    # walk keys its nodes by Python ints, and counts the same
+    assert census_module._key_type(0, (1 << 21) - 1) is np.int64
+    assert census_module._key_type(0, 1 << 21) is object
+    assert census_module._key_type(7, (1 << 20) - 1) is np.int64
+    assert census_module._key_type(8, (1 << 20) - 1) is object
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_module, "_key_type", lambda R, t: object)
+        for M in (TALL, WIDE, LARGE, NO_ROWS, REPEATS, DEPENDENT_512):
+            for lo in range(M.cols + 1):
+                for hi in range(lo, M.cols + 1):
+                    assert _rank_table.__wrapped__(M, lo, hi) == census_table_oracle(M, lo, hi)
 
 
 def test_census_small_width_of_wide_matrix():

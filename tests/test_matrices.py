@@ -114,6 +114,36 @@ def test_each_matrix_is_reduced_once():
     assert gf_row_reduce.cache_info().maxsize is not None
 
 
+class CountedRow(tuple):
+    """A matrix row that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        CountedRow.hashes += 1
+        return super().__hash__()
+
+
+def test_a_matrix_is_hashed_once():
+    """Equal matrices built separately hash equal and share one memoised
+    reduction; each hashes its entries once however often it is looked up."""
+    rows = [[1, 0, 2, 1], [0, 1, 1, 2]]
+    A, B = GFMatrix.from_rows(GF(3), rows), GFMatrix.from_rows(GF(3), rows)
+    assert A is not B and A == B and hash(A) == hash(B)
+    before = gf_row_reduce.cache_info()
+    assert gf_row_reduce(A) is gf_row_reduce(B)
+    after = gf_row_reduce.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+
+    CountedRow.hashes = 0
+    C = GFMatrix(GF(3), tuple(CountedRow(r) for r in rows), 4)
+    for _ in range(5):
+        hash(C)
+        gf_rank(C)
+    assert CountedRow.hashes == len(rows)
+    assert C == A and hash(C) == hash(A)
+
+
 @pytest.mark.parametrize("q", [3, 4, 9, 16, 27, 49, 125, 128, 243, 251, 256])
 def test_elimination_tables_match_field_calls(q):
     """The field's array operations up to the table limit, and the helpers
