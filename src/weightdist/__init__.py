@@ -28,7 +28,7 @@ from .codes import (
     random_code,
 )
 from .corpus import find_amds_specimens, random_corpus
-from .enumeration import DEFAULT_ENUMERATION_BUDGET, weight_histogram
+from .enumeration import DEFAULT_BUDGET, weight_histogram
 from .errors import *  # noqa: F401,F403 -- the error hierarchy is the API
 from .fields import GF, Field, default_modulus, is_irreducible
 from .fileio import (

@@ -17,18 +17,17 @@ import math
 from dataclasses import dataclass
 
 from .codes import LinearCode, WeightDistribution, require_ints
-from .enumeration import check_budget
-from .errors import RegimeViolationError
+from .enumeration import DEFAULT_BUDGET, check_budget
+from .errors import BudgetExceededError, RegimeViolationError
 from .fields import array_ops
 from .matrices import GFMatrix, _elimination, binom, gf_kernel_basis, gf_rank, gf_row_reduce
 
-DEFAULT_SUBSET_BUDGET = 10 ** 7
-
 # A census walks the whole table, which every later width then reads, only
-# when that walk is estimated to visit at most this many subsets (one table of
-# a 16-column matrix); otherwise it walks the width asked for alone, so a lone
-# census of a small width on a large matrix does not pay for the table.
+# when that walk takes at most this many nodes over at most this many
+# columns (past which expanding t + 1 sizes of t-bit counts by binomials
+# outgrows its price); otherwise it walks the width asked for alone.
 _WHOLE_TABLE_NODES = 1 << 16
+_WHOLE_TABLE_COLS = 128
 
 # Each step of the walk takes at most this many nodes of one depth and makes
 # their children, two per node.  It goes depth first and each depth holds
@@ -50,79 +49,71 @@ class RankCensus:
         return sum(self.counts.values())
 
 
-def census(M: GFMatrix, nu: int, budget: int | None = DEFAULT_SUBSET_BUDGET) -> RankCensus:
+def census(M: GFMatrix, nu: int, budget: int | None = DEFAULT_BUDGET) -> RankCensus:
     """Exhaustive rank census over all binom(cols, nu) column subsets.
 
-    The row for nu is read from a table counts[size][rank] that one walk over
-    column subsets builds for every size at once (the Whitney
-    rank-generating function of the column matroid), so every later width is
-    a lookup.  The whole table is walked only when the budget covers all
-    2^cols subsets and the walk is estimated to stay small (see
-    _WHOLE_TABLE_NODES); otherwise the walk covers width nu alone: it keeps
-    only subsets that can still reach nu and counts those one column short
-    of it at once.
-
-    The walk decides the columns in order (`_frontier`).  A node at depth d
-    is a subset of the first d columns, held as its size, its rank and the
-    residuals of the columns not yet decided modulo its span; its children
-    skip column d or take it, and taking it reduces the other residuals by
-    column d's.  GF(2) residuals are bitmasks over the rows, reduced by XOR;
-    other fields' are columns of encodings, reduced by array arithmetic.
-    Once a subset has full rank every superset does too, so its subtree is
-    counted by binomials without descending; one rank short of full,
-    likewise from the number of undecided columns already in its span; and
-    one column short of the largest size counted, from the same number.
-    Each step takes up to _CHUNK waiting nodes of one depth: the deepest
-    with that many waiting, else the shallowest with any.  So the walk goes
-    depth first, its memory stays bounded and its chunks stay full.  A
-    whole table is walked on the kernel of M instead when that has fewer
-    rows, and mapped back by the dual-matroid rank rule
-    r_M(S) = |S| - r_K(E) + r_K(E \\ S).  Tables are kept in a small LRU
-    cache keyed by (matrix, window), so a run's checks share one walk.
+    The row for nu is read from a table counts[size][rank] that one walk
+    over column subsets (`_frontier`) builds for every size at once (the
+    Whitney rank-generating function of the column matroid), so every later
+    width is a lookup.  `_window` picks the whole table when its walk is
+    bounded small, else width nu alone; the budget caps the price of that
+    walk and never changes it.  A whole table is walked on the kernel K of
+    M instead when that has fewer rows, and mapped back by the dual-matroid
+    rank rule r_M(S) = |S| - r_K(E) + r_K(E \\ S).  Tables are kept in a
+    small LRU cache keyed by (matrix, window), so a run's checks share one
+    walk.
     """
     t = M.cols
     require_ints(nu=nu)
     if not 1 <= nu <= t:
         raise ValueError(f"need 1 <= nu <= {t}, got {nu}")
-    check_budget(binom(t, nu), budget, "census over {} subsets")
-    table = _rank_table(M, *_window(M, nu, budget))
+    route, cost, window, nodes = _window(M, nu)
+    check_budget(cost, budget, route)
+    table = _rank_table(M, *window, nodes)
     counts = {r: c for r, c in enumerate(table[nu]) if c}
     return RankCensus(nu=nu, counts=counts, source_dims=(M.rows, t))
 
 
-def _window(M: GFMatrix, nu: int, budget: int | None) -> tuple[int, int]:
-    """Subset sizes (lo, hi) the walk for width nu counts: the whole table
-    (0, cols) when the budget covers every subset and the walk's estimated
-    nodes are at most _WHOLE_TABLE_NODES, else (nu, nu)."""
+def _window(M: GFMatrix, nu: int) -> tuple[str, int, tuple[int, int], int]:
+    """(route, cost, (lo, hi), nodes): the whole table (0, cols) when its
+    walk is small enough (see _WHOLE_TABLE_NODES), else width nu alone; one
+    more than the most nodes that walk takes (`_frontier`; random H took
+    0.70-1.00 of it, see ROADMAP); and its cost, those nodes times t columns
+    times one word per row of the side walked, per 64 rows over GF(2)."""
     t = M.cols
-    if budget is not None and 2 ** t > budget:
-        return nu, nu
-    # nodes rarely lie deeper than full rank, which a whole table walked on
-    # the side with fewer rows reaches after min(rank, t - rank) columns
+
+    def walk(R):  # one more than the most nodes a walk on R rows takes
+        return sum(binom(t - 1, j) for j in range(max(R, 1)))
+
     rank = gf_rank(M)
-    stop = min(rank, t - rank)
-    if sum(binom(t, j) for j in range(stop + 1)) <= _WHOLE_TABLE_NODES:
-        return 0, t
-    return nu, nu
+    rows = min(rank, t - rank)  # of the side a whole table is walked on
+    if t <= _WHOLE_TABLE_COLS and walk(rows) <= _WHOLE_TABLE_NODES:
+        route, window, nodes = "whole census table", (0, t), walk(rows)
+    else:  # a lone width is walked on M's own rows, taking at most nu - 2
+        route, window, rows = f"census at width {nu}", (nu, nu), rank
+        nodes = min(binom(t, nu - 1), walk(min(rank, nu)))
+    unit = t * max(-(-rows // 64) if M.field.q == 2 else rows, 1)
+    return route, nodes * unit, window, nodes
 
 
 @functools.lru_cache(maxsize=16)
-def _rank_table(M: GFMatrix, lo: int, hi: int) -> tuple[tuple[int, ...], ...]:
+def _rank_table(M: GFMatrix, lo: int, hi: int,
+                limit: int | None = None) -> tuple[tuple[int, ...], ...]:
     """counts[size][rank] for every column subset with lo <= size <= hi;
-    rows outside the window are zero."""
+    rows outside the window are zero.  The walk takes at most `limit` nodes."""
     t = M.cols
     basis = GFMatrix(M.field, gf_row_reduce(M)[0], t)  # the nonzero rows of M's RREF
     rank = basis.rows
     if (lo, hi) == (0, t) and t - rank < rank:
         K = gf_kernel_basis(M)
-        dual = _frontier(K, K.rows, 0, t)
+        dual = _frontier(K, K.rows, 0, t, limit)
         counts = [[0] * (rank + 1) for _ in range(t + 1)]
         for size, row in enumerate(dual):
             for r, c in enumerate(row):
                 if c:
                     counts[t - size][t - size - K.rows + r] += c
     else:
-        counts = _frontier(basis, rank, lo, hi)
+        counts = _frontier(basis, rank, lo, hi, limit)
     return tuple(map(tuple, counts))
 
 
@@ -134,19 +125,25 @@ def _key_type(R: int, t: int):
     return np.int64 if (R + 1) * (t + 1) ** 3 <= 1 << 63 else object
 
 
-def _frontier(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
+def _frontier(M: GFMatrix, R: int, lo: int, hi: int,
+              limit: int | None = None) -> list[list[int]]:
     """counts[size][rank] for lo <= size <= hi over the column subsets of a
     matrix whose R rows are independent, walked depth by depth in numpy.
 
-    A node at depth d is a subset of columns 0..d-1 with its size, its rank
-    and the residuals of columns d..t-1 modulo its span, so every node of one
-    depth has the same width.  Its two children skip column d (the residuals
-    less their first) or take it (the rest reduced by the first).  A node
-    ends, and its subtree is counted in closed form, once its rank is R - 1
-    or more, once its size is hi - 1 or more, or once at most one column is
-    left to decide: from there a superset of j more columns has the node's
-    rank when all j lie in its span and one more otherwise, which is exact
-    for j <= 1 at any rank and for every j at rank R - 1 or R."""
+    A node at depth d is an independent subset of columns 0..d-1 with its
+    size, its rank, its f free columns and the residuals of columns d..t-1
+    modulo its span, so every node of one depth has the same width.  Its
+    children skip column d (the residuals less their first) or take it (the
+    rest reduced by the first); when column d lies in its span, taking it
+    changes neither rank nor residuals, so it has one child, column d free.
+    A node ends, and its subtree is counted in closed form, once its rank
+    is R - 1 or more, once its size is hi - 1 or more, or once at most one
+    column is left to decide: a superset of j more columns, free or
+    undecided, has the node's rank when all j lie in its span and one more
+    otherwise, exact for j <= 1 at any rank and for every j at rank R - 1
+    or R.  So fewer than sum_{j<min(R, hi)} binom(t - 1, j) nodes do not
+    end, and in a window (lo, lo) fewer than binom(t, lo - 1) (see ROADMAP);
+    past `limit` of them the walk refuses (BudgetExceededError)."""
     import numpy as np
 
     t = M.cols
@@ -185,10 +182,11 @@ def _frontier(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
         rows about twice as fast as sum(axis=1)."""
         return np.einsum("ij->i", np.logical_not(res.any(axis=0)), dtype=np.int64)
 
-    # a node's rank and size are one int, rank * b + size, so that one
-    # comparison finds the nodes at rank R - 1 or more; an ended node is
-    # counted by ((rank * b + size) * b + m) * b + z, for the m columns left
-    # to decide and the z of them in its span
+    # a node's rank, size and free columns are one int,
+    # (rank * b + size) * b + f, so that one comparison finds the nodes at
+    # rank R - 1 or more; an ended node is counted by
+    # ((rank * b + size) * b + m) * b + z, for the m columns left to decide
+    # and the z of them in its span, its free columns counted in both
     b = t + 1
     # ended nodes by key, whose subtrees are counted in closed form at the
     # end, and the keys not yet tallied
@@ -198,6 +196,7 @@ def _frontier(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
     # depth: only depths with any waiting are keys
     pending: dict[int, list[tuple]] = {}
     waiting: dict[int, int] = {}
+    walked = 0  # nodes whose children were made
 
     def tally():
         keys, cs = np.unique(np.concatenate(ended), return_counts=True)
@@ -205,24 +204,28 @@ def _frontier(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
             ends[key] = ends.get(key, 0) + c
         ended.clear()
 
-    def settle(d, node, res):
-        """Note the nodes of depth d that end and queue the others."""
+    def settle(d, node, res, live=None):
+        """Note the nodes of depth d that end and queue the others, of the
+        `live` ones only when given."""
         m = t - d
         if m <= 1:
             done = np.ones(len(node), dtype=bool)
         else:
-            done = node >= (R - 1) * b
+            done = node >= (R - 1) * b * b
             if d >= hi - 1:
-                done |= node % b >= hi - 1
+                done |= node // b % b >= hi - 1
+        keep = ~done
+        if live is not None:
+            done &= live
+            keep &= live
         if np.count_nonzero(done):
             # a full-rank node's residuals are all zero, so z = m there
-            ended.append(((node * b + m) * b + zeros(res))[done])
+            ended.append(((node + m) * b + zeros(res) + node % b)[done])
             if sum(map(len, ended)) >= _CHUNK:
                 tally()
-        keep = ~done
         if m < lo:
             # a node that skipped a column may no longer reach lo
-            keep &= node % b + m >= lo
+            keep &= node // b % b + node % b + m >= lo
         n = np.count_nonzero(keep)
         if n:
             block = (node, res) if n == len(node) else (node[keep], res[:, keep])
@@ -245,6 +248,10 @@ def _frontier(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
                 node, res = node[:_CHUNK - n], res[:, :_CHUNK - n]
             chunk.append((node, res))
             n += len(node)
+        walked += n
+        if limit is not None and walked > limit:
+            raise BudgetExceededError(f"census walk took more than the {limit} "
+                                      f"nodes it was priced at")
         waiting[d] -= n
         if not waiting[d]:
             del waiting[d], pending[d]
@@ -252,8 +259,9 @@ def _frontier(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
             nodes, residuals = zip(*chunk)
             node, res = np.concatenate(nodes), np.concatenate(residuals, axis=1)
         independent, taken = take(res)
-        settle(d + 1, node, res[:, :, 1:])
-        settle(d + 1, node + 1 + b * independent, taken)
+        # skip column d, or leave it free where it lies in the node's span
+        settle(d + 1, node + ~independent, res[:, :, 1:])
+        settle(d + 1, node + b * (b + 1), taken, independent)
 
     if ended:
         tally()
@@ -270,7 +278,7 @@ def _frontier(M: GFMatrix, R: int, lo: int, hi: int) -> list[list[int]]:
 
 
 def verify_counting_identity(C: LinearCode, A: WeightDistribution, nu: int,
-                             budget: int | None = DEFAULT_SUBSET_BUDGET
+                             budget: int | None = DEFAULT_BUDGET
                              ) -> tuple[int, int, bool]:
     """Evaluate both sides of the kernel-counting identity at width nu.
 
@@ -292,15 +300,15 @@ def verify_counting_identity(C: LinearCode, A: WeightDistribution, nu: int,
 
 
 def check_full_rank_regime(C: LinearCode, nu: int, d_perp: int | None = None,
-                           budget: int | None = DEFAULT_SUBSET_BUDGET) -> bool:
+                           budget: int | None = DEFAULT_BUDGET) -> bool:
     """For nu wider than n minus the dual distance, every (n-k) x nu column
     selection of H must have full rank n-k; returns whether the census is
     concentrated there.  A False is a bug or a wrong d_perp, never a valid
-    outcome.  With d_perp None the dual distance comes from `C.parameters()`,
-    which enumerates C under the default enumeration budget and raises
-    BudgetExceededError past it; budget caps only the census."""
+    outcome.  With d_perp None the dual distance comes from
+    `C.parameters(budget)`, so the one budget caps both the enumeration and
+    the census."""
     if d_perp is None:
-        d_perp = C.parameters().d_perp
+        d_perp = C.parameters(budget).d_perp
     require_ints(d_perp=d_perp)
     if not 1 <= d_perp <= C.k + 1:
         raise ValueError(f"need 1 <= d_perp <= k+1 = {C.k + 1}, got d_perp={d_perp}")

@@ -32,10 +32,9 @@ from . import (
     verify_counting_identity,
     verify_pless_full,
 )
-from .census import DEFAULT_SUBSET_BUDGET
 from .closed_forms import check_nonnegative
 from .codes import CodeParameters, WeightDistribution
-from .enumeration import DEFAULT_ENUMERATION_BUDGET
+from .enumeration import DEFAULT_BUDGET
 from .errors import (
     BudgetExceededError,
     CodeFileFormatError,
@@ -184,7 +183,7 @@ def cmd_dual(args) -> int:
 def cmd_census(args) -> int:
     code = _load_code(args.codefile)
     M = code.G if args.matrix == "g" else code.H
-    cen = census(M, args.nu, budget=args.census_budget)
+    cen = census(M, args.nu, budget=args.budget)
     if args.format == "json":
         _emit(args, dumps(census_to_json(cen)))
     else:
@@ -218,6 +217,8 @@ def cmd_verify(args) -> int:
     def run(name: str, fn) -> None:
         try:
             ok, detail = fn()
+        except BudgetExceededError:
+            raise
         except WeightDistError as e:
             ok, detail = False, f"{type(e).__name__}: {e}"
         results.append((name, ok, detail))
@@ -225,7 +226,7 @@ def cmd_verify(args) -> int:
     if which in ("identity", "all"):
         def check_identity():
             for nu in range(1, code.n + 1):
-                lhs, rhs, ok = verify_counting_identity(code, A, nu, budget=args.census_budget)
+                lhs, rhs, ok = verify_counting_identity(code, A, nu, budget=args.budget)
                 if not ok:
                     return False, f"nu={nu}: {lhs} != {rhs}"
             return True, f"all nu in 1..{code.n}"
@@ -244,7 +245,7 @@ def cmd_verify(args) -> int:
             params = code.parameters(budget=args.budget)
             for nu in range(code.n - params.d_perp + 1, code.n + 1):
                 if not check_full_rank_regime(code, nu, d_perp=params.d_perp,
-                                              budget=args.census_budget):
+                                              budget=args.budget):
                     return False, f"nu={nu} not concentrated at rank n-k"
             return True, f"all nu > {code.n - params.d_perp}"
         run("regime", check_regime)
@@ -381,15 +382,12 @@ def cmd_fixtures(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # every command takes --format and --output, and only the count flags
     # that it reads
-    common, budget, census_budget, workers = (
-        argparse.ArgumentParser(add_help=False) for _ in range(4))
+    common, budget, workers = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     common.add_argument("--format", choices=("json", "csv", "table"), default="json")
     common.add_argument("--output", help="write to this path instead of stdout")
-    budget.add_argument("--budget", type=_positive_int, default=DEFAULT_ENUMERATION_BUDGET,
-                        help="max codewords to enumerate (default 1e8)")
-    census_budget.add_argument("--census-budget", type=_positive_int,
-                               default=DEFAULT_SUBSET_BUDGET,
-                               help="max column subsets per census (default 1e7)")
+    budget.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
+                        help="max element operations of each enumeration or census, "
+                             "counted on the route it takes (default 1e9)")
     workers.add_argument("--workers", type=_positive_int, default=1,
                          help="parallel workers for enumeration, capped at the core count")
 
@@ -415,14 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("codefile")
     s.set_defaults(func=cmd_dual)
 
-    s = sub.add_parser("census", parents=[census_budget, common],
+    s = sub.add_parser("census", parents=[budget, common],
                        help="rank census of the parity-check (or generator) columns")
     s.add_argument("codefile")
     s.add_argument("--nu", type=int, required=True)
     s.add_argument("--matrix", choices=("h", "g"), default="h")
     s.set_defaults(func=cmd_census)
 
-    s = sub.add_parser("verify", parents=[budget, census_budget, workers, common],
+    s = sub.add_parser("verify", parents=[budget, workers, common],
                        help="run consistency checks against the enumeration oracle")
     s.add_argument("codefile")
     s.add_argument("--which", choices=("identity", "pless", "regime", "crosscheck", "all"),

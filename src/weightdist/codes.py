@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .enumeration import DEFAULT_ENUMERATION_BUDGET, check_budget, weight_histogram
+from .enumeration import DEFAULT_BUDGET, check_count, weight_histogram
 from .errors import (
     NonIntegralResultError,
     RankDeficientGeneratorError,
@@ -167,25 +167,25 @@ class LinearCode:
                         out[j] = f.add(out[j], f.mul(mi, e))
         return out
 
-    def weight_distribution(self, budget: int | None = DEFAULT_ENUMERATION_BUDGET,
+    def weight_distribution(self, budget: int | None = DEFAULT_BUDGET,
                             workers: int = 1) -> WeightDistribution:
         """Exact distribution by `weight_histogram`: the table enumeration,
         or for a high-rate code the syndrome count.  The distribution is
-        cached, and the budget is checked on every call."""
-        check_budget(self.field.q ** self.k, budget)
+        cached, and `check_count` checks every call."""
+        check_count(self.G, budget, workers)
         if self._distribution is None:
-            counts = weight_histogram(self.G, budget=budget, workers=workers)
+            counts = weight_histogram(self.G, budget=None, workers=workers)
             dist = WeightDistribution(tuple(counts), self.field.q, self.k)
             dist.validate()
             self._distribution = dist
         return self._distribution
 
-    def min_distance(self, budget: int | None = DEFAULT_ENUMERATION_BUDGET) -> int:
+    def min_distance(self, budget: int | None = DEFAULT_BUDGET) -> int:
         if self.k == 0:
             raise ZeroCodeError("the zero code has no nonzero codeword")
         return self.weight_distribution(budget).min_weight
 
-    def parameters(self, budget: int | None = DEFAULT_ENUMERATION_BUDGET) -> CodeParameters:
+    def parameters(self, budget: int | None = DEFAULT_BUDGET) -> CodeParameters:
         """n, k, d, the dual distance, and the defect sum.  The dual distance
         comes from the MacWilliams transform of the primal distribution, so
         no second enumeration is needed."""

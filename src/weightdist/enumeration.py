@@ -53,10 +53,11 @@ weight, each reached by q^(rows - rank) messages.  So it counts the same
 codewords as the table, by a different walk over the same space; it uses no
 MacWilliams transform, nor any other identity between weight distributions
 that the package checks.  It is taken only when q^r fits the block table
-and n m (p - 1) q^r (n + 1), its element operations, is below the table's
-ceil(q^k / (q - 1)) messages times its words per codeword.  Counts are int64
-while q^k < 2^63 and Python ints beyond.  Worker processes split only the
-table enumeration.
+and its element operations, n m (p - 1) q^r (n + 1), are fewer than the
+table's, ceil(q^k / (q - 1)) messages times its words per codeword.  The
+budget caps the cost of the route taken and never chooses it.  Counts are
+int64 while q^k < 2^63 and Python ints beyond.  Worker processes split only
+the table enumeration.
 
 numpy and the process pool are imported inside the functions that use them,
 so that importing the package, and every command that does not enumerate,
@@ -72,7 +73,7 @@ from .errors import BudgetExceededError
 from .fields import TABLE_ORDER_LIMIT, Field, array_ops
 from .matrices import GFMatrix, gf_kernel_basis, gf_row_reduce
 
-DEFAULT_ENUMERATION_BUDGET = 10 ** 8
+DEFAULT_BUDGET = 10 ** 9
 _BLOCK_ROWS = 1 << 16
 
 
@@ -186,14 +187,14 @@ def _worker(args) -> list[int]:
     return _histogram_range(Field(p, m, modulus or None), inner, outer, n, start, stop).tolist()
 
 
-def check_budget(words: int, budget: int | None,
-                 work: str = "enumeration of {} codewords") -> None:
-    """Refuse a budget that is not None or an int >= 1 (ValueError), and more
-    words than it allows (BudgetExceededError, naming the `work` done)."""
+def check_budget(cost: int, budget: int | None, route: str) -> None:
+    """Refuse a budget that is not None or an int >= 1 (ValueError), and a
+    route whose cost exceeds it (BudgetExceededError, naming both)."""
     if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int) or budget < 1):
         raise ValueError(f"budget must be None or a positive integer, got {budget!r}")
-    if budget is not None and words > budget:
-        raise BudgetExceededError(f"{work.format(words)} exceeds budget {budget}")
+    if budget is not None and cost > budget:
+        raise BudgetExceededError(f"{route} costs {cost} element operations, "
+                                  f"over the budget of {budget}")
 
 
 def _syndrome_histogram(G: GFMatrix, H: GFMatrix) -> list[int]:
@@ -285,34 +286,38 @@ def _table_histogram(G: GFMatrix, workers: int) -> list[int]:
     return [a * scale for a in hist]
 
 
-def _syndromes_cost_less(field: Field, n: int, rows: int, r: int) -> bool:
-    """Whether counting over q^r syndromes, n m (p - 1) q^r (n + 1) element
-    operations, costs less than enumerating the table of a generator with
-    this many rows, ceil(q^rows / (q - 1)) messages of one table word per
-    64 coordinates over GF(2) and per coordinate otherwise; syndrome
-    counts wider than the block table never qualify."""
-    q = field.q
-    width = -(-n // 64) if q == 2 else n
-    return (q ** r <= _BLOCK_ROWS
-            and n * field.m * (field.p - 1) * q ** r * (n + 1) < -(-q ** rows // (q - 1)) * width)
-
-
-def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_ENUMERATION_BUDGET,
-                     workers: int = 1) -> list[int]:
-    """Exact weight histogram (A_0..A_n) of the row space of G, by whichever
-    of the two exact counts costs fewer element operations (see the module
-    docstring).  The budget caps all q^rows(G) messages on either route;
-    `workers` splits the table enumeration, of which at most
-    `os.cpu_count()` processes run."""
+def check_count(G: GFMatrix, budget: int | None = DEFAULT_BUDGET,
+                workers: int = 1) -> GFMatrix | None:
+    """Refuse a workers count that is not a positive int (ValueError) before
+    anything is computed, then the cheaper count of G (see the module
+    docstring) if it costs more than the budget (`check_budget`); return the
+    H = `gf_kernel_basis(G)` the syndrome count reads, or None for the table."""
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     field, n, k = G.field, G.cols, G.rows
     q = field.q
-    check_budget(q ** k, budget)
+    # the table's words per codeword: every coordinate over GF(2), packed,
+    # else the non-pivot ones (at least one, so a price is never zero)
+    table = -(-q ** k // (q - 1)) * (-(-n // 64) if q == 2 else max(n - k, 1))
+
+    def syndromes(r):  # past the block table, never below the table's cost
+        return n * field.m * (field.p - 1) * q ** r * (n + 1) if q ** r <= _BLOCK_ROWS else table
+
     # r >= n - k, so the first test sends a code to the table without an
     # elimination; only a rank-deficient G can pass it and fail the second
-    if _syndromes_cost_less(field, n, k, max(n - k, 0)):
+    if syndromes(max(n - k, 0)) < table:
         H = gf_kernel_basis(G)
-        if _syndromes_cost_less(field, n, k, H.rows):
-            return _syndrome_histogram(G, H)
-    return _table_histogram(G, workers)
+        if syndromes(H.rows) < table:
+            check_budget(syndromes(H.rows), budget, "syndrome count")
+            return H
+    check_budget(table, budget, "table enumeration")
+    return None
+
+
+def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_BUDGET,
+                     workers: int = 1) -> list[int]:
+    """Exact weight histogram (A_0..A_n) of the row space of G by the cheaper
+    of the two exact counts, whose cost the budget caps (see the module
+    docstring); `workers` splits the table, at most `os.cpu_count()` ways."""
+    H = check_count(G, budget, workers)
+    return _table_histogram(G, workers) if H is None else _syndrome_histogram(G, H)

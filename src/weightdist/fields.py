@@ -35,33 +35,25 @@ TABLE_ORDER_LIMIT = 1 << 16
 _PAIR_TABLE_LIMIT = 256
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# _PRIME_LIMIT (J. Sorenson and J. Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _distinct_prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
+    """Deterministic Miller-Rabin; an n past _PRIME_LIMIT with no factor
+    among the bases is refused (UnsupportedOrderError)."""
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    if n >= _PRIME_LIMIT:
+        raise UnsupportedOrderError(f"cannot decide whether {n} is prime: "
+                                    f"orders are supported below {_PRIME_LIMIT}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
+    # b proves n composite unless b^d = 1 or b^(d 2^i) = -1 for some i < s
+    return not any(pow(b, d, n) != 1 and all(pow(b, d << i, n) != n - 1 for i in range(s))
+                   for b in _PRIME_BASES)
 
 
 def _digits(e: int, p: int, m: int) -> tuple[int, ...]:
@@ -217,7 +209,7 @@ class Field:
 
     def _build_tables(self) -> None:
         order = self.q - 1
-        factors = _distinct_prime_factors(order)
+        factors = [f for f in range(2, order + 1) if order % f == 0 and is_prime(f)]
         gen = 0
         for g in range(2, self.q):
             if all(self._raw_pow(g, order // r) != 1 for r in factors):
@@ -398,20 +390,17 @@ def array_ops(f: Field):
 
 
 def GF(q: int, modulus_poly: Optional[Sequence[int]] = None) -> Field:
-    """Construct the field of order q, factoring q as a prime power."""
+    """Construct the field of order q, factoring q as a prime power: q = p^m
+    for the largest m with an integer m-th root p, which must be prime."""
     if q < 2:
         raise NotPrimeError(f"field order must be >= 2, got {q}")
-    p = 2
-    while q % p:
-        p += 1
-        if p * p > q:
-            p = q
+    for m in range(q.bit_length(), 0, -1):
+        # p = floor(q^(1/m)), by Newton's method from above
+        p = 1 << -(-q.bit_length() // m)
+        while (x := ((m - 1) * p + q // p ** (m - 1)) // m) < p:
+            p = x
+        if p ** m == q:
             break
-    m = 0
-    r = q
-    while r % p == 0:
-        r //= p
-        m += 1
-    if r != 1:
+    if not is_prime(p):
         raise NotPrimeError(f"{q} is not a prime power")
     return Field(p, m, modulus_poly)

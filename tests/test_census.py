@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weightdist.census import (DEFAULT_SUBSET_BUDGET, _rank_table, _window, census,
-                               check_full_rank_regime, verify_counting_identity)
+from weightdist.census import (_rank_table, _window, census, check_full_rank_regime,
+                               verify_counting_identity)
 from weightdist.codes import LinearCode, random_code
 from weightdist.errors import BudgetExceededError, RegimeViolationError
 from weightdist.fields import GF
@@ -101,10 +101,36 @@ def test_census_totals_and_rank_cap():
 
 
 def test_census_budget():
-    f2 = GF(2)
-    M = GFMatrix.from_rows(f2, [[1] * 30])
+    """The budget caps the cost of the walk chosen at its boundary: budget =
+    cost runs and cost - 1 refuses, naming the walk.  The cost is one more
+    than the most nodes the walk takes, times t residual columns, times one
+    word per row of the side walked (per 64 rows over GF(2)): for a whole
+    table on R rows sum_{j<R} binom(t - 1, j) nodes, for width nu alone
+    binom(t, nu - 1)."""
+    rng = random.Random(5)
+    for q in CENSUS_FIELDS:
+        f = GF(q)
+        # 3 x 8: a whole table of at most 29 nodes; 10 x 20: a whole table
+        # could take about 2^18, so width 3 is walked alone, binom(20, 2) = 190
+        small = GFMatrix.from_rows(f, [[rng.randrange(q) for _ in range(8)] for _ in range(3)])
+        wide = GFMatrix.from_rows(f, [[rng.randrange(q) for _ in range(20)] for _ in range(10)])
+        for M, nu, route in ((small, 2, "whole census table"), (wide, 3, "census at width 3")):
+            t, R = M.cols, rank_oracle(M)
+            if route == "whole census table":
+                rows = min(R, t - R)
+                nodes = sum(binom(t - 1, j) for j in range(max(rows, 1)))
+            else:
+                rows, nodes = R, binom(t, nu - 1)
+            cost = nodes * t * (1 if q == 2 else max(rows, 1))
+            assert census(M, nu, budget=cost).counts == naive_census(M, nu)
+            with pytest.raises(BudgetExceededError,
+                               match=f"^{route} costs {cost} element operations"):
+                census(M, nu, budget=cost - 1)
+    # one row of 30 ones, rank 1: a whole table of one node of 30 columns
+    M = GFMatrix.from_rows(GF(2), [[1] * 30])
     with pytest.raises(BudgetExceededError):
-        census(M, 15, budget=1000)
+        census(M, 15, budget=29)
+    assert census(M, 15, budget=30).counts == {1: binom(30, 15)}
 
 
 def test_counting_identity_repetition():
@@ -138,13 +164,19 @@ def test_full_rank_regime_reference(reference_pair):
 
 
 def test_full_rank_regime_enumerates_under_the_default_budget():
-    """Without d_perp the dual distance is enumerated at the default budget,
-    which 2^27 words exceed even once the distribution is cached."""
+    """Without d_perp the dual distance is enumerated under the one budget
+    that also caps the census.  At the default both fit a [30,27]_2 code:
+    its syndrome count costs 30 * 8 * 31 = 7,440 operations, and the whole
+    table of its 3-row H (1 + 29 + 406) * 30 = 13,080.  Below the syndrome
+    count's cost the enumeration refuses, cached or not."""
     code = random_code(GF(2), 30, 27, seed=30)
-    d_perp = code.parameters(budget=None).d_perp
-    assert check_full_rank_regime(code, 30, d_perp=d_perp, budget=None)
-    with pytest.raises(BudgetExceededError):
-        check_full_rank_regime(code, 30, budget=None)
+    assert check_full_rank_regime(code, 30)
+    d_perp = code.parameters().d_perp
+    with pytest.raises(BudgetExceededError, match="^syndrome count costs 7440 "):
+        check_full_rank_regime(code, 30, budget=7439)
+    assert check_full_rank_regime(code, 30, d_perp=d_perp, budget=13_080)
+    with pytest.raises(BudgetExceededError, match="^whole census table costs 13080 "):
+        check_full_rank_regime(code, 30, d_perp=d_perp, budget=13_079)
 
 
 def test_regime_substitution_reproduces_moment_rhs(reference_pair):
@@ -204,18 +236,25 @@ def test_census_whole_table_matches_oracle(M):
 
 
 @settings(max_examples=80, deadline=None)
-@given(gf_matrices(CENSUS_FIELDS), st.integers(1, 40))
+@given(gf_matrices(CENSUS_FIELDS), st.integers(1, 400))
 @example(TALL, 7)
 @example(WIDE, 30)
 def test_census_budget_limited_walk_matches_oracle(M, budget):
-    # a budget below 2^cols rules out the whole table, so each width within
-    # the budget is walked alone
-    for nu in range(1, M.cols + 1):
-        if binom(M.cols, nu) > budget:
-            with pytest.raises(BudgetExceededError):
-                census(M, nu, budget=budget)
-        else:
-            assert census(M, nu, budget=budget).counts == naive_census(M, nu)
+    # with no whole table allowed each width is walked alone, and the budget
+    # caps that walk at binom(t, nu - 1) nodes, or sum_{j<R} binom(t - 1, j)
+    # if fewer, of t residuals, one word per row (these have at most 5, one
+    # word over GF(2)); within it the counts are exact
+    t, R = M.cols, rank_oracle(M)
+    words = 1 if M.field.q == 2 else max(R, 1)
+    independent = sum(binom(t - 1, j) for j in range(max(R, 1)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_module, "_WHOLE_TABLE_NODES", 0)
+        for nu in range(1, t + 1):
+            if min(binom(t, nu - 1), independent) * t * words > budget:
+                with pytest.raises(BudgetExceededError):
+                    census(M, nu, budget=budget)
+            else:
+                assert census(M, nu, budget=budget).counts == naive_census(M, nu)
 
 
 # edge cases of the walk: no rows, one row, all zero, and repeated columns
@@ -384,6 +423,82 @@ def test_walk_keys_past_int64():
                     assert _rank_table.__wrapped__(M, lo, hi) == census_table_oracle(M, lo, hi)
 
 
+@settings(max_examples=80, deadline=None)
+@given(gf_matrices(CENSUS_FIELDS))
+@example(NO_ROWS)
+@example(ALL_ZERO)
+@example(REPEATS)
+@example(REPEATS_Q)
+@example(DEPENDENT_257)
+@example(DEPENDENT_512)
+@example(GFMatrix.from_rows(GF(2), [[1] * 3 + [0] * 6, [0, 1, 0] * 3, [0, 0, 1] + [0] * 6]))
+@example(GFMatrix.from_rows(GF(3), [[1, 0, 0, 2, 1, 0, 0, 0], [0, 1, 0, 0, 0, 2, 0, 0],
+                                    [0, 0, 1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0]]))
+def test_walks_take_fewer_nodes_than_they_are_priced_at(M):
+    """A walk takes at most one node fewer than `_window` prices it at,
+    however its columns repeat or vanish: on R rows, R >= 1, at most
+    sum_{j<R} binom(t - 1, j) - 1 in any window, and width nu alone also
+    at most binom(t, nu - 1) - 1.  `_rank_table` refuses past its limit,
+    so each walk is run at that bound."""
+    t, rank = M.cols, rank_oracle(M)
+
+    def bound(R):
+        return sum(binom(t - 1, j) for j in range(max(R, 1))) - 1
+
+    whole = bound(min(rank, t - rank))
+    assert _rank_table.__wrapped__(M, 0, t, whole) == census_table_oracle(M, 0, t)
+    for nu in range(1, t + 1):
+        lone = min(binom(t, nu - 1) - 1, bound(rank))
+        assert _rank_table.__wrapped__(M, nu, nu, lone) == census_table_oracle(M, nu, nu)
+    if whole:
+        with pytest.raises(BudgetExceededError, match="nodes it was priced at"):
+            _rank_table.__wrapped__(M, 0, t, 0)
+
+
+def test_parallel_columns_walk_within_their_price():
+    """G = [I_3 | 67 copies of e_1] over GF(2): every subset of the 68
+    copies of e_1 has rank 1, yet the walk leaves each copy after the first
+    free instead of branching on it, and takes 2,415 nodes of the 2,416 a
+    whole table on 3 rows is priced at.  Its H, 67 rows, walks the same
+    table on its 3-row kernel.  Pairs of G's columns have rank 1 within the
+    copies of e_1 and 2 otherwise; a pair of H's has rank 2 - 3 plus the
+    rank of G's other 68 columns: 0 for e_2 and e_3, 1 with one of them."""
+    rows = [[int(j == r) for j in range(3)] + [int(r == 0)] * 67 for r in range(3)]
+    code = LinearCode(GFMatrix.from_rows(GF(2), rows))
+    route, cost, window, nodes = _window(code.G, 2)
+    assert (route, window, nodes, cost) == ("whole census table", (0, 70), 2416, 2416 * 70)
+    assert _rank_table.__wrapped__(code.G, 0, 70, nodes - 1)[2] == (0, binom(68, 2), 137, 0)
+    with pytest.raises(BudgetExceededError):
+        _rank_table.__wrapped__(code.G, 0, 70, nodes - 2)
+    assert census(code.G, 2, budget=cost).counts == {1: binom(68, 2), 2: 137}
+    assert census(code.H, 2).counts == {0: 1, 1: 136, 2: binom(68, 2)}
+    assert _window(code.H, 2)[:3] == ("whole census table", 2416 * 70, (0, 70))
+
+
+def test_wide_low_rank_matrices_walk_each_width_alone_within_their_price():
+    """Past _WHOLE_TABLE_COLS columns no whole table is walked, whose t + 1
+    sizes of t-bit counts its price in nodes leaves out.  Width nu alone on
+    R rows is priced at the fewer of binom(t, nu - 1) and
+    sum_{j<R} binom(t - 1, j) nodes: one node for a row of 300 ones, 300
+    for a 2 x 300 matrix, at any width."""
+    M = GFMatrix.from_rows(GF(2), [[1] * 300])
+    assert _window(M, 150) == ("census at width 150", 300, (150, 150), 1)
+    assert census(M, 150, budget=300).counts == {1: binom(300, 150)}
+    rng = random.Random(2)
+    rows = [[rng.randrange(2) for _ in range(300)] for _ in range(2)]
+    M = GFMatrix.from_rows(GF(2), rows)
+    assert _window(M, 150) == ("census at width 150", 300 * 300, (150, 150), 300)
+    # a subset has rank 0 on zero columns alone, 1 on one nonzero column
+    # value besides them, 2 otherwise
+    zero, *values = (sum(1 for col in zip(*rows) if col == v)
+                     for v in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    for nu in (3, 150):
+        ranks = {0: binom(zero, nu),
+                 1: sum(binom(zero + v, nu) - binom(zero, nu) for v in values)}
+        ranks[2] = binom(300, nu) - ranks[0] - ranks[1]
+        assert census(M, nu, budget=300 * 300).counts == {r: c for r, c in ranks.items() if c}
+
+
 def test_census_small_width_of_wide_matrix():
     # a whole table of a 10 x 20 matrix is far more work than width 1..3, so
     # these widths are walked alone
@@ -396,8 +511,8 @@ def test_census_small_width_of_wide_matrix():
 
 
 def test_census_small_width_of_rank_deficient_square_matrix():
-    # 23 x 23 of rank 11: a whole table would visit millions of subsets, so
-    # width 3 is walked alone; the estimate must come from the rank, not from
+    # 23 x 23 of rank 11: a whole table could take millions of nodes, so
+    # width 3 is walked alone; the bound must come from the rank, not from
     # the row count
     rng = random.Random(11)
     top = [[rng.randrange(2) for _ in range(23)] for _ in range(11)]
@@ -406,6 +521,5 @@ def test_census_small_width_of_rank_deficient_square_matrix():
     rows = top + [[a ^ b for a, b in zip(top[i], top[i + 1])] for i in range(10)]
     M = GFMatrix.from_rows(GF(2), rows + [top[0], [0] * 23])
     assert (M.rows, M.cols, rank_oracle(M)) == (23, 23, 11)
-    assert _window(M, 3, DEFAULT_SUBSET_BUDGET) == (3, 3)
-    assert _window(M, 3, None) == (3, 3)
+    assert _window(M, 3)[2] == (3, 3)
     assert census(M, 3).counts == naive_census(M, 3)

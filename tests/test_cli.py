@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from weightdist import cli, errors
 from weightdist.cli import main
-from weightdist.codes import WeightDistribution
+from weightdist.codes import WeightDistribution, random_code
+from weightdist.fields import GF
 from weightdist.fileio import (
     distribution_from_json,
     distribution_to_json,
@@ -71,7 +72,7 @@ def test_enumerate_budget_exceeded(code_files, capsys):
 @pytest.mark.parametrize("flags", [
     ("enumerate", "--workers", "0"), ("enumerate", "--workers", "-3"),
     ("enumerate", "--budget", "0"), ("enumerate", "--budget", "-5"),
-    ("verify", "--census-budget", "-1"), ("enumerate", "--workers", "two"),
+    ("verify", "--budget", "-1"), ("enumerate", "--workers", "two"),
 ])
 def test_count_flags_must_be_positive_integers(code_files, capsys, flags):
     fa, _ = code_files
@@ -85,9 +86,9 @@ def test_count_flags_must_be_positive_integers(code_files, capsys, flags):
 @pytest.mark.parametrize("command, flags", [
     (["mds", "8", "4", "9"], ["--workers", "2"]),
     (["dual", "{code}"], ["--budget", "10"]),
-    (["extremal", "1"], ["--census-budget", "10"]),
-    (["census", "{code}", "--nu", "2"], ["--budget", "10"]),
-    (["enumerate", "{code}"], ["--census-budget", "10"]),
+    (["extremal", "1"], ["--budget", "10"]),
+    (["census", "{code}", "--nu", "2"], ["--workers", "2"]),
+    (["fixtures"], ["--workers", "2"]),
 ])
 def test_commands_refuse_count_flags_they_do_not_read(code_files, capsys, command, flags):
     fa, _ = code_files
@@ -137,6 +138,46 @@ def test_verify_corrupted_distribution_fails(code_files, capsys):
     rc, out, _ = run(capsys, "verify", fa, "--inject-distribution", json.dumps(corrupted))
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_budget_refusal_inside_verify_exits_3(code_files, capsys):
+    """A check that the budget refuses is no failed check: verify exits 3,
+    as census does on the same refusal, and prints no check lines."""
+    fa, _ = code_files
+    injected = distribution_to_json(WeightDistribution(NMDS_844_DISTRIBUTION_A, q=4, k=4))
+    for argv in (["verify", fa, "--inject-distribution", json.dumps(injected)],
+                 ["census", fa, "--nu", "4"]):
+        rc, out, err = run(capsys, *argv, "--budget", "1")
+        assert rc == 3, argv
+        assert out == ""
+        assert err.startswith("error: whole census table costs ")
+
+
+def test_one_budget_covers_high_rate_codes_at_the_default(tmp_path, capsys):
+    """A random [30,27]_2 code counts 8 syndromes and walks a census table
+    of at most 435 nodes, so verify passes at the default budget; so does
+    the enumeration of a random [80,72]_2 code over 256 syndromes, past the
+    2^72 messages of its generator."""
+    for n, k in ((30, 27), (80, 72)):
+        path = tmp_path / f"{n}_{k}.code"
+        path.write_text(format_code_file(random_code(GF(2), n, k, seed=n)))
+        rc, out, _ = run(capsys, "enumerate", path)
+        assert rc == 0
+        assert sum(int(c) for c in json.loads(out)["A"]) == 2 ** k
+    rc, out, _ = run(capsys, "verify", tmp_path / "30_27.code")
+    assert rc == 0
+    assert [line.split()[:2] for line in out.splitlines()] == [
+        ["identity", "PASS"], ["pless", "PASS"], ["regime", "PASS"], ["crosscheck", "PASS"]]
+
+
+def test_enumerate_over_a_61_bit_prime_field(tmp_path, capsys):
+    # deciding that the order is prime no longer takes trial division
+    q = 2 ** 61 - 1
+    path = tmp_path / "mersenne.code"
+    path.write_text(f"q={q}\n4 1\n1 {q - 1} 0 12345\n")
+    rc, out, _ = run(capsys, "enumerate", path)
+    assert rc == 0
+    assert json.loads(out)["A"] == ["1", "0", "0", str(q - 1), "0"]
 
 
 def test_verify_rejects_injected_distribution_of_another_code(code_files, capsys):

@@ -185,7 +185,9 @@ def test_budget_exceeded():
     (1, BudgetExceededError), (31, BudgetExceededError), (-1, ValueError), (True, ValueError),
 ])
 def test_cached_distribution_still_checks_the_budget(budget, error):
-    # the cached counts were returned whatever the budget said
+    # the cached counts were returned whatever the budget said; they are
+    # checked against the cost of the route that counted them, here the
+    # table's 2^5 messages of one word: 32 runs and 31 refuses
     c = random_code(GF(2), 10, 5, seed=1)
     A = c.weight_distribution(budget=None)
     assert c.weight_distribution(budget=32) is A

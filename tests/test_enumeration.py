@@ -400,9 +400,16 @@ def test_budget_must_be_none_or_a_positive_integer(budget):
 
 @pytest.mark.parametrize("workers", [0, -3, True, False, 1.0, "2"])
 def test_workers_must_be_a_positive_integer(workers):
+    # checked before the route is priced, so a budget the route exceeds
+    # does not hide them, and on a cached distribution too
     G = GFMatrix.from_rows(GF(2), [[1, 1]])
+    for budget in (None, 1):
+        with pytest.raises(ValueError, match="workers"):
+            weight_histogram(G, budget=budget, workers=workers)
+    code = LinearCode(G)
+    code.weight_distribution()
     with pytest.raises(ValueError, match="workers"):
-        weight_histogram(G, workers=workers)
+        code.weight_distribution(budget=1, workers=workers)
 
 
 def test_two_workers_odd_characteristic():
@@ -433,9 +440,11 @@ def test_field_wider_than_64_bits_needs_no_packing():
     the one row has weight 2."""
     field = Field(3, 17, (1, 2) + (0,) * 15 + (1,))
     G = GFMatrix.from_rows(field, [[1, 2]])
-    assert weight_histogram(G, budget=None) == [1, 0, field.q - 1]
-    with pytest.raises(BudgetExceededError):
-        weight_histogram(G)
+    # the budget counts the table's ceil(q / (q - 1)) = 2 messages of one
+    # word, the non-pivot coordinate, not the q messages of G
+    assert weight_histogram(G) == [1, 0, field.q - 1]
+    with pytest.raises(BudgetExceededError, match="^table enumeration costs 2 "):
+        weight_histogram(G, budget=1)
     # the whole space GF(q)^3, q^3 > 2^63 words: H has no rows, so the
     # syndrome count has one state and counts in Python ints
     full = GFMatrix.from_rows(field, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -444,6 +453,32 @@ def test_field_wider_than_64_bits_needs_no_packing():
         assert weight_histogram(full, budget=None) == [math.comb(3, w) * (field.q - 1) ** w
                                                        for w in range(4)]
     assert syndrome.called
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_budget_boundary_on_both_routes(field):
+    """The budget caps the element operations of the route taken: budget =
+    cost runs and cost - 1 refuses, naming the route.  A random [5,2] code
+    takes the table, ceil(q^2 / (q - 1)) messages of ceil(5 / 64) words over
+    GF(2) and of its 3 non-pivot coordinates otherwise; the whole space
+    GF(q)^n, n = 6 for q <= 4 and 3 otherwise, takes the syndrome count over
+    its one syndrome, n m (p - 1) (n + 1), fewer than its table's
+    ceil(q^n / (q - 1)) messages of one word."""
+    q, n = field.q, 6 if field.q <= 4 else 3
+    table = random_code(field, 5, 2, seed=q).G
+    full = GFMatrix.from_rows(field, [[int(i == j) for j in range(n)] for i in range(n)])
+    cases = (("table enumeration", "_table_histogram", table,
+              -(-q ** 2 // (q - 1)) * (1 if q == 2 else 3)),
+             ("syndrome count", "_syndrome_histogram", full,
+              n * field.m * (field.p - 1) * (n + 1)))
+    for route, name, G, cost in cases:
+        with patch.object(enumeration, name, wraps=getattr(enumeration, name)) as taken:
+            assert sum(weight_histogram(G, budget=cost)) == q ** G.rows
+        assert taken.called
+        with pytest.raises(BudgetExceededError,
+                           match=f"^{route} costs {cost} element operations, "
+                                 f"over the budget of {cost - 1}$"):
+            weight_histogram(G, budget=cost - 1)
 
 
 @pytest.mark.parametrize("q, n, k, route", [

@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from weightdist.errors import (
 )
 from weightdist.fields import (
     GF, Field, _digitwise, array_mul, array_ops, array_sub, default_modulus, is_irreducible,
+    is_prime,
 )
 
 from gf_oracle import digitwise_oracle
@@ -57,6 +59,59 @@ def test_make_field_rejects_nonprime():
         GF(6)
     with pytest.raises(NotPrimeError):
         GF(12)
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == is_prime_int(n) for n in range(-2, 20_000))
+    rng = random.Random(4)
+    for n in (rng.randrange(10 ** 6, 10 ** 10) for _ in range(300)):
+        assert is_prime(n) == is_prime_int(n), n
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # the least strong pseudoprimes to the first 1..12 prime bases, each a
+    # composite that the bases short of it pass, and primes up to 2^89
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051, 318665857834031151167461,
+              3317044064679887385961979):
+        assert not is_prime(n), n
+    for n in (2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 3, 2 ** 64 - 59, 2 ** 80 - 65):
+        assert is_prime(n), n
+
+
+def test_large_prime_field_builds_at_once():
+    # trial division to sqrt(q) did not finish in 10 s
+    start = time.perf_counter()
+    f = GF(2 ** 61 - 1)
+    assert time.perf_counter() - start <= 0.01
+    assert (f.p, f.m) == (2 ** 61 - 1, 1)
+    assert f.mul(f.inv(12345), 12345) == 1
+
+
+def test_orders_past_the_prime_test_are_refused():
+    # the Miller-Rabin bases decide primality exactly only below 3.3 * 10^24;
+    # a power of a small prime past it is still factored, and refused only
+    # for want of a modulus
+    for make in (GF, Field):
+        with pytest.raises(UnsupportedOrderError, match="cannot decide"):
+            make(2 ** 89 - 1)
+    with pytest.raises(UnsupportedOrderError, match="GF\\(2\\^89\\).*supply modulus_poly"):
+        GF(2 ** 89)
+
+
+@pytest.mark.parametrize("q, pm", [(2, (2, 1)), (4, (2, 2)), (2 ** 16, (2, 16)),
+                                   (3 ** 7, (3, 7)), (65521, (65521, 1)), (65537, (65537, 1)),
+                                   (49, (7, 2)), (5 ** 30, (5, 30))])
+def test_order_factored_by_integer_roots(q, pm):
+    if pm[1] > 1 and q > 2 ** 16:
+        with pytest.raises(UnsupportedOrderError, match="supply modulus_poly"):
+            GF(q)
+    else:
+        f = GF(q)
+        assert (f.p, f.m) == pm
+    for bad in (6, 12, 36, 100, 2 ** 10 * 3, 65535):
+        with pytest.raises(NotPrimeError, match="not a prime power"):
+            GF(bad)
 
 
 def test_reducible_modulus_rejected():
