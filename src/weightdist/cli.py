@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import (
@@ -318,16 +319,10 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_pless_report(args) -> int:
-    params = _params_from_args(args)
-    rep = rank_relationship_report(params)
-    obj = {
-        "pascal_rank": rep.pascal_rank,
-        "pless_rank": rep.pless_rank,
-        "joint_rank": rep.joint_rank,
-        "rows_each": rep.rows_each,
-        "n_unknowns": rep.n_unknowns,
-    }
-    _emit(args, dumps(obj))
+    obj = asdict(rank_relationship_report(_params_from_args(args)))
+    _emit(args, dumps(obj) if args.format == "json" else
+          f"{','.join(obj)}\n{','.join(map(str, obj.values()))}\n" if args.format == "csv" else
+          "".join(f"{k} = {v}\n" for k, v in obj.items()))
     return EXIT_OK
 
 

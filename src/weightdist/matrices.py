@@ -17,10 +17,10 @@ tabulates no field arithmetic and never imports numpy.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -325,11 +325,6 @@ def rational_rank(A: RationalMatrix) -> int:
     return echelon(A.entries).rank
 
 
-def rational_kernel_vector(A: RationalMatrix) -> tuple[Fraction, ...] | None:
-    """A nonzero vector x with A x = 0, or None if the kernel is trivial."""
-    return _kernel_vector(echelon(A.entries), A.cols)
-
-
 def solve_exact(A: RationalMatrix, b: Sequence) -> tuple[Fraction, ...]:
     """Unique exact solution of the square system A x = b.
 
@@ -369,38 +364,46 @@ def truncated_pascal(r: int, t: int) -> RationalMatrix:
 def maximal_minors(rows: Sequence[Sequence[int]]
                    ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every r x r minor of an integer matrix with r >= 1 rows, as
-    (columns, determinant), in lexicographic order of the columns.
+    (columns, determinant), lazily, in lexicographic order of the columns.
 
-    One depth-first walk over the column combinations shares elimination
-    prefixes.  Each column is an r-vector, a row of the transpose, and the
-    walk runs Bareiss's fraction-free elimination on the transpose one row
-    at a time: a node holds every later column reduced against its prefix's
-    pivot rows, and hands its children those vectors after one more step
-    against its own.  The first entry of a vector reduced at depth i is the
-    leading (i+1) x (i+1) minor of the node's columns, so at a leaf it is the
-    minor itself.  Where a leading minor is zero, elimination would swap
-    rows; every leaf under that node is computed by `echelon` instead."""
+    One depth-first walk runs Bareiss's fraction-free elimination on the
+    transpose and shares its prefixes.  A node holds its later columns,
+    reduced against its chosen ones, as one list per remaining component.
+    Choosing column k, whose first component p is a leading minor, takes
+    each other component x of the columns after k to (p * x - a * y) // prev,
+    with a their first component, y column k's and prev the last pivot; one
+    column short of the leaves this gives the leaf minors, one block per
+    node.  Where a leading minor is zero, elimination would swap rows; every
+    leaf under it is computed by `echelon` instead."""
     r = len(rows)
     if r == 0:
         raise ValueError("maximal_minors needs at least one row")
 
-    def walk(prefix: tuple[int, ...], later: list[tuple[int, list[int]]], prev: int):
-        need = r - len(prefix)  # columns still to choose, this one included
-        for idx in range(len(later) - need + 1):
-            j, v = later[idx]
-            cols, p = prefix + (j,), v[0]
-            if need == 1:
-                yield cols, p
-            elif p:
-                rest = [(c, [(p * x - w[0] * y) // prev for x, y in zip(w[1:], v[1:])])
-                        for c, w in later[idx + 1:]]
-                yield from walk(cols, rest, p)
-            else:
-                for tail in itertools.combinations([c for c, _ in later[idx + 1:]], need - 1):
-                    leaf = cols + tail
-                    yield leaf, echelon([[row[c] for c in leaf] for row in rows]).det
+    def det(leaf: tuple[int, ...]) -> int:
+        return echelon([[row[c] for c in leaf] for row in rows]).det
 
-    yield from walk((), list(enumerate(map(list, zip(*rows)))), 1)
+    def walk(prefix: tuple[int, ...], cols: range, comps: list[list[int]], prev: int):
+        lead, below, need = comps[0], comps[1:], r - len(prefix)  # columns to choose
+        if need > 2:
+            for k in range(len(cols) - need + 1):
+                p, node, later = lead[k], prefix + (cols[k],), lead[k + 1:]
+                if p:
+                    yield from walk(node, cols[k + 1:], [
+                        [(p * x - a * y) // prev for x, a in zip(comp[k + 1:], later)]
+                        for comp, y in zip(below, [comp[k] for comp in below])], p)
+                else:
+                    yield [det(node + tail) for tail in combinations(cols[k + 1:], need - 1)]
+        else:  # one column short of the leaves
+            x1, block = below[0], []
+            for k in range(len(cols) - 1):
+                p, y = lead[k], x1[k]
+                block += ([(p * x - a * y) // prev for x, a in zip(x1[k + 1:], lead[k + 1:])]
+                          if p else [det(prefix + (cols[k], c)) for c in cols[k + 1:]])
+            yield block
+
+    cols = range(len(rows[0]))
+    dets = [rows[0]] if r == 1 else walk((), cols, [list(row) for row in rows], 1)
+    return zip(combinations(cols, r), chain.from_iterable(dets))
 
 
 def pascal_minor_check(r: int, t: int) -> bool:

@@ -134,13 +134,14 @@ def binomial_interpolation(nodes: Sequence[int], degrees: Sequence[int],
                            rhs: Sequence[int]) -> tuple[int | Fraction, ...]:
     """Exact solution a of sum_s binom(nodes[s], degrees[i]) a_s = rhs[i],
     for distinct integer nodes, degrees 0..u-1 in any order and integer
-    right-hand sides; each a_s is an int when it is integral.
+    right-hand sides; each a_s is an int when it is integral (u = 0 gives ()).
 
     With omega(x) = prod_t (x - x_t) and q_s(x) = omega(x) / (x - x_s), the
     binomial-basis coefficients c_s of q_s give <c_s, b> = sum_t q_s(x_t) a_t
     = q_s(x_s) a_s.  Multiplying by (x - c) maps binom(x, j) to
     (j+1) binom(x, j+1) + (j-c) binom(x, j), so every coefficient is an
-    integer and dividing omega by (x - x_s) is an exact back-recurrence."""
+    integer and dividing omega by (x - x_s) is an exact back-recurrence from
+    q_u = 0, summed into <c_s, b> as it runs."""
     u = len(nodes)
     b = [0] * u
     for j, v in zip(degrees, rhs):
@@ -148,15 +149,16 @@ def binomial_interpolation(nodes: Sequence[int], degrees: Sequence[int],
     omega = [1]
     for c in nodes:
         omega = [(j - c) * a + j * p for j, (a, p) in enumerate(zip(omega + [0], [0] + omega))]
+    steps = [(j, omega[j], b[j - 1]) for j in range(u, 0, -1)]
     out = []
     for c in nodes:
-        # omega_j = j q_{j-1} + (j - c) q_j, solved from the top for q
-        q = [0] * u
-        q[u - 1] = omega[u] // u
-        for j in range(u - 1, 0, -1):
-            q[j - 1] = (omega[j] - (j - c) * q[j]) // j
-        num = sum(a * v for a, v in zip(q, b))
-        den = math.prod(c - t for t in nodes if t != c)
+        qj = num = 0
+        for j, w, bj in steps:  # omega_j = j q_{j-1} + (j - c) q_j, for q_{j-1}
+            qj = (w - (j - c) * qj) // j
+            num += qj * bj
+        den = 1
+        for t in nodes:
+            den *= c - t or 1  # the node itself contributes 1
         whole, rem = divmod(num, den)
         out.append(Fraction(num, den) if rem else whole)
     return tuple(out)

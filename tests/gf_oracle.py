@@ -5,6 +5,10 @@ differential tests draw to check the package against them.
 The addition oracle extracts the base-p digits of both operands one at a
 time, where the package sums digits of a // p^i and b // p^i in place.
 
+`rational_kernel_vector` reads the kernel vector that `solve_exact` attaches
+to a `SingularMatrixError` off any rational matrix, singular or not, so
+that tests can check that vector on its own.
+
 The Golay and quadratic-residue codes are built here from their cyclic
 definitions, as the enumerated codes that the extremal type II closed form
 is checked against.
@@ -20,7 +24,13 @@ from hypothesis import strategies as st
 
 from weightdist.codes import LinearCode
 from weightdist.fields import GF
-from weightdist.matrices import GFMatrix, _elimination, binom
+from weightdist.matrices import GFMatrix, _elimination, _kernel_vector, binom, echelon
+
+
+def rational_kernel_vector(A):
+    """A nonzero vector x with A x = 0 for a RationalMatrix A, or None if the
+    kernel is trivial: the package's own kernel vector of its echelon form."""
+    return _kernel_vector(echelon(A.entries), A.cols)
 
 
 def digitwise_oracle(f, a, b, sign):

@@ -438,6 +438,15 @@ def test_closed_form_field_order_below_two_is_input_error(capsys, argv):
     assert "field order must be >= 2" in err
 
 
+PLESS_REPORT_FORMATS = {
+    "json": ('{\n  "pascal_rank": 4,\n  "pless_rank": 4,\n  "joint_rank": 4,\n'
+             '  "rows_each": 4,\n  "n_unknowns": 9\n}\n'),
+    "csv": "pascal_rank,pless_rank,joint_rank,rows_each,n_unknowns\n4,4,4,4,9\n",
+    "table": ("pascal_rank = 4\npless_rank = 4\njoint_rank = 4\nrows_each = 4\n"
+              "n_unknowns = 9\n"),
+}
+
+
 def test_pless_report(capsys):
     rc, out, _ = run(capsys, "pless-report", "--n", "8", "--k", "4", "--q", "4",
                      "--d", "4", "--dperp", "4")
@@ -445,6 +454,14 @@ def test_pless_report(capsys):
     obj = json.loads(out)
     assert obj["pascal_rank"] == 4 and obj["pless_rank"] == 4
     assert obj["joint_rank"] <= 8
+    assert out == PLESS_REPORT_FORMATS["json"]  # the default
+
+
+@pytest.mark.parametrize("fmt", sorted(PLESS_REPORT_FORMATS))
+def test_pless_report_formats(capsys, fmt):
+    rc, out, err = run(capsys, "pless-report", "--n", "8", "--k", "4", "--q", "4",
+                       "--d", "4", "--dperp", "4", "--format", fmt)
+    assert (rc, out, err) == (0, PLESS_REPORT_FORMATS[fmt], "")
 
 
 def test_output_flag_writes_file(code_files, capsys, tmp_path):

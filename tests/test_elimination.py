@@ -2,11 +2,12 @@
 
 The oracle is textbook Gauss-Jordan over fractions.Fraction, kept here so
 that it is never the code under test, together with the Leibniz expansion
-for determinants.
+for determinants and the Laplace expansion for every maximal minor at once.
 """
 
 import itertools
 import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,6 @@ from weightdist.matrices import (
     echelon,
     maximal_minors,
     pascal_minor_check,
-    rational_kernel_vector,
     rational_rank,
     solve_exact,
     truncated_pascal,
@@ -40,6 +40,8 @@ from weightdist.moments import (
     cross_check_systems,
     solve_with_knowns,
 )
+
+from gf_oracle import rational_kernel_vector
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +371,10 @@ def test_binomial_interpolation_matches_bareiss(case):
     assert all(type(v) is int or v.denominator > 1 for v in got)
 
 
+def test_binomial_interpolation_of_no_equations():
+    assert binomial_interpolation([], [], []) == ()
+
+
 @st.composite
 def square_knowns(draw):
     """Code parameters up to [48,24]_49 and exactly n + 1 - d_perp knowns, so
@@ -432,17 +438,24 @@ def test_square_moment_systems_match_oracle(case):
 # ---------------------------------------------------------------------------
 
 def oracle_minors(rows):
-    cols = len(rows[0])
-    return [(c, leibniz_det([[row[j] for j in c] for row in rows]))
-            for c in itertools.combinations(range(cols), len(rows))]
+    """Every maximal minor by Laplace expansion along the last row: the
+    j-row minors of each column set from the (j-1)-row minors of its
+    subsets, in lexicographic order of the columns."""
+    minors = {(): 1}
+    for j, row in enumerate(rows):
+        minors = {c: sum((-1) ** (j + i) * row[c[i]] * minors[c[:i] + c[i + 1:]]
+                         for i in range(j + 1))
+                  for c in itertools.combinations(range(len(row)), j + 1)}
+    return list(minors.items())
 
 
 @st.composite
 def small_integer_matrices(draw):
-    """Mostly-zero small integer matrices: zero minors and zero leading
-    minors (where the walk falls back to `echelon`) are common."""
-    r = draw(st.integers(1, 4))
-    cols = draw(st.integers(0, 7))
+    """Mostly-zero small integer matrices of up to 6 rows and 10 columns:
+    zero minors and zero leading minors (where the walk falls back to
+    `echelon`) are common, at the root and below nonzero prefixes."""
+    r = draw(st.integers(1, 6))
+    cols = draw(st.integers(0, 10))
     entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
     rows = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(r)]
     if r > 1 and cols and draw(st.booleans()):
@@ -453,14 +466,40 @@ def small_integer_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(small_integer_matrices())
 @example([[0, 1], [1, 0]])  # zero leading pivot at the root
-@example([[1, 2, 1, 0], [2, 4, 0, 1], [0, 1, 1, 1]])  # zero leading 2x2 minor
+@example([[1, 2, 1, 0], [2, 4, 0, 1], [0, 1, 1, 1]])  # zero leading 2x2 minor, one column short
+# zero leading 2x2 minor of columns 0, 1 with two columns still to choose
+@example([[1, 2, 0, 1, 0, 3], [1, 2, 1, 0, 2, 1], [0, 1, 1, 1, 0, 2], [2, 0, 1, 1, 1, 0]])
+# zero leading 3x3 minor of columns 0, 1, 2 (column 2 is column 0 plus column 1
+# in the first three rows) below nonzero 1x1 and 2x2 prefixes, two columns short
+@example([[1, 0, 1, 2, 0, 1, 3], [0, 1, 1, 1, 2, 0, 1], [2, 1, 3, 0, 1, 1, 0],
+          [1, 1, 0, 1, 0, 2, 1], [0, 2, 1, 1, 1, 0, 2]])
+# the same below a nonzero prefix, one column short of the leaves
+@example([[1, 0, 1, 2, 0], [0, 1, 1, 1, 2], [2, 1, 3, 0, 1], [1, 1, 0, 1, 0]])
 @example([[1, 2, 3]])
 @example([[1], [2]])  # more rows than columns: no minor
-def test_maximal_minors_match_leibniz(rows):
-    if not rows[0]:
-        assert list(maximal_minors(rows)) == []
-    else:
-        assert list(maximal_minors(rows)) == oracle_minors(rows)
+def test_maximal_minors_match_laplace(rows):
+    assert list(maximal_minors(rows)) == oracle_minors(rows)
+
+
+def test_maximal_minors_are_lazy():
+    """The first minors of a 6 x 60 matrix, which has about 5 * 10^7, come
+    at once: the walk yields each block of minors when it reaches it, so
+    no list of all of them is ever built."""
+    rows = [[(i * 7 + j * j + 3 * i * j) % 11 - 5 for j in range(60)] for i in range(6)]
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the first 10 minors took over 2 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(2)
+    try:
+        got = list(itertools.islice(maximal_minors(rows), 10))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    want = [(c, leibniz_det([[row[j] for j in c] for row in rows]))
+            for c in itertools.islice(itertools.combinations(range(60), 6), 10)]
+    assert got == want
 
 
 def test_maximal_minors_needs_a_row():

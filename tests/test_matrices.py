@@ -21,14 +21,19 @@ from weightdist.matrices import (
     gf_rank,
     gf_row_reduce,
     pascal_minor_check,
-    rational_kernel_vector,
     rational_rank,
     select_columns,
     solve_exact,
     truncated_pascal,
 )
 
-from gf_oracle import digitwise_oracle, gf_matrices, kernel_oracle, rref_oracle
+from gf_oracle import (
+    digitwise_oracle,
+    gf_matrices,
+    kernel_oracle,
+    rational_kernel_vector,
+    rref_oracle,
+)
 
 
 def test_binom_convention():
