@@ -4,6 +4,10 @@ Exhaustive enumeration is the ground-truth oracle; submatrix rank censuses,
 truncated-Pascal and power-moment systems, and closed forms for MDS, NMDS,
 AMDS and extremal type II codes all cross-validate against it, in exact
 integer and rational arithmetic throughout.
+
+`weightdist.census` is the census function, which shadows the module of
+that name as a package attribute;
+`importlib.import_module("weightdist.census")` reaches the module.
 """
 
 from .census import RankCensus, census, check_full_rank_regime, verify_counting_identity
@@ -46,7 +50,6 @@ from .matrices import (
     gf_matmul,
     gf_rank,
     pascal_minor_check,
-    select_columns,
     solve_exact,
     truncated_pascal,
 )

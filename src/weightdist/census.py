@@ -13,7 +13,6 @@ field's `fields.array_ops`, from a basis read from the memoised
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from .codes import LinearCode, WeightDistribution, require_ints
@@ -23,11 +22,9 @@ from .fields import array_ops
 from .matrices import GFMatrix, _elimination, binom, gf_kernel_basis, gf_rank, gf_row_reduce
 
 # A census walks the whole table, which every later width then reads, only
-# when that walk takes at most this many nodes over at most this many
-# columns (past which expanding t + 1 sizes of t-bit counts by binomials
-# outgrows its price); otherwise it walks the width asked for alone.
+# when that walk takes at most this many nodes, at any number of columns;
+# otherwise it walks the width asked for alone.
 _WHOLE_TABLE_NODES = 1 << 16
-_WHOLE_TABLE_COLS = 128
 
 # Each step of the walk takes at most this many nodes of one depth and makes
 # their children, two per node.  It goes depth first and each depth holds
@@ -56,12 +53,12 @@ def census(M: GFMatrix, nu: int, budget: int | None = DEFAULT_BUDGET) -> RankCen
     over column subsets (`_frontier`) builds for every size at once (the
     Whitney rank-generating function of the column matroid), so every later
     width is a lookup.  `_window` picks the whole table when its walk is
-    bounded small, else width nu alone; the budget caps the price of that
-    walk and never changes it.  A whole table is walked on the kernel K of
-    M instead when that has fewer rows, and mapped back by the dual-matroid
-    rank rule r_M(S) = |S| - r_K(E) + r_K(E \\ S).  Tables are kept in a
-    small LRU cache keyed by (matrix, window), so a run's checks share one
-    walk.
+    bounded small, at any number of columns, else width nu alone; the
+    budget caps the price of that walk and its tally and never changes
+    either.  A whole table is walked on the kernel K of M instead when that
+    has fewer rows, and mapped back by the dual-matroid rank rule
+    r_M(S) = |S| - r_K(E) + r_K(E \\ S).  Tables are kept in a small LRU
+    cache keyed by (matrix, window), so a run's checks share one walk.
     """
     t = M.cols
     require_ints(nu=nu)
@@ -79,7 +76,9 @@ def _window(M: GFMatrix, nu: int) -> tuple[str, int, tuple[int, int], int]:
     walk is small enough (see _WHOLE_TABLE_NODES), else width nu alone; one
     more than the most nodes that walk takes (`_frontier`; random H took
     0.70-1.00 of it, see ROADMAP); and its cost, those nodes times t columns
-    times one word per row of the side walked, per 64 rows over GF(2)."""
+    times one word per row of the side walked, per 64 rows over GF(2), plus
+    the (R + 1) (t + 1) (hi + 1) additions that bound the tally's fold on
+    the R rows of that side."""
     t = M.cols
 
     def walk(R):  # one more than the most nodes a walk on R rows takes
@@ -87,13 +86,14 @@ def _window(M: GFMatrix, nu: int) -> tuple[str, int, tuple[int, int], int]:
 
     rank = gf_rank(M)
     rows = min(rank, t - rank)  # of the side a whole table is walked on
-    if t <= _WHOLE_TABLE_COLS and walk(rows) <= _WHOLE_TABLE_NODES:
+    if walk(rows) <= _WHOLE_TABLE_NODES:
         route, window, nodes = "whole census table", (0, t), walk(rows)
     else:  # a lone width is walked on M's own rows, taking at most nu - 2
         route, window, rows = f"census at width {nu}", (nu, nu), rank
         nodes = min(binom(t, nu - 1), walk(min(rank, nu)))
     unit = t * max(-(-rows // 64) if M.field.q == 2 else rows, 1)
-    return route, nodes * unit, window, nodes
+    fold = (rows + 1) * (t + 1) * (window[1] + 1)
+    return route, nodes * unit + fold, window, nodes
 
 
 @functools.lru_cache(maxsize=16)
@@ -143,7 +143,9 @@ def _frontier(M: GFMatrix, R: int, lo: int, hi: int,
     otherwise, exact for j <= 1 at any rank and for every j at rank R - 1
     or R.  So fewer than sum_{j<min(R, hi)} binom(t - 1, j) nodes do not
     end, and in a window (lo, lo) fewer than binom(t, lo - 1) (see ROADMAP);
-    past `limit` of them the walk refuses (BudgetExceededError)."""
+    past `limit` of them the walk refuses (BudgetExceededError).  The ended
+    nodes are tallied by one Horner fold of all R + 1 ranks at once, at
+    most t + 1 steps of (R + 1) (hi + 1) additions."""
     import numpy as np
 
     t = M.cols
@@ -265,16 +267,25 @@ def _frontier(M: GFMatrix, R: int, lo: int, hi: int,
 
     if ended:
         tally()
-    out = [[0] * (R + 1) for _ in range(t + 1)]
+    # an ended key with count c adds c x^size (1 + x)^z to its rank and
+    # c x^size ((1 + x)^m - (1 + x)^z) to the next, none when m = z (as at
+    # rank R), the coefficient of x^s counting its supersets of size s;
+    # grouped by exponent, every rank is folded by Horner from the top
+    # exponent down, truncated at degree hi
+    terms: dict[int, list[tuple[int, int, int]]] = {}
     for key, c in ends.items():
         rank, size, m, z = key // b ** 3, key // (b * b) % b, key // b % b, key % b
-        for j in range(max(lo - size, 0), min(m, hi - size) + 1):
-            row = out[size + j]
-            low = math.comb(z, j)
-            row[rank] += c * low
-            if rank < R:
-                row[rank + 1] += c * (math.comb(m, j) - low)
-    return out
+        terms.setdefault(z, []).append((rank, size, c))
+        if m > z:
+            terms.setdefault(m, []).append((rank + 1, size, c))
+            terms[z].append((rank + 1, size, -c))
+    acc = np.zeros((R + 1, hi + 1), dtype=object)
+    for e in range(max(terms, default=0), -1, -1):
+        acc[:, 1:] = acc[:, 1:] + acc[:, :-1]  # times 1 + x
+        for rank, size, c in terms.get(e, ()):
+            acc[rank, size] += c
+    acc[:, :lo] = 0
+    return acc.T.tolist() + [[0] * (R + 1) for _ in range(t - hi)]
 
 
 def verify_counting_identity(C: LinearCode, A: WeightDistribution, nu: int,

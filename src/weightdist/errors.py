@@ -34,14 +34,6 @@ class DivisionByZeroError(WeightDistError, ZeroDivisionError):
 
 # -- matrices ---------------------------------------------------------------
 
-class IndexOutOfRangeError(WeightDistError, IndexError):
-    """Column index outside the matrix."""
-
-
-class DuplicateIndexError(WeightDistError, ValueError):
-    """Column index repeated in a selection."""
-
-
 class SingularMatrixError(WeightDistError):
     """Exact linear system has no unique solution.
 

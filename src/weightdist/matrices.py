@@ -1,5 +1,5 @@
-"""Matrices over GF(q) (rank, kernel, column selection) and exact rational
-dense linear algebra for the moment systems.
+"""Matrices over GF(q) (rank, kernel) and exact rational dense linear
+algebra for the moment systems.
 
 No floating point anywhere: GF entries are canonical integer encodings;
 rational systems hold int entries wherever they are integral, are cleared
@@ -23,11 +23,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import (
-    DuplicateIndexError,
-    IndexOutOfRangeError,
-    SingularMatrixError,
-)
+from .errors import SingularMatrixError
 from .fields import Field
 
 
@@ -188,20 +184,6 @@ def gf_kernel_basis(M: GFMatrix) -> GFMatrix:
             v[pc] = f.neg(rref[r][fc])
         basis.append(tuple(v))
     return GFMatrix(f, tuple(basis), M.cols)
-
-
-def select_columns(M: GFMatrix, indices: Sequence[int]) -> GFMatrix:
-    """Submatrix of the given columns (0-based), in the given order."""
-    idx = list(indices)
-    seen = set()
-    for j in idx:
-        if not 0 <= j < M.cols:
-            raise IndexOutOfRangeError(f"column {j} outside [0, {M.cols})")
-        if j in seen:
-            raise DuplicateIndexError(f"column {j} selected twice")
-        seen.add(j)
-    rows = tuple(tuple(r[j] for j in idx) for r in M.entries)
-    return GFMatrix(M.field, rows, len(idx))
 
 
 # ---------------------------------------------------------------------------

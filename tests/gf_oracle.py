@@ -5,6 +5,9 @@ differential tests draw to check the package against them.
 The addition oracle extracts the base-p digits of both operands one at a
 time, where the package sums digits of a // p^i and b // p^i in place.
 
+`select_columns` cuts the submatrix that the oracles rank, one column
+subset at a time.
+
 `rational_kernel_vector` reads the kernel vector that `solve_exact` attaches
 to a `SingularMatrixError` off any rational matrix, singular or not, so
 that tests can check that vector on its own.
@@ -31,6 +34,18 @@ def rational_kernel_vector(A):
     """A nonzero vector x with A x = 0 for a RationalMatrix A, or None if the
     kernel is trivial: the package's own kernel vector of its echelon form."""
     return _kernel_vector(echelon(A.entries), A.cols)
+
+
+def select_columns(M, indices):
+    """Submatrix of the given columns (0-based), in the given order; an index
+    outside the matrix is an IndexError, a repeated one a ValueError."""
+    idx = list(indices)
+    for j in idx:
+        if not 0 <= j < M.cols:
+            raise IndexError(f"column {j} outside [0, {M.cols})")
+    if len(set(idx)) < len(idx):
+        raise ValueError(f"a column selected twice in {idx}")
+    return GFMatrix(M.field, tuple(tuple(r[j] for j in idx) for r in M.entries), len(idx))
 
 
 def digitwise_oracle(f, a, b, sign):

@@ -12,9 +12,9 @@ from weightdist.census import (_rank_table, _window, census, check_full_rank_reg
 from weightdist.codes import LinearCode, random_code
 from weightdist.errors import BudgetExceededError, RegimeViolationError
 from weightdist.fields import GF
-from weightdist.matrices import GFMatrix, binom, gf_matmul, gf_rank, gf_row_reduce, select_columns
+from weightdist.matrices import GFMatrix, binom, gf_matmul, gf_rank, gf_row_reduce
 
-from gf_oracle import census_table_oracle, gf_matrices, rank_oracle
+from gf_oracle import census_table_oracle, gf_matrices, rank_oracle, select_columns
 
 # the module, which the package's `census` function shadows as an attribute
 census_module = importlib.import_module("weightdist.census")
@@ -106,7 +106,8 @@ def test_census_budget():
     than the most nodes the walk takes, times t residual columns, times one
     word per row of the side walked (per 64 rows over GF(2)): for a whole
     table on R rows sum_{j<R} binom(t - 1, j) nodes, for width nu alone
-    binom(t, nu - 1)."""
+    binom(t, nu - 1); plus the tally's (R + 1) (t + 1) (hi + 1) additions,
+    hi = t for a whole table and nu for width nu alone."""
     rng = random.Random(5)
     for q in CENSUS_FIELDS:
         f = GF(q)
@@ -117,20 +118,21 @@ def test_census_budget():
         for M, nu, route in ((small, 2, "whole census table"), (wide, 3, "census at width 3")):
             t, R = M.cols, rank_oracle(M)
             if route == "whole census table":
-                rows = min(R, t - R)
+                rows, hi = min(R, t - R), t
                 nodes = sum(binom(t - 1, j) for j in range(max(rows, 1)))
             else:
-                rows, nodes = R, binom(t, nu - 1)
-            cost = nodes * t * (1 if q == 2 else max(rows, 1))
+                rows, hi, nodes = R, nu, binom(t, nu - 1)
+            cost = nodes * t * (1 if q == 2 else max(rows, 1)) + (rows + 1) * (t + 1) * (hi + 1)
             assert census(M, nu, budget=cost).counts == naive_census(M, nu)
             with pytest.raises(BudgetExceededError,
                                match=f"^{route} costs {cost} element operations"):
                 census(M, nu, budget=cost - 1)
-    # one row of 30 ones, rank 1: a whole table of one node of 30 columns
+    # one row of 30 ones, rank 1: a whole table of one node of 30 columns,
+    # and a tally of 2 * 31 * 31
     M = GFMatrix.from_rows(GF(2), [[1] * 30])
     with pytest.raises(BudgetExceededError):
-        census(M, 15, budget=29)
-    assert census(M, 15, budget=30).counts == {1: binom(30, 15)}
+        census(M, 15, budget=1951)
+    assert census(M, 15, budget=1952).counts == {1: binom(30, 15)}
 
 
 def test_counting_identity_repetition():
@@ -167,16 +169,17 @@ def test_full_rank_regime_enumerates_under_the_default_budget():
     """Without d_perp the dual distance is enumerated under the one budget
     that also caps the census.  At the default both fit a [30,27]_2 code:
     its syndrome count costs 30 * 8 * 31 = 7,440 operations, and the whole
-    table of its 3-row H (1 + 29 + 406) * 30 = 13,080.  Below the syndrome
-    count's cost the enumeration refuses, cached or not."""
+    table of its 3-row H (1 + 29 + 406) * 30 + 4 * 31 * 31 = 16,924, its
+    walk and its tally.  Below the syndrome count's cost the enumeration
+    refuses, cached or not."""
     code = random_code(GF(2), 30, 27, seed=30)
     assert check_full_rank_regime(code, 30)
     d_perp = code.parameters().d_perp
     with pytest.raises(BudgetExceededError, match="^syndrome count costs 7440 "):
         check_full_rank_regime(code, 30, budget=7439)
-    assert check_full_rank_regime(code, 30, d_perp=d_perp, budget=13_080)
-    with pytest.raises(BudgetExceededError, match="^whole census table costs 13080 "):
-        check_full_rank_regime(code, 30, d_perp=d_perp, budget=13_079)
+    assert check_full_rank_regime(code, 30, d_perp=d_perp, budget=16_924)
+    with pytest.raises(BudgetExceededError, match="^whole census table costs 16924 "):
+        check_full_rank_regime(code, 30, d_perp=d_perp, budget=16_923)
 
 
 def test_regime_substitution_reproduces_moment_rhs(reference_pair):
@@ -243,14 +246,16 @@ def test_census_budget_limited_walk_matches_oracle(M, budget):
     # with no whole table allowed each width is walked alone, and the budget
     # caps that walk at binom(t, nu - 1) nodes, or sum_{j<R} binom(t - 1, j)
     # if fewer, of t residuals, one word per row (these have at most 5, one
-    # word over GF(2)); within it the counts are exact
+    # word over GF(2)), and its tally at (R + 1) (t + 1) (nu + 1) additions;
+    # within it the counts are exact
     t, R = M.cols, rank_oracle(M)
     words = 1 if M.field.q == 2 else max(R, 1)
     independent = sum(binom(t - 1, j) for j in range(max(R, 1)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(census_module, "_WHOLE_TABLE_NODES", 0)
         for nu in range(1, t + 1):
-            if min(binom(t, nu - 1), independent) * t * words > budget:
+            tally = (R + 1) * (t + 1) * (nu + 1)
+            if min(binom(t, nu - 1), independent) * t * words + tally > budget:
                 with pytest.raises(BudgetExceededError):
                     census(M, nu, budget=budget)
             else:
@@ -459,44 +464,62 @@ def test_parallel_columns_walk_within_their_price():
     """G = [I_3 | 67 copies of e_1] over GF(2): every subset of the 68
     copies of e_1 has rank 1, yet the walk leaves each copy after the first
     free instead of branching on it, and takes 2,415 nodes of the 2,416 a
-    whole table on 3 rows is priced at.  Its H, 67 rows, walks the same
-    table on its 3-row kernel.  Pairs of G's columns have rank 1 within the
+    whole table on 3 rows is priced at, each at 70 columns, beside a tally
+    of 4 * 71 * 71.  Its H, 67 rows, walks the same table on its 3-row
+    kernel at the same price.  Pairs of G's columns have rank 1 within the
     copies of e_1 and 2 otherwise; a pair of H's has rank 2 - 3 plus the
     rank of G's other 68 columns: 0 for e_2 and e_3, 1 with one of them."""
     rows = [[int(j == r) for j in range(3)] + [int(r == 0)] * 67 for r in range(3)]
     code = LinearCode(GFMatrix.from_rows(GF(2), rows))
     route, cost, window, nodes = _window(code.G, 2)
-    assert (route, window, nodes, cost) == ("whole census table", (0, 70), 2416, 2416 * 70)
+    price = 2416 * 70 + 4 * 71 * 71
+    assert (route, window, nodes, cost) == ("whole census table", (0, 70), 2416, price)
     assert _rank_table.__wrapped__(code.G, 0, 70, nodes - 1)[2] == (0, binom(68, 2), 137, 0)
     with pytest.raises(BudgetExceededError):
         _rank_table.__wrapped__(code.G, 0, 70, nodes - 2)
     assert census(code.G, 2, budget=cost).counts == {1: binom(68, 2), 2: 137}
     assert census(code.H, 2).counts == {0: 1, 1: 136, 2: binom(68, 2)}
-    assert _window(code.H, 2)[:3] == ("whole census table", 2416 * 70, (0, 70))
+    assert _window(code.H, 2)[:3] == ("whole census table", price, (0, 70))
 
 
-def test_wide_low_rank_matrices_walk_each_width_alone_within_their_price():
-    """Past _WHOLE_TABLE_COLS columns no whole table is walked, whose t + 1
-    sizes of t-bit counts its price in nodes leaves out.  Width nu alone on
-    R rows is priced at the fewer of binom(t, nu - 1) and
-    sum_{j<R} binom(t - 1, j) nodes: one node for a row of 300 ones, 300
-    for a 2 x 300 matrix, at any width."""
-    M = GFMatrix.from_rows(GF(2), [[1] * 300])
-    assert _window(M, 150) == ("census at width 150", 300, (150, 150), 1)
-    assert census(M, 150, budget=300).counts == {1: binom(300, 150)}
+def test_wide_low_rank_matrices_walk_whole_tables_within_their_price():
+    """A matrix of one or two rows walks its whole table at any width, past
+    128 columns too: on R rows sum_{j<R} binom(t - 1, j) nodes of t columns,
+    one word per row (per 64 rows over GF(2)), and a tally of
+    (R + 1) (t + 1)^2 additions.  A subset has rank 0 on zero columns alone,
+    1 on zero columns and one class of parallel nonzero columns, 2
+    otherwise; every size s has binom(t, s) subsets."""
     rng = random.Random(2)
-    rows = [[rng.randrange(2) for _ in range(300)] for _ in range(2)]
-    M = GFMatrix.from_rows(GF(2), rows)
-    assert _window(M, 150) == ("census at width 150", 300 * 300, (150, 150), 300)
-    # a subset has rank 0 on zero columns alone, 1 on one nonzero column
-    # value besides them, 2 otherwise
-    zero, *values = (sum(1 for col in zip(*rows) if col == v)
-                     for v in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    for nu in (3, 150):
-        ranks = {0: binom(zero, nu),
-                 1: sum(binom(zero + v, nu) - binom(zero, nu) for v in values)}
-        ranks[2] = binom(300, nu) - ranks[0] - ranks[1]
-        assert census(M, nu, budget=300 * 300).counts == {r: c for r, c in ranks.items() if c}
+    matrices = [GFMatrix.from_rows(GF(2), [[1] * 300])]
+    for q, t in ((2, 300), (3, 200)):
+        matrices.append(GFMatrix.from_rows(GF(q), [[rng.randrange(q) for _ in range(t)]
+                                                   for _ in range(2)]))
+    for M in matrices:
+        t, R, q = M.cols, M.rows, M.field.q
+        nodes = sum(binom(t - 1, j) for j in range(R))
+        cost = nodes * t * (1 if q == 2 else R) + (R + 1) * (t + 1) ** 2
+        assert _window(M, 3) == ("whole census table", cost, (0, t), nodes)
+        with pytest.raises(BudgetExceededError, match=f"^whole census table costs {cost} "):
+            census(M, 3, budget=cost - 1)
+        assert census(M, 3, budget=cost).nu == 3
+        # the classes: zero columns, and nonzero columns by their value
+        # scaled to a leading 1
+        classes: dict[tuple, int] = {}
+        for col in zip(*M.entries):
+            lead = next((x for x in col if x), 0)
+            key = tuple(M.field.div(x, lead) for x in col) if lead else ()
+            classes[key] = classes.get(key, 0) + 1
+        zero = classes.pop((), 0)
+        table = _rank_table(M, 0, t, nodes)
+        for s in range(t + 1):
+            assert all(type(c) is int for c in table[s])
+            assert sum(table[s]) == binom(t, s)
+            ranks = [binom(zero, s),
+                     sum(binom(zero + v, s) - binom(zero, s) for v in classes.values())]
+            ranks.append(binom(t, s) - ranks[0] - ranks[1])
+            assert table[s] == tuple(ranks[:R + 1])
+            if s:
+                assert census(M, s, budget=cost).counts == {r: c for r, c in enumerate(ranks) if c}
 
 
 def test_census_small_width_of_wide_matrix():
