@@ -27,7 +27,6 @@ from .codes import (
     CodeParameters,
     LinearCode,
     WeightDistribution,
-    krawtchouk,
     macwilliams_transform,
     random_code,
 )

@@ -17,13 +17,7 @@ from .errors import (
     ZeroCodeError,
 )
 from .fields import Field
-from .matrices import (
-    GFMatrix,
-    binom,
-    gf_kernel_basis,
-    gf_matmul,
-    gf_rank,
-)
+from .matrices import GFMatrix, gf_kernel_basis, gf_matmul, gf_rank
 
 
 def require_ints(**values) -> None:
@@ -134,15 +128,6 @@ class LinearCode:
     def dual(self) -> "LinearCode":
         return LinearCode(self.H, self.G, check=False)
 
-    def same_codewords(self, other: "LinearCode") -> bool:
-        """True when the two row spaces coincide (checked via orthogonality
-        to the other's parity check, both ways)."""
-        if self.field != other.field or self.n != other.n or self.k != other.k:
-            return False
-        a = gf_matmul(self.G, other.H.transpose())
-        b = gf_matmul(other.G, self.H.transpose())
-        return not any(any(r) for r in a.entries) and not any(any(r) for r in b.entries)
-
     def codewords(self) -> Iterator[tuple[int, ...]]:
         """All q^k codewords, for small-code tests and demos."""
         f, k = self.field, self.k
@@ -180,11 +165,6 @@ class LinearCode:
             self._distribution = dist
         return self._distribution
 
-    def min_distance(self, budget: int | None = DEFAULT_BUDGET) -> int:
-        if self.k == 0:
-            raise ZeroCodeError("the zero code has no nonzero codeword")
-        return self.weight_distribution(budget).min_weight
-
     def parameters(self, budget: int | None = DEFAULT_BUDGET) -> CodeParameters:
         """n, k, d, the dual distance, and the defect sum.  The dual distance
         comes from the MacWilliams transform of the primal distribution, so
@@ -202,18 +182,10 @@ class LinearCode:
         return f"LinearCode([{self.n}, {self.k}] over {self.field!r})"
 
 
-def krawtchouk(n: int, q: int, j: int, i: int) -> int:
-    """K_j(i) = sum_l (-1)^l binom(i, l) binom(n-i, j-l) (q-1)^(j-l)."""
-    acc = 0
-    for l in range(0, j + 1):
-        term = binom(i, l) * binom(n - i, j - l) * (q - 1) ** (j - l)
-        acc += -term if l & 1 else term
-    return acc
-
-
 def _krawtchouk_matrix(n: int, q: int) -> list[list[int]]:
-    """Rows K_0..K_n of K_j(i) = krawtchouk(n, q, j, i), i = 0..n, in O(n^2)
-    integer operations: K_0(i) = 1, K_j(0) = binom(n, j)(q-1)^j, and
+    """Rows K_0..K_n of the Krawtchouk values K_j(i) = sum_l (-1)^l
+    binom(i, l) binom(n-i, j-l) (q-1)^(j-l), i = 0..n, in O(n^2) integer
+    operations: K_0(i) = 1, K_j(0) = binom(n, j)(q-1)^j, and
     K_j(i) = K_j(i-1) - K_{j-1}(i-1) - (q-1) K_{j-1}(i)."""
     K = [[1] * (n + 1)]
     for j in range(1, n + 1):

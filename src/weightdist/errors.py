@@ -80,10 +80,6 @@ class TooFewKnownsError(WeightDistError, ValueError):
     """Fewer known weights than the system needs for a determined solve."""
 
 
-class SingularReducedSystemError(SingularMatrixError):
-    """The reduced moment system (after substituting knowns) is singular."""
-
-
 class NonIntegralSolutionError(WeightDistError):
     """Recovered weight counts are not integers; the knowns are inconsistent
     with any linear code of these parameters."""

@@ -12,11 +12,13 @@ knowns exists.
 
 Both families are integral, and each of their rows is the polynomial
 binom(x, j) of one degree j evaluated at distinct integer nodes x, one node
-per column.  The builders record that structure, and a square reduced
-system is solved as the dual Vandermonde problem in the binomial basis
-(Bjorck & Pereyra 1970) in O(u^2) integer operations.  Every closed form in
-`closed_forms` (MDS, NMDS, AMDS, extremal type II) solves the truncated-
-Pascal rows nearest n with the same `binomial_interpolation`.
+per column.  The builders record that structure.  With u unknowns left
+after the knowns are substituted, the rows of degree < u are solved as the
+dual Vandermonde problem in the binomial basis (Bjorck & Pereyra 1970) in
+O(u^2) integer operations, and every other row is checked against that
+solution; this is the only solve, square or overdetermined.  Every closed
+form in `closed_forms` (MDS, NMDS, AMDS, extremal type II) solves the
+truncated-Pascal rows nearest n with the same `binomial_interpolation`.
 """
 
 from __future__ import annotations
@@ -31,17 +33,9 @@ from .errors import (
     InconsistentKnownsError,
     NegativeSolutionError,
     NonIntegralSolutionError,
-    SingularMatrixError,
-    SingularReducedSystemError,
     TooFewKnownsError,
 )
-from .matrices import (
-    RationalMatrix,
-    binom,
-    echelon,
-    rational_rank,
-    solve_exact,
-)
+from .matrices import RationalMatrix, binom, rational_rank
 
 
 @dataclass(frozen=True)
@@ -53,8 +47,8 @@ class MomentSystem:
     A system whose entry at row i and column s is binom(nodes[s],
     degrees[i]) records that structure, which the solver relies on: the
     degrees are 0..rows-1 in some order and the nodes are distinct integers.
-    Without it, degrees and nodes are None and the system is solved by
-    generic elimination.
+    Without it, degrees and nodes are None, `solve_with_knowns` refuses the
+    system, and `solve_exact` solves its matrix.
     """
 
     kind: str  # "pascal" | "pless" | "extremal"
@@ -164,46 +158,22 @@ def binomial_interpolation(nodes: Sequence[int], degrees: Sequence[int],
     return tuple(out)
 
 
-def _solve_reduced(matrix: RationalMatrix, rhs: Sequence[int | Fraction],
-                   n_unknowns: int) -> tuple[Fraction, ...]:
-    """Solve a possibly overdetermined consistent system exactly.
-
-    The square subsystem of the first rows that extend the row space is
-    solved and every row is checked against the solution; a residual means
-    the constraints admit no common solution."""
-    if matrix.rows == n_unknowns:
-        try:
-            return solve_exact(matrix, rhs)
-        except SingularMatrixError as e:
-            raise SingularReducedSystemError(
-                str(e), rank=e.rank, kernel_vector=e.kernel_vector) from e
-    # the rows that are not combinations of earlier rows: the transpose's pivot columns
-    pivot_rows = echelon(zip(*matrix.entries)).pivots
-    if len(pivot_rows) < n_unknowns:
-        raise SingularReducedSystemError(
-            f"reduced system has rank {len(pivot_rows)} < {n_unknowns} unknowns",
-            rank=len(pivot_rows), kernel_vector=None)
-    square = RationalMatrix(tuple(matrix.entries[i] for i in pivot_rows), n_unknowns)
-    x = solve_exact(square, [rhs[i] for i in pivot_rows])
-    for i, lhs in enumerate(matrix.matvec(x)):
-        if lhs != rhs[i]:
-            raise InconsistentKnownsError(
-                f"surplus equation {i} off by {lhs - rhs[i]}; "
-                "knowns admit no common solution")
-    return x
-
-
 def solve_with_knowns(S: MomentSystem, knowns: Mapping[int, int]) -> WeightDistribution:
     """Substitute known weights into the system and solve for the rest.
 
-    Needs at least (#unknown slots) - (#rows) knowns.  The recovered counts
-    must come out nonnegative integers; anything else is surfaced as the
+    Needs at least (#unknown slots) - (#rows) knowns.  With u unknowns left,
+    the rows of degree < u are binom(x, 0..u-1) at u distinct nodes, which
+    are never singular: `binomial_interpolation` solves them, and every
+    other row is checked against that solution in row order.  A row that
+    misses, or a count that is not a nonnegative integer, is surfaced as the
     corresponding error and doubles as a nonexistence certificate for the
-    requested parameters.  A square reduced system whose builder recorded
-    its structure is solved by `binomial_interpolation`, any other by
-    elimination."""
+    requested parameters.  A system that records no degrees and nodes is
+    refused; `solve_exact` solves it."""
     if S.params is None:
         raise ValueError("system carries no code parameters; solve it directly")
+    if S.nodes is None:
+        raise ValueError("system records no row degrees or column nodes; "
+                         "solve it with solve_exact")
     labels = S.col_labels
     for j, v in knowns.items():
         if isinstance(j, bool) or j not in labels:
@@ -211,25 +181,26 @@ def solve_with_knowns(S: MomentSystem, knowns: Mapping[int, int]) -> WeightDistr
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:
             raise ValueError(f"known A_{j} must be a nonnegative integer, got {v!r}")
     unknown = [j for j in labels if j not in knowns]
-    if len(unknown) > S.matrix.rows:
+    u = len(unknown)
+    if u > S.matrix.rows:
         raise TooFewKnownsError(
-            f"{len(unknown)} unknowns but only {S.matrix.rows} equations; "
-            f"supply at least {len(unknown) - S.matrix.rows} more knowns")
+            f"{u} unknowns but only {S.matrix.rows} equations; "
+            f"supply at least {u - S.matrix.rows} more knowns")
     pos = {lab: idx for idx, lab in enumerate(labels)}
     red_rhs = [b - sum(row[pos[j]] * v for j, v in knowns.items())
                for row, b in zip(S.matrix.entries, S.rhs)]
-    if unknown and S.nodes is not None and len(unknown) == S.matrix.rows:
-        x = binomial_interpolation([S.nodes[pos[j]] for j in unknown], S.degrees, red_rhs)
-    elif unknown:
-        red_rows = [[row[pos[j]] for j in unknown] for row in S.matrix.entries]
-        x = _solve_reduced(RationalMatrix.from_rows(red_rows, cols=len(unknown)),
-                           red_rhs, len(unknown))
-    else:
-        x = ()
-        for i, b in enumerate(red_rhs):
-            if b != 0:
-                raise InconsistentKnownsError(
-                    f"equation {S.row_labels[i]} violated by the supplied knowns")
+    cols = [pos[j] for j in unknown]
+    square = [i for i, j in enumerate(S.degrees) if j < u]
+    x = binomial_interpolation([S.nodes[c] for c in cols], [S.degrees[i] for i in square],
+                               [red_rhs[i] for i in square])
+    for i, (row, b) in enumerate(zip(S.matrix.entries, red_rhs)):
+        if S.degrees[i] < u:
+            continue
+        off = sum(row[c] * v for c, v in zip(cols, x)) - b
+        if off:
+            raise InconsistentKnownsError(
+                f"surplus equation {S.row_labels[i]} off by {off}; "
+                "knowns admit no common solution")
     values = dict(zip(unknown, x))
     counts = []
     for j in labels:

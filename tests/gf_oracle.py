@@ -8,6 +8,10 @@ time, where the package sums digits of a // p^i and b // p^i in place.
 `select_columns` cuts the submatrix that the oracles rank, one column
 subset at a time.
 
+`same_codewords` compares two codes' row spaces by orthogonality to each
+other's parity check, and `krawtchouk` is the term-by-term Krawtchouk
+value that `codes._krawtchouk_matrix` computes by recurrence.
+
 `rational_kernel_vector` reads the kernel vector that `solve_exact` attaches
 to a `SingularMatrixError` off any rational matrix, singular or not, so
 that tests can check that vector on its own.
@@ -27,7 +31,7 @@ from hypothesis import strategies as st
 
 from weightdist.codes import LinearCode
 from weightdist.fields import GF
-from weightdist.matrices import GFMatrix, _elimination, _kernel_vector, binom, echelon
+from weightdist.matrices import GFMatrix, _elimination, _kernel_vector, binom, echelon, gf_matmul
 
 
 def rational_kernel_vector(A):
@@ -46,6 +50,21 @@ def select_columns(M, indices):
     if len(set(idx)) < len(idx):
         raise ValueError(f"a column selected twice in {idx}")
     return GFMatrix(M.field, tuple(tuple(r[j] for j in idx) for r in M.entries), len(idx))
+
+
+def same_codewords(a, b):
+    """True when two codes' row spaces coincide: same field, length and
+    dimension, and each generator orthogonal to the other's parity check."""
+    if a.field != b.field or a.n != b.n or a.k != b.k:
+        return False
+    return not any(any(r) for r in gf_matmul(a.G, b.H.transpose()).entries
+                   + gf_matmul(b.G, a.H.transpose()).entries)
+
+
+def krawtchouk(n, q, j, i):
+    """K_j(i) = sum_l (-1)^l binom(i, l) binom(n-i, j-l) (q-1)^(j-l)."""
+    return sum((-1) ** l * binom(i, l) * binom(n - i, j - l) * (q - 1) ** (j - l)
+               for l in range(j + 1))
 
 
 def digitwise_oracle(f, a, b, sign):

@@ -196,7 +196,7 @@ def test_regime_substitution_reproduces_moment_rhs(reference_pair):
 def test_small_width_census_detects_distance():
     # every selection of fewer than d columns of H is full rank
     c = random_code(GF(3), 7, 3, seed=6)
-    d = c.min_distance()
+    d = c.weight_distribution().min_weight
     for delta in range(1, d):
         cen = census(c.H, delta)
         assert cen.counts == {delta: binom(c.n, delta)}

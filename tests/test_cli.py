@@ -27,6 +27,8 @@ from weightdist.reference import (
     nmds_844_codes,
 )
 
+from gf_oracle import same_codewords
+
 
 @pytest.fixture(scope="module")
 def code_files(tmp_path_factory):
@@ -112,7 +114,7 @@ def test_dual_roundtrips(code_files, capsys):
     assert rc == 0
     dual = parse_code_file(out)
     a, _ = nmds_844_codes()
-    assert dual.same_codewords(a.dual())
+    assert same_codewords(dual, a.dual())
 
 
 def test_census_json(code_files, capsys):
@@ -393,7 +395,6 @@ EXIT_CODES = {
     "NonIntegralResultError": 1,
     "RegimeViolationError": 2,
     "TooFewKnownsError": 2,
-    "SingularReducedSystemError": 1,
     "NonIntegralSolutionError": 1,
     "NegativeSolutionError": 1,
     "InconsistentKnownsError": 1,

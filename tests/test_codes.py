@@ -9,7 +9,6 @@ from weightdist.codes import (
     LinearCode,
     WeightDistribution,
     _krawtchouk_matrix,
-    krawtchouk,
     macwilliams_transform,
     random_code,
 )
@@ -24,7 +23,7 @@ from weightdist.fields import GF
 from weightdist.matrices import GFMatrix, gf_rank
 from weightdist.reference import NMDS_844_DISTRIBUTION_A, NMDS_844_DISTRIBUTION_B
 
-from gf_oracle import select_columns
+from gf_oracle import krawtchouk, same_codewords, select_columns
 
 HAMMING_74_ROWS = [
     [1, 0, 0, 0, 0, 1, 1],
@@ -42,8 +41,8 @@ def test_repetition_code():
     c = repetition_code()
     assert c.H.entries == ((1, 1),)
     assert c.weight_distribution().counts == (1, 0, 1)
-    assert c.dual().same_codewords(c)  # self-dual
-    assert c.min_distance() == 2
+    assert same_codewords(c.dual(), c)  # self-dual
+    assert c.weight_distribution().min_weight == 2
 
 
 def test_full_space_code():
@@ -53,7 +52,7 @@ def test_full_space_code():
     d = c.weight_distribution()
     # full space: A_w = binom(n, w) (q-1)^w
     assert d.counts == (1, 8, 24, 32, 16)
-    assert c.min_distance() == 1
+    assert d.min_weight == 1
     with pytest.raises(ZeroCodeError):
         c.parameters()  # dual is the zero code
 
@@ -64,7 +63,7 @@ def test_zero_code():
     assert c.k == 0 and c.H.rows == 3
     assert c.weight_distribution().counts == (1, 0, 0, 0)
     with pytest.raises(ZeroCodeError):
-        c.min_distance()
+        c.weight_distribution().min_weight
 
 
 def test_rank_deficient_generator_rejected():
@@ -94,7 +93,7 @@ def test_hamming_and_simplex():
     f2 = GF(2)
     ham = LinearCode(GFMatrix.from_rows(f2, HAMMING_74_ROWS))
     assert ham.weight_distribution().counts == (1, 0, 0, 7, 7, 0, 0, 1)
-    assert ham.min_distance() == 3
+    assert ham.weight_distribution().min_weight == 3
     simplex = ham.dual()
     assert simplex.weight_distribution().counts == (1, 0, 0, 0, 7, 0, 0, 0)
     assert simplex.parameters().d == 4
@@ -103,7 +102,7 @@ def test_hamming_and_simplex():
 def test_dual_of_dual_is_same_code():
     for q, n, k, s in [(2, 7, 3, 0), (3, 6, 2, 1), (4, 6, 3, 2), (5, 5, 2, 3)]:
         c = random_code(GF(q), n, k, seed=s)
-        assert c.dual().dual().same_codewords(c)
+        assert same_codewords(c.dual().dual(), c)
 
 
 def test_krawtchouk_column_orthogonality():
@@ -195,8 +194,6 @@ def test_cached_distribution_still_checks_the_budget(budget, error):
     assert c.weight_distribution(budget=32) is A
     with pytest.raises(error):
         c.weight_distribution(budget=budget)
-    with pytest.raises(error):
-        c.min_distance(budget)
 
 
 def test_support_size_is_weight_and_parity_check_dependence():
@@ -223,7 +220,7 @@ def test_distribution_invariants_on_corpus(corpus):
     for code in corpus[::9]:
         A = code.weight_distribution()
         A.validate()
-        d = code.min_distance()
+        d = A.min_weight
         assert all(A.counts[i] == 0 for i in range(1, d))
         assert A.counts[0] == 1
 

@@ -5,8 +5,10 @@ that it is never the code under test, together with the Leibniz expansion
 for determinants and the Laplace expansion for every maximal minor at once.
 """
 
+import functools
 import itertools
 import math
+import random
 import signal
 from fractions import Fraction
 
@@ -20,7 +22,7 @@ from weightdist.errors import (
     NegativeSolutionError,
     NonIntegralSolutionError,
     SingularMatrixError,
-    SingularReducedSystemError,
+    TooFewKnownsError,
 )
 from weightdist.matrices import (
     RationalMatrix,
@@ -96,6 +98,22 @@ def oracle_solve(rows, b):
     return tuple(rref[r][n] for r in range(n))
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_inverse(rows):
+    """D and the integer matrix D A^-1 for a nonsingular square integer
+    matrix A, given as a tuple of row tuples: A^-1 from the reduced row
+    echelon form of [A | I], D the least common denominator of its entries.
+    Cached, as every moment system with its unknowns at the same nodes
+    reduces to the same A."""
+    u = len(rows)
+    rref, pivots = rref_rational([list(r) + [int(i == j) for j in range(u)]
+                                  for i, r in enumerate(rows)])
+    assert pivots[:u] == list(range(u)), "singular matrix"
+    inverse = [r[u:] for r in rref]
+    D = math.lcm(*(x.denominator for r in inverse for x in r))
+    return D, [[x.numerator * (D // x.denominator) for x in r] for r in inverse]
+
+
 def leibniz_det(rows):
     n = len(rows)
     total = 0
@@ -106,31 +124,27 @@ def leibniz_det(rows):
 
 
 def oracle_solve_with_knowns(S, knowns):
-    """Outcome of solve_with_knowns from Gauss-Jordan on the augmented
-    reduced system: counts, or (error class, message or None, rank, kernel)."""
+    """Outcome of solve_with_knowns from Gauss-Jordan: with u unknowns left,
+    the reduced rows of degree < u solved, and the first other row, in row
+    order, that the solution misses named by its label; counts, or (error
+    class, message)."""
     labels = S.col_labels
     pos = {lab: i for i, lab in enumerate(labels)}
     unknown = [j for j in labels if j not in knowns]
     red_rows = [[row[pos[j]] for j in unknown] for row in S.matrix.entries]
     red_rhs = [b - sum(row[pos[j]] * v for j, v in knowns.items())
                for row, b in zip(S.matrix.entries, S.rhs)]
-    nu = len(unknown)
-    if not unknown:
-        bad = next((i for i, b in enumerate(red_rhs) if b != 0), None)
-        if bad is not None:
-            return (InconsistentKnownsError,
-                    f"equation {S.row_labels[bad]} violated by the supplied knowns")
-        x = ()
-    else:
-        rref, pivots = rref_rational([r + [b] for r, b in zip(red_rows, red_rhs)])
-        rank = sum(c < nu for c in pivots)
-        if rank < nu:
-            kernel = oracle_kernel_vector(red_rows, nu) if len(red_rows) == nu else None
-            return (SingularReducedSystemError, None, rank, kernel)
-        if nu in pivots:
-            return (InconsistentKnownsError, _greedy_surplus_message(red_rows, red_rhs))
-        x = tuple(rref[r][nu] for r in range(nu))
-    values = dict(zip(unknown, x))
+    square = [i for i, j in enumerate(S.degrees) if j < len(unknown)]
+    D, M = oracle_inverse(tuple(tuple(red_rows[i]) for i in square))
+    Dx = [sum(a * red_rhs[i] for a, i in zip(row, square)) for row in M]
+    for i, (row, b) in enumerate(zip(red_rows, red_rhs)):
+        if i in square:
+            continue
+        off = Fraction(sum(a * v for a, v in zip(row, Dx)) - D * b, D)
+        if off:
+            return (InconsistentKnownsError, f"surplus equation {S.row_labels[i]} off by "
+                                             f"{off}; knowns admit no common solution")
+    values = {j: Fraction(v, D) for j, v in zip(unknown, Dx)}
     for j in unknown:
         if values[j].denominator != 1:
             return (NonIntegralSolutionError,
@@ -141,19 +155,8 @@ def oracle_solve_with_knowns(S, knowns):
     return tuple(knowns[j] if j in knowns else int(values[j]) for j in labels)
 
 
-def _greedy_surplus_message(rows, rhs):
-    """The first rows, in order, that raise the rank; their solution; the
-    first equation it misses."""
-    chosen = []
-    for i in range(len(rows)):
-        if len(rref_rational([rows[c] for c in chosen + [i]])[1]) > len(chosen):
-            chosen.append(i)
-    x = oracle_solve([rows[i] for i in chosen], [rhs[i] for i in chosen])
-    for i, row in enumerate(rows):
-        lhs = sum((a * v for a, v in zip(row, x)), Fraction(0))
-        if lhs != rhs[i]:
-            return f"surplus equation {i} off by {lhs - rhs[i]}; knowns admit no common solution"
-    raise AssertionError("consistent system reported as inconsistent")
+def _is_error(outcome):
+    return isinstance(outcome[0], type) and issubclass(outcome[0], Exception)
 
 
 def _exact(v):
@@ -269,8 +272,8 @@ def systems_and_knowns(draw):
     """A moment system with knowns; overdetermined whenever more knowns are
     given than needed.  MDS parameters with their closed-form counts give
     consistent systems, a perturbed known an inconsistent one, and random
-    integer or rational rows singular and rank-deficient ones."""
-    kind = draw(st.sampled_from(("mds", "mds-perturbed", "random-params", "random-rows")))
+    parameters and counts inconsistent, non-integral and negative ones."""
+    kind = draw(st.sampled_from(("mds", "mds-perturbed", "random-params")))
     q = draw(st.integers(2, 7))
     n = draw(st.integers(2, 9))
     k = draw(st.integers(1, n - 1))
@@ -281,18 +284,7 @@ def systems_and_knowns(draw):
         d = draw(st.integers(1, n - k + 1))
         params = CodeParameters(n=n, k=k, d=d, d_perp=draw(st.integers(1, k + 1)), q=q)
         base = draw(st.lists(st.integers(0, 3 * q ** k), min_size=n + 1, max_size=n + 1))
-    if kind == "random-rows":
-        nrows = draw(st.integers(1, 4))
-        entry = st.sampled_from((0, 0, 1, 2, -1, Fraction(1, 2)))
-        rows = [draw(st.lists(entry, min_size=n + 1, max_size=n + 1)) for _ in range(nrows)]
-        if nrows > 1 and draw(st.booleans()):
-            rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
-        rhs = draw(st.lists(st.integers(-20, 20), min_size=nrows, max_size=nrows))
-        S = MomentSystem("pascal", RationalMatrix.from_rows(rows),
-                         tuple(Fraction(v) for v in rhs), tuple(range(nrows)),
-                         tuple(range(n + 1)), params)
-    else:
-        S = draw(st.sampled_from((build_pascal_system, build_pless_system)))(params)
+    S = draw(st.sampled_from((build_pascal_system, build_pless_system)))(params)
     need = max(0, n + 1 - S.matrix.rows)
     size = draw(st.integers(need, n + 1))
     idx = draw(st.lists(st.integers(0, n), min_size=size, max_size=size, unique=True))
@@ -303,25 +295,35 @@ def systems_and_knowns(draw):
     return S, knowns
 
 
+MDS_633 = CodeParameters(n=6, k=3, d=4, d_perp=4, q=5)
+MDS_633_COUNTS = dict(enumerate(mds_distribution(6, 3, 5).counts))
+
+
 @settings(max_examples=300, deadline=None)
 @given(systems_and_knowns())
+@example((build_pascal_system(MDS_633), MDS_633_COUNTS))  # u = 0: every row a check
+@example((build_pless_system(MDS_633), {**MDS_633_COUNTS, 5: MDS_633_COUNTS[5] + 1}))
 def test_solve_with_knowns_matches_oracle(case):
     S, knowns = case
     assume(len(knowns) >= len(S.col_labels) - S.matrix.rows)  # else TooFewKnownsError
     want = oracle_solve_with_knowns(S, knowns)
-    if isinstance(want[0], type) and issubclass(want[0], Exception):
+    if _is_error(want):
         with pytest.raises(want[0]) as ei:
             solve_with_knowns(S, knowns)
-        assert type(ei.value) is want[0]
-        if want[1] is not None:
-            assert str(ei.value) == want[1]
-        if want[0] is SingularReducedSystemError:
-            assert ei.value.rank == want[2]
-            assert (ei.value.kernel_vector is None) == (want[3] is None)
-            if want[3] is not None:
-                assert _exact(ei.value.kernel_vector) == _exact(want[3])
+        assert type(ei.value) is want[0] and str(ei.value) == want[1]
     else:
         assert solve_with_knowns(S, knowns).counts == want
+
+
+def test_solve_with_knowns_refuses_an_unstructured_system():
+    """A system that records no degrees and nodes is refused, whatever its
+    rows; solve_exact solves such a matrix."""
+    params = CodeParameters(n=3, k=2, d=2, d_perp=3, q=2)
+    rows = [[1, 1, 1, 1], [0, 1, 2, 3], [0, 0, 1, 3]]
+    S = MomentSystem("pascal", RationalMatrix.from_rows(rows), (4, 6, 4), (0, 1, 2),
+                     (0, 1, 2, 3), params)
+    with pytest.raises(ValueError, match="solve_exact"):
+        solve_with_knowns(S, {0: 1})
 
 
 def test_overdetermined_inconsistent_message_is_pinned():
@@ -331,17 +333,58 @@ def test_overdetermined_inconsistent_message_is_pinned():
     del full[6]
     with pytest.raises(InconsistentKnownsError) as ei:
         solve_with_knowns(build_pascal_system(params), full)
-    assert str(ei.value) == ("surplus equation 3 off by 1; "
+    assert str(ei.value) == ("surplus equation 6 off by -1; "
                              "knowns admit no common solution")
+
+
+def test_lowest_degree_rows_are_never_singular():
+    """Every CodeParameters with n <= 6 and q in {2, 3, 4, 5}, both builders
+    and every knowns subset of at least the size needed: with u unknowns
+    left, the rows of degree < u at the unknown nodes have a nonzero
+    determinant, and solve_with_knowns matches the Gauss-Jordan oracle.  The
+    builders do not read d, so each d builds the same system, which is
+    solved once.  The counts are the closed form's for MDS parameters,
+    seeded random ones otherwise; a negative closed-form count is left out
+    of the knowns."""
+    rng = random.Random(6)
+    dets = {}
+    for n, q in itertools.product(range(1, 7), (2, 3, 4, 5)):
+        for k, build in itertools.product(range(1, n + 1), (build_pascal_system,
+                                                             build_pless_system)):
+            for dp in range(1, k + 2):
+                S, *same_d = (build(CodeParameters(n=n, k=k, d=d, d_perp=dp, q=q))
+                              for d in range(n - k + 1, 0, -1))
+                assert all((T.matrix, T.rhs, T.degrees, T.nodes)
+                           == (S.matrix, S.rhs, S.degrees, S.nodes) for T in same_d)
+                if dp == k + 1:  # with d = n - k + 1, MDS
+                    counts = mds_distribution(n, k, q).counts
+                else:
+                    counts = [rng.randrange(q ** k) for _ in range(n + 1)]
+                for size in range(n + 1 - dp, n + 2):
+                    for idx in itertools.combinations(range(n + 1), size):
+                        unknown = [j for j in range(n + 1) if j not in idx]
+                        low = tuple(tuple(row[j] for j in unknown) for row, deg
+                                    in zip(S.matrix.entries, S.degrees) if deg < len(unknown))
+                        if low not in dets:
+                            dets[low] = echelon(low).det
+                        assert dets[low] != 0
+                        knowns = {i: counts[i] for i in idx if counts[i] >= 0}
+                        if len(knowns) < n + 1 - dp:
+                            with pytest.raises(TooFewKnownsError):
+                                solve_with_knowns(S, knowns)
+                            continue
+                        want = oracle_solve_with_knowns(S, knowns)
+                        if _is_error(want):
+                            with pytest.raises(want[0]) as ei:
+                                solve_with_knowns(S, knowns)
+                            assert str(ei.value) == want[1]
+                        else:
+                            assert solve_with_knowns(S, knowns).counts == want
 
 
 # ---------------------------------------------------------------------------
 # structured moment systems: binomial-basis interpolation
 # ---------------------------------------------------------------------------
-
-def _is_error(outcome):
-    return isinstance(outcome[0], type) and issubclass(outcome[0], Exception)
-
 
 @st.composite
 def binomial_systems(draw):
