@@ -9,6 +9,7 @@ nothing is ever rounded.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import asdict
@@ -262,10 +263,20 @@ def cmd_verify(args) -> int:
             return True, "both systems reproduce the enumerated distribution"
         run("crosscheck", check_crosscheck)
 
-    width = max(len(n) for n, _, _ in results)
-    lines = [f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}"
-             for name, ok, detail in results]
-    _emit(args, "\n".join(lines) + "\n")
+    if args.format == "json":
+        _emit(args, dumps({name: {"pass": ok, "detail": detail} for name, ok, detail in results}))
+    elif args.format == "csv":
+        import csv  # here, so that no other command or format pays for the import
+
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["check", "pass", "detail"])
+        writer.writerows((name, str(ok).lower(), detail) for name, ok, detail in results)
+        _emit(args, out.getvalue())
+    else:
+        width = max(len(n) for n, _, _ in results)
+        _emit(args, "".join(f"{name:<{width}}  {'PASS' if ok else 'FAIL'}  {detail}\n"
+                            for name, ok, detail in results))
     return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_MATH
 
 
@@ -377,9 +388,14 @@ def cmd_fixtures(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # every command takes --format and --output, and only the count flags
     # that it reads
-    common, budget, workers = (argparse.ArgumentParser(add_help=False) for _ in range(3))
-    common.add_argument("--format", choices=("json", "csv", "table"), default="json")
-    common.add_argument("--output", help="write to this path instead of stdout")
+    def output_flags(default_format: str) -> argparse.ArgumentParser:
+        flags = argparse.ArgumentParser(add_help=False)
+        flags.add_argument("--format", choices=("json", "csv", "table"), default=default_format)
+        flags.add_argument("--output", help="write to this path instead of stdout")
+        return flags
+
+    common = output_flags("json")
+    budget, workers = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     budget.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                         help="max element operations of each enumeration or census, "
                              "counted on the route it takes (default 1e9)")
@@ -415,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--matrix", choices=("h", "g"), default="h")
     s.set_defaults(func=cmd_census)
 
-    s = sub.add_parser("verify", parents=[budget, workers, common],
+    # verify alone prints a table unless told otherwise
+    s = sub.add_parser("verify", parents=[budget, workers, output_flags("table")],
                        help="run consistency checks against the enumeration oracle")
     s.add_argument("codefile")
     s.add_argument("--which", choices=("identity", "pless", "regime", "crosscheck", "all"),

@@ -6,23 +6,24 @@ checks that a code with the requested parameters exists.  Negative or
 non-integral outputs are surfaced (as values or errors, per function), since
 they are exactly the evidence one wants when probing nonexistence.
 
-All four are one solve.  Once the counts outside a set of unknowns are
-fixed, the census identity at as many widths nearest n is a binomial-
-Vandermonde system in the unknowns, which `_pascal_counts` solves by
-`moments.binomial_interpolation`.  For the MDS, near-MDS and almost-MDS
-distributions the fixed counts are A_0 = 1, zeros, then s seed counts; MDS
-is the no-seed case and near-MDS the one-seed case.  For the extremal type II
-distribution they are A_0 = A_24m = 1 and zeros, and the widths the solve
-did not use are checked afterwards.
+All four are one solve.  Each closed form is the truncated-Pascal system of
+its parameters (the census identity at every width above n - d_perp),
+solved by `moments` with the counts outside its unknowns fixed: A_0 = 1,
+zeros, then s seed counts for the MDS, near-MDS and almost-MDS
+distributions (MDS is the no-seed case and near-MDS the one-seed case), and
+A_0 = A_24m = 1 and zeros for the extremal type II distribution.  The rows
+the interpolation does not use are checked by the same solve: the MDS row
+at width n - k, and the extremal rows at widths 20m-3..20m+1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .codes import LinearCode, WeightDistribution, require_ints
+from .codes import CodeParameters, LinearCode, WeightDistribution, require_ints
 from .errors import (
     InconsistentKnownsError,
     NegativeEntryError,
@@ -31,25 +32,16 @@ from .errors import (
 )
 from .fields import Field
 from .matrices import GFMatrix, RationalMatrix, binom
-from .moments import MomentSystem, binomial_interpolation
+from .moments import MomentSystem, _solve_counts, build_pascal_system
 
 
-def _pascal_counts(n: int, k: int, q: int, known: dict[int, int],
+def _pascal_counts(params: CodeParameters, known: dict[int, int],
                    unknowns: Sequence[int]) -> tuple[int | Fraction, ...]:
-    """A_0..A_n of a length-n, dimension-k code over GF(q): `known` at its
-    weights, zero off `known` and `unknowns`, and the unknowns solved,
-    negatives and fractions included, from the census identity
-    sum_s binom(n-s, nu-s) A_s = binom(n, nu) q^(nu+k-n) at the len(unknowns)
-    widths nearest n, which must lie above n - d_perp.  Width nu's entry at
-    A_s is binom(x, j) at the node x = n - s and the degree j = n - nu."""
-    widths = range(n - len(unknowns) + 1, n + 1)
-    rhs = [binom(n, nu) * q ** (nu + k - n)
-           - sum(binom(n - s, nu - s) * a for s, a in known.items()) for nu in widths]
-    x = binomial_interpolation([n - s for s in unknowns], [n - nu for nu in widths], rhs)
-    counts = [0] * (n + 1)
-    for s, a in [*known.items(), *zip(unknowns, x)]:
-        counts[s] = a
-    return tuple(counts)
+    """A_0..A_n: `known` at its weights, zero off `known` and `unknowns`, and
+    the unknowns solved, negatives and fractions included, on the
+    truncated-Pascal system of `params`."""
+    zeros = dict.fromkeys(set(range(params.n + 1)).difference(unknowns), 0)
+    return _solve_counts(build_pascal_system(params), {**zeros, **known})
 
 
 def mds_distribution(n: int, k: int, q: int) -> WeightDistribution:
@@ -57,33 +49,22 @@ def mds_distribution(n: int, k: int, q: int) -> WeightDistribution:
     solved for A_d..A_n from A_0 = 1 alone:
     A_w = binom(n, w) sum_j (-1)^j binom(w, j) (q^(w-d+1-j) - 1) for w >= d.
     Depends on nothing but the parameters (defect sum zero)."""
-    require_ints(n=n, k=k, q=q)
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if q < 2:
-        raise ValueError("field order must be >= 2")
-    return WeightDistribution(_pascal_counts(n, k, q, {0: 1}, range(n - k + 1, n + 1)), q, k)
+    require_ints(n=n, k=k)  # before d and d_perp are computed from them
+    params = CodeParameters(n=n, k=k, d=n - k + 1, d_perp=k + 1, q=q)
+    return WeightDistribution(_pascal_counts(params, {0: 1}, range(n - k + 1, n + 1)), q, k)
 
 
 def nmds_distribution(n: int, k: int, q: int, a_d: int) -> WeightDistribution:
     """Distribution of a near-MDS [n, k, n-k]_q code (defect 1 on both
     sides), solved for A_{d+1}..A_n from A_0 = 1 and the count a_d of
-    minimum-weight words:
+    minimum-weight words; the almost-MDS distribution at sigma = 2:
 
         A_{n-k+i} = binom(n, k-i) sum_{j<i} (-1)^j binom(n-k+i, j)(q^(i-j)-1)
                     + (-1)^i binom(k, i) a_d.
 
     An unrealizable a_d shows up as negative entries in the result; they are
     returned as computed, never clamped."""
-    require_ints(n=n, k=k, q=q, a_d=a_d)
-    if not 0 < k < n:
-        raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
-    if q < 2:
-        raise ValueError("field order must be >= 2")
-    if a_d < 0:
-        raise ValueError("minimum-weight count must be >= 0")
-    counts = _pascal_counts(n, k, q, {0: 1, n - k: a_d}, range(n - k + 1, n + 1))
-    return WeightDistribution(counts, q, k)
+    return WeightDistribution(amds_counts(AmdsInput(n, k, q, 2, (a_d,))), q, k)
 
 
 def check_nonnegative(counts: Sequence[int], reason: str) -> None:
@@ -106,29 +87,31 @@ class AmdsInput:
     seed_weights: tuple[int, ...]
 
     def __post_init__(self):
-        require_ints(n=self.n, k=self.k, q=self.q, sigma=self.sigma)
+        require_ints(n=self.n, k=self.k, sigma=self.sigma)  # before params computes with them
         for w in self.seed_weights:
             require_ints(seed_weight=w)
-        if not 0 < self.k < self.n:
-            raise ValueError(f"need 0 < k < n, got k={self.k}, n={self.n}")
-        if self.q < 2:
-            raise ValueError("field order must be >= 2")
-        if not 2 <= self.sigma <= self.k + 1:
+        if self.sigma < 2:
             raise ValueError(f"need 2 <= sigma <= k+1, got sigma={self.sigma}")
         if len(self.seed_weights) != self.sigma - 1:
             raise ValueError(
                 f"need {self.sigma - 1} seed weights, got {len(self.seed_weights)}")
         if any(w < 0 for w in self.seed_weights):
             raise ValueError("seed weights must be >= 0")
+        self.params  # CodeParameters checks n, k, q and sigma <= k+1
+
+    @cached_property
+    def params(self) -> CodeParameters:
+        return CodeParameters(n=self.n, k=self.k, d=self.n - self.k,
+                              d_perp=self.k - self.sigma + 2, q=self.q)
 
 
 def amds_counts(inp: AmdsInput) -> tuple[int, ...]:
     """Raw closed-form counts for an almost-MDS code, negatives included: the
     census identity solved for A_{n-k+sigma-1}..A_n once A_0..A_{n-k+sigma-2}
     are in place."""
-    n, k, lo = inp.n, inp.k, inp.n - inp.k
+    n, lo = inp.n, inp.n - inp.k
     known = {0: 1, **dict(zip(range(lo, n), inp.seed_weights))}
-    return _pascal_counts(n, k, inp.q, known, range(lo + inp.sigma - 1, n + 1))
+    return _pascal_counts(inp.params, known, range(lo + inp.sigma - 1, n + 1))
 
 
 def amds_distribution(inp: AmdsInput) -> WeightDistribution:
@@ -212,29 +195,25 @@ def extremal_system(m: int, nu_set: Sequence[int],
             rows.append(row)
             rhs.append(0)
             labels.append(f"sym A_{4 * m + 4 * l}=A_{20 * m - 4 * l}")
-    return MomentSystem("extremal", RationalMatrix.from_rows(rows, cols=len(unknowns)),
-                        tuple(rhs), tuple(labels), unknowns, None)
+    return MomentSystem("extremal", tuple(rhs), tuple(labels), unknowns,
+                        rows=RationalMatrix.from_rows(rows, cols=len(unknowns)))
 
 
 def extremal_distribution(m: int) -> WeightDistribution:
     """Full distribution of a [24m, 12m, 4m+4] extremal type II code: the
-    free counts solved from A_0 = A_24m = 1 at the 4m-1 largest widths, then
-    the unused widths 20m-3..20m+1, the symmetry and the total checked.  A
-    count that is not a nonnegative integer raises NonIntegralSolutionError
+    free counts solved from A_0 = A_24m = 1 at the 4m-1 largest widths (the
+    widths 20m-3..20m+1 are surplus rows), then symmetry and total checked.
+    A count that is not a nonnegative integer raises NonIntegralSolutionError
     or NegativeEntryError naming its weight: no such code exists."""
     ep = ExtremalParams(m)
     n, k = ep.n, ep.k
-    counts = _pascal_counts(n, k, 2, {0: 1, n: 1}, ep.unknown_indices)
+    params = CodeParameters(n=n, k=k, d=ep.d, d_perp=ep.d, q=2)
+    counts = _pascal_counts(params, {0: 1, n: 1}, ep.unknown_indices)
     code = f"[{n},{k},{ep.d}] extremal type II code"
     for u, v in enumerate(counts):
         if v.denominator != 1:
             raise NonIntegralSolutionError(f"A_{u} = {v} is not an integer; no {code} exists")
     check_nonnegative(counts, f"no {code} exists")
-    for nu in range(20 * m - 3, 20 * m + 2):
-        off = (sum(binom(n - s, nu - s) * a for s, a in enumerate(counts))
-               - binom(n, nu) * 2 ** (nu + k - n))
-        if off:
-            raise InconsistentKnownsError(f"relation at width {nu} off by {off}")
     if counts != counts[::-1] or sum(counts) != 2 ** k:
         raise InconsistentKnownsError("solved distribution is not symmetric or has wrong total")
     return WeightDistribution(counts, 2, k)

@@ -156,13 +156,15 @@ class LinearCode:
                             workers: int = 1) -> WeightDistribution:
         """Exact distribution by `weight_histogram`: the table enumeration,
         or for a high-rate code the syndrome count.  The distribution is
-        cached, and `check_count` checks every call."""
-        check_count(self.G, budget, workers)
+        cached, and `check_count` checks every call once: inside
+        `weight_histogram` on the first, directly on a cached one."""
         if self._distribution is None:
-            counts = weight_histogram(self.G, budget=None, workers=workers)
+            counts = weight_histogram(self.G, budget, workers)
             dist = WeightDistribution(tuple(counts), self.field.q, self.k)
             dist.validate()
             self._distribution = dist
+        else:
+            check_count(self.G, budget, workers)
         return self._distribution
 
     def parameters(self, budget: int | None = DEFAULT_BUDGET) -> CodeParameters:

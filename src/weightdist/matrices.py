@@ -218,11 +218,6 @@ class RationalMatrix:
     def rows(self) -> int:
         return len(self.entries)
 
-    def matvec(self, x: Sequence) -> tuple[int | Fraction, ...]:
-        """A x, in ints when A and x are integral."""
-        xs = [_rational(v) for v in x]
-        return tuple(sum(a * b for a, b in zip(r, xs)) for r in self.entries)
-
     def stack(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch")

@@ -12,13 +12,14 @@ knowns exists.
 
 Both families are integral, and each of their rows is the polynomial
 binom(x, j) of one degree j evaluated at distinct integer nodes x, one node
-per column.  The builders record that structure.  With u unknowns left
-after the knowns are substituted, the rows of degree < u are solved as the
-dual Vandermonde problem in the binomial basis (Bjorck & Pereyra 1970) in
-O(u^2) integer operations, and every other row is checked against that
-solution; this is the only solve, square or overdetermined.  Every closed
-form in `closed_forms` (MDS, NMDS, AMDS, extremal type II) solves the
-truncated-Pascal rows nearest n with the same `binomial_interpolation`.
+per column.  A system holds that structure, its degrees and its nodes, and
+no table of binomials.  With u unknowns left after the knowns are
+substituted, the rows of degree < u are solved as the dual Vandermonde
+problem in the binomial basis (Bjorck & Pereyra 1970) in O(u^2) integer
+operations, and every other row is checked against that solution; this is
+the only solve, square or overdetermined.  Every closed form in
+`closed_forms` (MDS, NMDS, AMDS, extremal type II) is this solve on the
+truncated-Pascal system of its parameters.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .codes import CodeParameters, WeightDistribution, require_ints
@@ -44,40 +46,41 @@ class MomentSystem:
 
     row_labels names each row (the width nu for moment rows, a symmetry tag
     for symmetry rows); col_labels lists which A_i each column stands for.
-    A system whose entry at row i and column s is binom(nodes[s],
-    degrees[i]) records that structure, which the solver relies on: the
-    degrees are 0..rows-1 in some order and the nodes are distinct integers.
-    Without it, degrees and nodes are None, `solve_with_knowns` refuses the
-    system, and `solve_exact` solves its matrix.
+    A binomial system gives only its structure, degrees and nodes: its entry
+    at row i and column s is binom(nodes[s], degrees[i]), the degrees are
+    0..rows-1 in some order and the nodes are distinct integers.  Any other
+    system gives its coefficient matrix as `rows` instead, which
+    `solve_with_knowns` refuses and `solve_exact` solves.
     """
 
     kind: str  # "pascal" | "pless" | "extremal"
-    matrix: RationalMatrix
     rhs: tuple[int | Fraction, ...]
     row_labels: tuple[object, ...]
     col_labels: tuple[int, ...]
     params: CodeParameters | None = None
     degrees: tuple[int, ...] | None = None
     nodes: tuple[int, ...] | None = None
+    rows: RationalMatrix | None = None
 
     def __post_init__(self):
-        if (self.degrees is None) != (self.nodes is None):
-            raise ValueError("record both degrees and nodes, or neither")
-        if self.degrees is not None:
-            if sorted(self.degrees) != list(range(self.matrix.rows)):
-                raise ValueError(f"row degrees {self.degrees} are not 0..{self.matrix.rows - 1}")
-            if len(self.nodes) != self.matrix.cols or len(set(self.nodes)) != len(self.nodes):
-                raise ValueError(f"need {self.matrix.cols} distinct column nodes, got {self.nodes}")
+        if (self.rows is None, self.degrees is None, self.nodes is None) not in (
+                (True, False, False), (False, True, True)):
+            raise ValueError("give either rows, or both degrees and nodes")
+        if self.rows is None:
+            if sorted(self.degrees) != list(range(len(self.rhs))):
+                raise ValueError(f"row degrees {self.degrees} are not 0..{len(self.rhs) - 1}")
+            if len(self.nodes) != len(self.col_labels) or len(set(self.nodes)) != len(self.nodes):
+                raise ValueError(f"need {len(self.col_labels)} distinct column nodes, "
+                                 f"got {self.nodes}")
 
-
-def _binomial_system(kind: str, params: CodeParameters, widths: Sequence[int],
-                     degrees: Sequence[int], nodes: Sequence[int],
-                     rhs: Sequence[int]) -> MomentSystem:
-    """The system on A_0..A_n whose row of degree j, labelled by its width,
-    is binom(x, j) at the node x of each column."""
-    rows = tuple(tuple(math.comb(x, j) for x in nodes) for j in degrees)
-    return MomentSystem(kind, RationalMatrix(rows, len(nodes)), tuple(rhs), tuple(widths),
-                        tuple(range(len(nodes))), params, tuple(degrees), tuple(nodes))
+    @cached_property
+    def matrix(self) -> RationalMatrix:
+        """The coefficient matrix: `rows`, or the binomials of the structure,
+        built on first use; no solve reads it."""
+        if self.rows is not None:
+            return self.rows
+        return RationalMatrix(tuple(tuple(math.comb(x, j) for x in self.nodes)
+                                    for j in self.degrees), len(self.nodes))
 
 
 def build_pascal_system(params: CodeParameters) -> MomentSystem:
@@ -88,10 +91,10 @@ def build_pascal_system(params: CodeParameters) -> MomentSystem:
     has degree n - nu and column s has node n - s; nu + k - n >= 0 because
     d_perp <= k + 1."""
     n, k, q, dp = params.n, params.k, params.q, params.d_perp
-    widths = range(n - dp + 1, n + 1)
-    return _binomial_system("pascal", params, widths, [n - nu for nu in widths],
-                            range(n, -1, -1),
-                            [binom(n, nu) * q ** (nu + k - n) for nu in widths])
+    widths = tuple(range(n - dp + 1, n + 1))
+    rhs = tuple(binom(n, nu) * q ** (nu + k - n) for nu in widths)
+    return MomentSystem("pascal", rhs, widths, tuple(range(n + 1)), params,
+                        tuple(n - nu for nu in widths), tuple(range(n, -1, -1)))
 
 
 def build_pless_system(params: CodeParameters) -> MomentSystem:
@@ -100,9 +103,9 @@ def build_pless_system(params: CodeParameters) -> MomentSystem:
     has degree nu and column i has node i; k - nu >= 0 because
     d_perp <= k + 1."""
     n, k, q, dp = params.n, params.k, params.q, params.d_perp
-    widths = range(dp)
-    return _binomial_system("pless", params, widths, widths, range(n + 1),
-                            [q ** (k - nu) * binom(n, nu) * (q - 1) ** nu for nu in widths])
+    widths, columns = tuple(range(dp)), tuple(range(n + 1))
+    rhs = tuple(q ** (k - nu) * binom(n, nu) * (q - 1) ** nu for nu in widths)
+    return MomentSystem("pless", rhs, widths, columns, params, widths, columns)
 
 
 def verify_pless_full(A: WeightDistribution, B: WeightDistribution, nu: int
@@ -158,6 +161,43 @@ def binomial_interpolation(nodes: Sequence[int], degrees: Sequence[int],
     return tuple(out)
 
 
+def _solve_counts(S: MomentSystem, knowns: Mapping[int, int]) -> tuple[int | Fraction, ...]:
+    """Every count of `solve_with_knowns`, in column order, as it comes out
+    of the interpolation: an int, or a Fraction when not integral, negatives
+    included.  Each binomial is one `math.comb(node, degree)`, and a known
+    zero is never multiplied out."""
+    if S.params is None:
+        raise ValueError("system carries no code parameters; solve it directly")
+    if S.nodes is None:
+        raise ValueError("system records no row degrees or column nodes; "
+                         "solve it with solve_exact")
+    labels, nodes, degrees = S.col_labels, S.nodes, S.degrees
+    pos = {lab: idx for idx, lab in enumerate(labels)}
+    for j, v in knowns.items():
+        if isinstance(j, bool) or j not in pos:
+            raise ValueError(f"known index {j!r} is not an unknown of this system")
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            raise ValueError(f"known A_{j} must be a nonnegative integer, got {v!r}")
+    unknown = [j for j in labels if j not in knowns]
+    u, rows = len(unknown), len(degrees)
+    if u > rows:
+        raise TooFewKnownsError(
+            f"{u} unknowns but only {rows} equations; supply at least {u - rows} more knowns")
+    nonzero = [(nodes[pos[j]], v) for j, v in knowns.items() if v]
+    red_rhs = [b - sum(math.comb(x, deg) * v for x, v in nonzero)
+               for deg, b in zip(degrees, S.rhs)]
+    xs = [nodes[pos[j]] for j in unknown]
+    square = [i for i, deg in enumerate(degrees) if deg < u]
+    sol = binomial_interpolation(xs, [degrees[i] for i in square], [red_rhs[i] for i in square])
+    for label, deg, b in zip(S.row_labels, degrees, red_rhs):
+        if deg >= u and (off := sum(math.comb(x, deg) * a for x, a in zip(xs, sol)) - b):
+            raise InconsistentKnownsError(
+                f"surplus equation {label} off by {off}; "
+                "knowns admit no common solution")
+    values = dict(zip(unknown, sol))
+    return tuple(knowns[j] if j in knowns else values[j] for j in labels)
+
+
 def solve_with_knowns(S: MomentSystem, knowns: Mapping[int, int]) -> WeightDistribution:
     """Substitute known weights into the system and solve for the rest.
 
@@ -167,55 +207,18 @@ def solve_with_knowns(S: MomentSystem, knowns: Mapping[int, int]) -> WeightDistr
     other row is checked against that solution in row order.  A row that
     misses, or a count that is not a nonnegative integer, is surfaced as the
     corresponding error and doubles as a nonexistence certificate for the
-    requested parameters.  A system that records no degrees and nodes is
-    refused; `solve_exact` solves it."""
-    if S.params is None:
-        raise ValueError("system carries no code parameters; solve it directly")
-    if S.nodes is None:
-        raise ValueError("system records no row degrees or column nodes; "
-                         "solve it with solve_exact")
-    labels = S.col_labels
-    for j, v in knowns.items():
-        if isinstance(j, bool) or j not in labels:
-            raise ValueError(f"known index {j!r} is not an unknown of this system")
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise ValueError(f"known A_{j} must be a nonnegative integer, got {v!r}")
-    unknown = [j for j in labels if j not in knowns]
-    u = len(unknown)
-    if u > S.matrix.rows:
-        raise TooFewKnownsError(
-            f"{u} unknowns but only {S.matrix.rows} equations; "
-            f"supply at least {u - S.matrix.rows} more knowns")
-    pos = {lab: idx for idx, lab in enumerate(labels)}
-    red_rhs = [b - sum(row[pos[j]] * v for j, v in knowns.items())
-               for row, b in zip(S.matrix.entries, S.rhs)]
-    cols = [pos[j] for j in unknown]
-    square = [i for i, j in enumerate(S.degrees) if j < u]
-    x = binomial_interpolation([S.nodes[c] for c in cols], [S.degrees[i] for i in square],
-                               [red_rhs[i] for i in square])
-    for i, (row, b) in enumerate(zip(S.matrix.entries, red_rhs)):
-        if S.degrees[i] < u:
-            continue
-        off = sum(row[c] * v for c, v in zip(cols, x)) - b
-        if off:
-            raise InconsistentKnownsError(
-                f"surplus equation {S.row_labels[i]} off by {off}; "
-                "knowns admit no common solution")
-    values = dict(zip(unknown, x))
-    counts = []
-    for j in labels:
-        if j in knowns:
-            counts.append(int(knowns[j]))
-            continue
-        v = values[j]
+    requested parameters.  The solve reads the system's degrees and nodes
+    and builds no matrix; a system given as rows is refused, and
+    `solve_exact` solves it."""
+    counts = _solve_counts(S, knowns)
+    for j, v in zip(S.col_labels, counts):
         if v.denominator != 1:
             raise NonIntegralSolutionError(
                 f"A_{j} = {v} is not an integer; no code matches these knowns")
         if v < 0:
             raise NegativeSolutionError(
                 f"A_{j} = {v} is negative; no code matches these knowns")
-        counts.append(int(v))
-    return WeightDistribution(tuple(counts), S.params.q, S.params.k)
+    return WeightDistribution(tuple(map(int, counts)), S.params.q, S.params.k)
 
 
 def cross_check_systems(params: CodeParameters, knowns: Mapping[int, int]

@@ -12,6 +12,9 @@ subset at a time.
 other's parity check, and `krawtchouk` is the term-by-term Krawtchouk
 value that `codes._krawtchouk_matrix` computes by recurrence.
 
+`matvec` multiplies a rational matrix by a vector, to check a solution
+against the rows it solves.
+
 `rational_kernel_vector` reads the kernel vector that `solve_exact` attaches
 to a `SingularMatrixError` off any rational matrix, singular or not, so
 that tests can check that vector on its own.
@@ -38,6 +41,11 @@ def rational_kernel_vector(A):
     """A nonzero vector x with A x = 0 for a RationalMatrix A, or None if the
     kernel is trivial: the package's own kernel vector of its echelon form."""
     return _kernel_vector(echelon(A.entries), A.cols)
+
+
+def matvec(A, x):
+    """A x for a RationalMatrix A, in ints when A and x are integral."""
+    return tuple(sum(a * b for a, b in zip(r, x)) for r in A.entries)
 
 
 def select_columns(M, indices):

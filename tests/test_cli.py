@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -140,6 +141,30 @@ def test_verify_corrupted_distribution_fails(code_files, capsys):
     rc, out, _ = run(capsys, "verify", fa, "--inject-distribution", json.dumps(corrupted))
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_verify_honours_format(code_files, capsys):
+    """verify prints its table by default; json prints one object of the
+    checks, csv a header and one row per check, and the exit code is the
+    same in every format, a failed check included."""
+    fa, _ = code_files
+    corrupted = json.dumps(distribution_to_json(
+        WeightDistribution((1, 0, 0, 0, 28, 59, 78, 60, 30), q=4, k=4)))
+    for extra, want_rc in (((), 0), (("--inject-distribution", corrupted), 1)):
+        rc, table, _ = run(capsys, "verify", fa, *extra)
+        assert rc == want_rc
+        assert run(capsys, "verify", fa, *extra, "--format", "table") == (rc, table, "")
+        rows = [line.split(None, 2) for line in table.splitlines()]
+        assert [name for name, _, _ in rows] == ["identity", "pless", "regime", "crosscheck"]
+        rc, out, _ = run(capsys, "verify", fa, *extra, "--format", "json")
+        assert rc == want_rc
+        assert json.loads(out) == {name: {"pass": verdict == "PASS", "detail": detail}
+                                   for name, verdict, detail in rows}
+        rc, out, _ = run(capsys, "verify", fa, *extra, "--format", "csv")
+        assert rc == want_rc
+        assert list(csv.reader(io.StringIO(out))) == [["check", "pass", "detail"]] + [
+            [name, "true" if verdict == "PASS" else "false", detail]
+            for name, verdict, detail in rows]
 
 
 def test_budget_refusal_inside_verify_exits_3(code_files, capsys):

@@ -3,9 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from gf_oracle import golay_code, quadratic_residue_47_code
+from gf_oracle import golay_code, matvec, quadratic_residue_47_code
 
-from weightdist import closed_forms
+from weightdist import closed_forms, moments
 from weightdist.closed_forms import (
     AmdsInput,
     ExtremalParams,
@@ -29,7 +29,7 @@ from weightdist.errors import (
 )
 from weightdist.fields import GF
 from weightdist.matrices import binom, solve_exact
-from weightdist.moments import build_pascal_system, build_pless_system, solve_with_knowns
+from weightdist.moments import build_pascal_system, build_pless_system
 from weightdist.reference import GOLAY_FREE_COUNTS
 
 
@@ -57,14 +57,29 @@ def test_mds_sums_to_qk():
         assert mds_distribution(n, k, q).total() == q ** k
 
 
-def test_mds_equals_moment_solve_with_trivial_knowns_only():
-    # defect sum zero: zeros below d plus A_0 already determine everything
-    for n, k, q in [(5, 2, 4), (6, 3, 5), (7, 4, 8)]:
-        params = CodeParameters(n=n, k=k, d=n - k + 1, d_perp=k + 1, q=q)
-        S = build_pascal_system(params)
-        knowns = {i: 0 for i in range(1, n - k + 1)}
-        knowns[0] = 1
-        assert solve_with_knowns(S, knowns).counts == mds_distribution(n, k, q).counts
+def test_mds_and_nmds_match_their_explicit_formulas():
+    """The closed forms against the sums in their docstrings, term by term:
+    A_w = binom(n, w) sum_j (-1)^j binom(w, j) (q^(w-d+1-j) - 1) for an MDS
+    code, and A_{n-k+i} = binom(n, k-i) sum_{j<i} (-1)^j binom(n-k+i, j)
+    (q^(i-j) - 1) + (-1)^i binom(k, i) a_d for a near-MDS one."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                d = n - k + 1
+                want = [1] + [0] * (d - 1) + [
+                    binom(n, w) * sum((-1) ** j * binom(w, j) * (q ** (w - d + 1 - j) - 1)
+                                      for j in range(w - d + 1))
+                    for w in range(d, n + 1)]
+                assert mds_distribution(n, k, q).counts == tuple(want), (q, n, k)
+                if k == n:
+                    continue
+                for a_d in (0, 1, q, binom(n, k) * (q - 1), 3 * q ** 2):
+                    want = [1] + [0] * (n - k - 1) + [a_d] + [
+                        binom(n, k - i) * sum((-1) ** j * binom(n - k + i, j) * (q ** (i - j) - 1)
+                                              for j in range(i))
+                        + (-1) ** i * binom(k, i) * a_d
+                        for i in range(1, k + 1)]
+                    assert nmds_distribution(n, k, q, a_d).counts == tuple(want), (q, n, k, a_d)
 
 
 def test_nmds_reference_values():
@@ -100,7 +115,7 @@ def _is_pascal_solution(counts, n, k, q, seeds):
     s = len(seeds)
     S = build_pascal_system(CodeParameters(n=n, k=k, d=n - k + (s == 0), d_perp=k + 1 - s, q=q))
     known = ([1] + [0] * (n - k - 1) + list(seeds))[:n - k + s]
-    return counts[:len(known)] == tuple(known) and S.matrix.matvec(counts) == S.rhs
+    return counts[:len(known)] == tuple(known) and matvec(S.matrix, counts) == S.rhs
 
 
 def test_amds_equals_nmds_exhaustive_grid():
@@ -157,6 +172,9 @@ def test_amds_input_validation():
     lambda: extremal_relation_range(True),
     lambda: reed_solomon_code(GF(5), 4, True),
     lambda: reed_solomon_code(GF(5), 4.0, 2),
+    lambda: mds_distribution("5", 2, 4),
+    lambda: nmds_distribution(8, "4", 4, 27),
+    lambda: AmdsInput("8", 4, 4, 2, (27,)),
 ])
 def test_closed_forms_reject_bool_and_non_int_parameters(make):
     with pytest.raises(ValueError, match="must be an integer"):
@@ -179,7 +197,7 @@ def test_amds_satisfies_both_moment_systems():
     params = CodeParameters(n=8, k=4, d=4, d_perp=4, q=4)
     dist = amds_distribution(AmdsInput(8, 4, 4, 2, (27,)))
     for S in (build_pascal_system(params), build_pless_system(params)):
-        assert S.matrix.matvec(dist.counts) == S.rhs
+        assert matvec(S.matrix, dist.counts) == S.rhs
 
 
 def test_extremal_params():
@@ -208,7 +226,7 @@ def test_extremal_system_m1_dependent_selection():
         solve_exact(S.matrix, S.rhs)
     assert ei.value.rank == 2
     kv = ei.value.kernel_vector
-    assert any(kv) and all(v == 0 for v in S.matrix.matvec(kv))
+    assert any(kv) and all(v == 0 for v in matvec(S.matrix, kv))
 
 
 def test_extremal_system_range_violation():
@@ -238,14 +256,11 @@ def test_extremal_equals_enumerated_golay_and_qr47(m, make):
 @pytest.mark.parametrize("weight, entry, error, match", [
     (12, -5, NegativeEntryError, "A_12 = -5 is negative; no \\[24,12,8\\] extremal"),
     (12, Fraction(1, 3), NonIntegralSolutionError, "A_12 = 1/3 is not an integer"),
-    (12, 2577, InconsistentKnownsError, "relation at width 17"),
-    # weight 23 is in none of the unused widths 17..21
     (23, 1, InconsistentKnownsError, "not symmetric"),
 ])
 def test_extremal_invalid_solve_is_nonexistence(monkeypatch, weight, entry, error, match):
-    """A count that is not a nonnegative integer, or one that breaks a width
-    the interpolation did not use, the symmetry or the total, certifies that
-    no such code exists."""
+    """A count that is not a nonnegative integer, or one that breaks the
+    symmetry or the total, certifies that no such code exists."""
     solve = closed_forms._pascal_counts
 
     def tampered(*args):
@@ -255,6 +270,24 @@ def test_extremal_invalid_solve_is_nonexistence(monkeypatch, weight, entry, erro
 
     monkeypatch.setattr(closed_forms, "_pascal_counts", tampered)
     with pytest.raises(error, match=match):
+        extremal_distribution(1)
+
+
+def test_extremal_unused_widths_are_surplus_rows_of_the_solve(monkeypatch):
+    """The widths 20m-3..20m+1 that the interpolation does not use are
+    checked by the same solve: an interpolated A_12 one too large breaks
+    the first of them, width 17, by its coefficient binom(24-12, 24-17) =
+    792, and no [24,12,8] code exists."""
+    interpolate = moments.binomial_interpolation
+
+    def tampered(*args):
+        x = list(interpolate(*args))
+        x[ExtremalParams(1).unknown_indices.index(12)] += 1
+        return tuple(x)
+
+    monkeypatch.setattr(moments, "binomial_interpolation", tampered)
+    with pytest.raises(InconsistentKnownsError,
+                       match="^surplus equation 17 off by 792; knowns admit no common solution$"):
         extremal_distribution(1)
 
 
@@ -276,7 +309,7 @@ def test_extremal_symmetry_and_all_relations_m123():
         assert all(c == 0 for i, c in enumerate(dist.counts) if i % 4)
         full = extremal_system(m, list(extremal_relation_range(m)), include_symmetry=True)
         vec = [dist.counts[u] for u in full.col_labels]
-        assert full.matrix.matvec(vec) == full.rhs
+        assert matvec(full.matrix, vec) == full.rhs
 
 
 def test_extremal_distribution_matches_elimination_on_its_selection():

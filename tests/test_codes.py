@@ -3,7 +3,7 @@ from unittest.mock import patch
 
 import pytest
 
-from weightdist import enumeration
+from weightdist import codes, enumeration
 from weightdist.codes import (
     CodeParameters,
     LinearCode,
@@ -194,6 +194,26 @@ def test_cached_distribution_still_checks_the_budget(budget, error):
     assert c.weight_distribution(budget=32) is A
     with pytest.raises(error):
         c.weight_distribution(budget=budget)
+
+
+@pytest.mark.parametrize("n, k", [(10, 5), (20, 17)])  # the table, the syndrome count
+def test_each_distribution_call_checks_the_count_once(n, k):
+    # the first call checked once in the code and again, with no budget,
+    # inside weight_histogram, pricing the syndrome route twice
+    c = random_code(GF(2), n, k, seed=n)
+    calls = []
+    real = enumeration.check_count
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    with patch.object(enumeration, "check_count", counting), \
+            patch.object(codes, "check_count", counting):
+        for i in range(1, 4):
+            c.weight_distribution(budget=10 ** 6)
+            assert len(calls) == i
+    assert all(args[1] == 10 ** 6 for args in calls)
 
 
 def test_support_size_is_weight_and_parity_check_dependence():

@@ -316,12 +316,12 @@ def test_solve_with_knowns_matches_oracle(case):
 
 
 def test_solve_with_knowns_refuses_an_unstructured_system():
-    """A system that records no degrees and nodes is refused, whatever its
-    rows; solve_exact solves such a matrix."""
+    """A system given as rows, with no degrees and nodes, is refused
+    whatever its rows; solve_exact solves such a matrix."""
     params = CodeParameters(n=3, k=2, d=2, d_perp=3, q=2)
     rows = [[1, 1, 1, 1], [0, 1, 2, 3], [0, 0, 1, 3]]
-    S = MomentSystem("pascal", RationalMatrix.from_rows(rows), (4, 6, 4), (0, 1, 2),
-                     (0, 1, 2, 3), params)
+    S = MomentSystem("pascal", (4, 6, 4), (0, 1, 2), (0, 1, 2, 3), params,
+                     rows=RationalMatrix.from_rows(rows))
     with pytest.raises(ValueError, match="solve_exact"):
         solve_with_knowns(S, {0: 1})
 

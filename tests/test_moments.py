@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from gf_oracle import matvec
 
 from weightdist.codes import CodeParameters, WeightDistribution, macwilliams_transform
 from weightdist.errors import (
@@ -10,7 +11,14 @@ from weightdist.errors import (
     NonIntegralSolutionError,
     TooFewKnownsError,
 )
-from weightdist.closed_forms import mds_distribution, reed_solomon_code
+from weightdist.closed_forms import (
+    AmdsInput,
+    amds_distribution,
+    extremal_distribution,
+    mds_distribution,
+    nmds_distribution,
+    reed_solomon_code,
+)
 from weightdist.fields import GF
 from weightdist.matrices import binom
 from weightdist.moments import (
@@ -59,7 +67,7 @@ def test_brute_distribution_satisfies_both_systems(corpus):
         params = code.parameters()
         A = code.weight_distribution()
         for S in (build_pascal_system(params), build_pless_system(params)):
-            got = S.matrix.matvec(A.counts)
+            got = matvec(S.matrix, A.counts)
             assert got == S.rhs
 
 
@@ -218,9 +226,13 @@ def test_builders_record_their_binomial_structure(n, k, d, dp, q):
 
 
 def test_moment_system_checks_recorded_structure():
+    """A system gives either its rows, or its degrees and nodes: degrees
+    0..rows-1 in some order and one distinct node per column."""
     rows = build_pless_system(REF_PARAMS).matrix
-    args = ("pless", rows, (0,) * 4, (0, 1, 2, 3), tuple(range(9)), REF_PARAMS)
-    MomentSystem(*args, degrees=(3, 1, 0, 2), nodes=tuple(range(9)))
+    args = ("pless", (0,) * 4, (0, 1, 2, 3), tuple(range(9)), REF_PARAMS)
+    S = MomentSystem(*args, degrees=(3, 1, 0, 2), nodes=tuple(range(9)))
+    assert S.matrix.entries == tuple(rows.entries[j] for j in (3, 1, 0, 2))
+    assert MomentSystem(*args, rows=rows).matrix is rows
     with pytest.raises(ValueError):
         MomentSystem(*args, degrees=(0, 1, 2, 4), nodes=tuple(range(9)))
     with pytest.raises(ValueError):
@@ -229,3 +241,28 @@ def test_moment_system_checks_recorded_structure():
         MomentSystem(*args, degrees=(0, 1, 2, 3), nodes=tuple(range(8)))
     with pytest.raises(ValueError):
         MomentSystem(*args, degrees=(0, 1, 2, 3))
+    with pytest.raises(ValueError):
+        MomentSystem(*args, degrees=(0, 1, 2, 3), nodes=tuple(range(9)), rows=rows)
+    with pytest.raises(ValueError):
+        MomentSystem(*args)
+
+
+def test_solves_and_closed_forms_build_no_matrix(monkeypatch):
+    """No solve and no closed form builds a system's dense matrix: they read
+    its degrees and nodes, square, overdetermined and inconsistent alike."""
+    def refuse(self):
+        raise AssertionError(f"the {self.kind} system's matrix was built")
+
+    monkeypatch.setattr(MomentSystem, "matrix", property(refuse))
+    mds = mds_distribution(8, 4, 9)
+    full = dict(enumerate(mds.counts))
+    P = CodeParameters(n=8, k=4, d=5, d_perp=5, q=9)
+    assert cross_check_systems(P, {i: full[i] for i in range(5)})[2]
+    assert cross_check_systems(REF_PARAMS, dict(enumerate(REF_COUNTS)))[2]
+    for build in (build_pascal_system, build_pless_system):
+        assert solve_with_knowns(build(P), full) == mds
+        with pytest.raises(InconsistentKnownsError):
+            solve_with_knowns(build(P), {**full, 6: full[6] + 1})
+    assert nmds_distribution(8, 4, 4, 27).counts == REF_COUNTS
+    assert amds_distribution(AmdsInput(8, 4, 4, 2, (27,))).counts == REF_COUNTS
+    assert extremal_distribution(2).counts[12] == 17296
