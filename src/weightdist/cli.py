@@ -4,6 +4,11 @@ Exit codes: 0 success / all checks pass; 1 mathematical failure (singular,
 inconsistent, non-integral, negative); 2 input error; 3 budget exceeded.
 All integers are emitted as decimal strings in JSON and in full in tables;
 nothing is ever rounded.
+
+Every command reads a code file or writes its result through `fileio`, so
+`codes`, `errors`, `fileio` and `matrices` load with this module; each
+command imports what else it runs, so that it loads no module of the
+package that it does not run.
 """
 
 from __future__ import annotations
@@ -15,29 +20,9 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import (
-    AmdsInput,
-    amds_distribution,
-    build_pascal_system,
-    build_pless_system,
-    census,
-    check_full_rank_regime,
-    cross_check_systems,
-    extremal_distribution,
-    extremal_system,
-    macwilliams_transform,
-    mds_distribution,
-    nmds_distribution,
-    rank_relationship_report,
-    solve_exact,
-    solve_with_knowns,
-    verify_counting_identity,
-    verify_pless_full,
-)
-from .closed_forms import check_nonnegative
-from .codes import CodeParameters, WeightDistribution
-from .enumeration import DEFAULT_BUDGET
+from .codes import CodeParameters, WeightDistribution, macwilliams_transform
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     CodeFileFormatError,
     InconsistentKnownsError,
@@ -58,7 +43,6 @@ from .fileio import (
     knowns_from_json,
     parse_code_file,
 )
-from .reference import nmds_844_codes
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -183,6 +167,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_census(args) -> int:
+    from .rank_census import census
+
     code = _load_code(args.codefile)
     M = code.G if args.matrix == "g" else code.H
     cen = census(M, args.nu, budget=args.budget)
@@ -207,6 +193,9 @@ def _trivial_plus_seed_knowns(A: WeightDistribution, params: CodeParameters) -> 
 
 
 def cmd_verify(args) -> int:
+    from .moments import cross_check_systems, verify_pless_full
+    from .rank_census import check_full_rank_regime, verify_counting_identity
+
     code = _load_code(args.codefile)
     if args.inject_distribution:
         A = distribution_from_json(_load_json_arg(args.inject_distribution))
@@ -281,6 +270,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .moments import build_pascal_system, build_pless_system, solve_with_knowns
+
     params = _params_from_args(args)
     knowns = _knowns_from_args(args, params)
     build = build_pascal_system if args.system == "pascal" else build_pless_system
@@ -289,6 +280,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
+    from .moments import cross_check_systems
+
     params = _params_from_args(args)
     knowns = _knowns_from_args(args, params)
     ap, al, agree = cross_check_systems(params, knowns)
@@ -305,11 +298,15 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_mds(args) -> int:
+    from .closed_forms import mds_distribution
+
     _emit(args, _render_distribution(args, mds_distribution(args.n, args.k, args.q)))
     return EXIT_OK
 
 
 def cmd_nmds(args) -> int:
+    from .closed_forms import check_nonnegative, nmds_distribution
+
     dist = nmds_distribution(args.n, args.k, args.q, args.a_d)
     check_nonnegative(dist.counts, f"A_{args.n - args.k} = {args.a_d} matches no "
                                    f"[{args.n},{args.k},{args.n - args.k}]_{args.q} code")
@@ -318,6 +315,8 @@ def cmd_nmds(args) -> int:
 
 
 def cmd_amds(args) -> int:
+    from .closed_forms import AmdsInput, amds_distribution
+
     seeds = tuple(int(s) for s in args.seeds.split(","))
     dist = amds_distribution(AmdsInput(args.n, args.k, args.q, args.sigma, seeds))
     _emit(args, _render_distribution(args, dist))
@@ -325,11 +324,15 @@ def cmd_amds(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    from .closed_forms import extremal_distribution
+
     _emit(args, _render_distribution(args, extremal_distribution(args.m)))
     return EXIT_OK
 
 
 def cmd_pless_report(args) -> int:
+    from .moments import rank_relationship_report
+
     obj = asdict(rank_relationship_report(_params_from_args(args)))
     _emit(args, dumps(obj) if args.format == "json" else
           f"{','.join(obj)}\n{','.join(map(str, obj.values()))}\n" if args.format == "csv" else
@@ -339,6 +342,11 @@ def cmd_pless_report(args) -> int:
 
 def cmd_fixtures(args) -> int:
     """Regenerate the golden files the test suite cross-references."""
+    from .closed_forms import (extremal_distribution, extremal_system, mds_distribution,
+                               nmds_distribution)
+    from .matrices import solve_exact
+    from .reference import nmds_844_codes
+
     outdir = Path(args.output or "fixtures")
     outdir.mkdir(parents=True, exist_ok=True)
     a, b = nmds_844_codes()

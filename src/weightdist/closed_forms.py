@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .codes import CodeParameters, LinearCode, WeightDistribution, require_ints
 from .errors import (
@@ -30,9 +29,11 @@ from .errors import (
     NonIntegralSolutionError,
     RangeViolationError,
 )
-from .fields import Field
 from .matrices import GFMatrix, RationalMatrix, binom
 from .moments import MomentSystem, _solve_counts, build_pascal_system
+
+if TYPE_CHECKING:
+    from .fields import Field
 
 
 def _pascal_counts(params: CodeParameters, known: dict[int, int],
@@ -40,8 +41,7 @@ def _pascal_counts(params: CodeParameters, known: dict[int, int],
     """A_0..A_n: `known` at its weights, zero off `known` and `unknowns`, and
     the unknowns solved, negatives and fractions included, on the
     truncated-Pascal system of `params`."""
-    zeros = dict.fromkeys(set(range(params.n + 1)).difference(unknowns), 0)
-    return _solve_counts(build_pascal_system(params), {**zeros, **known})
+    return _solve_counts(build_pascal_system(params), known, unknowns)
 
 
 def mds_distribution(n: int, k: int, q: int) -> WeightDistribution:
@@ -64,6 +64,11 @@ def nmds_distribution(n: int, k: int, q: int, a_d: int) -> WeightDistribution:
 
     An unrealizable a_d shows up as negative entries in the result; they are
     returned as computed, never clamped."""
+    require_ints(n=n, k=k, a_d=a_d)  # before k is compared with n
+    if k == n:  # d = 0, which CodeParameters would report in terms of d
+        raise ValueError(f"need k <= n-1 = {n - 1} for d = n-k >= 1, got k={k}")
+    if a_d < 0:
+        raise ValueError(f"a_d must be >= 0, got a_d={a_d}")
     return WeightDistribution(amds_counts(AmdsInput(n, k, q, 2, (a_d,))), q, k)
 
 
@@ -99,7 +104,7 @@ class AmdsInput:
             raise ValueError("seed weights must be >= 0")
         self.params  # CodeParameters checks n, k, q and sigma <= k+1
 
-    @cached_property
+    @property
     def params(self) -> CodeParameters:
         return CodeParameters(n=self.n, k=self.k, d=self.n - self.k,
                               d_perp=self.k - self.sigma + 2, q=self.q)

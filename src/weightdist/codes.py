@@ -8,16 +8,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .enumeration import DEFAULT_BUDGET, check_count, weight_histogram
 from .errors import (
+    DEFAULT_BUDGET,
     NonIntegralResultError,
     RankDeficientGeneratorError,
     ZeroCodeError,
 )
-from .fields import Field
 from .matrices import GFMatrix, gf_kernel_basis, gf_matmul, gf_rank
+
+if TYPE_CHECKING:
+    from .fields import Field
 
 
 def require_ints(**values) -> None:
@@ -158,6 +160,9 @@ class LinearCode:
         or for a high-rate code the syndrome count.  The distribution is
         cached, and `check_count` checks every call once: inside
         `weight_histogram` on the first, directly on a cached one."""
+        # here, so that a command that only solves moment systems never loads it
+        from .enumeration import check_count, weight_histogram
+
         if self._distribution is None:
             counts = weight_histogram(self.G, budget, workers)
             dist = WeightDistribution(tuple(counts), self.field.q, self.k)

@@ -60,8 +60,9 @@ int64 while q^k < 2^63 and Python ints beyond.  Worker processes split only
 the table enumeration.
 
 numpy and the process pool are imported inside the functions that use them,
-so that importing the package, and every command that does not enumerate,
-never loads them.
+so that loading this module, or every module of the package on the first
+read of a public name, never loads them, nor does any command that does
+not enumerate.  Importing the package alone loads none of its modules.
 """
 
 from __future__ import annotations
@@ -69,11 +70,10 @@ from __future__ import annotations
 import os
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .fields import TABLE_ORDER_LIMIT, Field, array_ops
 from .matrices import GFMatrix, gf_kernel_basis, gf_row_reduce
 
-DEFAULT_BUDGET = 10 ** 9
 _BLOCK_ROWS = 1 << 16
 
 

@@ -54,6 +54,11 @@ class RankDeficientGeneratorError(WeightDistError, ValueError):
     """Generator matrix rows are linearly dependent."""
 
 
+# The budget of every enumeration and census that is given none: the most
+# element operations one call may cost on the route it takes.
+DEFAULT_BUDGET = 10 ** 9
+
+
 class BudgetExceededError(WeightDistError):
     """Requested exhaustive computation exceeds the configured budget."""
 

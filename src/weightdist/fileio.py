@@ -20,18 +20,22 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .census import RankCensus
 from .codes import LinearCode, WeightDistribution
 from .errors import CodeFileFormatError
-from .fields import Field
 from .matrices import GFMatrix, binom
+
+if TYPE_CHECKING:
+    from .fields import Field
+    from .rank_census import RankCensus
 
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_field_line(line: str) -> Field:
+    from .fields import Field  # here, so that only reading a code file loads it
+
     parts = line.split()
     if not parts or not parts[0].startswith("q="):
         raise CodeFileFormatError(f"expected 'q=p^m' header, got {line!r}")

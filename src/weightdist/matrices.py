@@ -21,10 +21,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import SingularMatrixError
-from .fields import Field
+
+if TYPE_CHECKING:
+    from .fields import Field
 
 
 def binom(a: int, b: int) -> int:

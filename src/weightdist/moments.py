@@ -161,11 +161,13 @@ def binomial_interpolation(nodes: Sequence[int], degrees: Sequence[int],
     return tuple(out)
 
 
-def _solve_counts(S: MomentSystem, knowns: Mapping[int, int]) -> tuple[int | Fraction, ...]:
-    """Every count of `solve_with_knowns`, in column order, as it comes out
-    of the interpolation: an int, or a Fraction when not integral, negatives
-    included.  Each binomial is one `math.comb(node, degree)`, and a known
-    zero is never multiplied out."""
+def _solve_counts(S: MomentSystem, knowns: Mapping[int, int],
+                  unknown: Sequence[int]) -> tuple[int | Fraction, ...]:
+    """Every count, in column order: `knowns` at their weights, the labels
+    in `unknown` solved as they come out of the interpolation (an int, or a
+    Fraction when not integral, negatives included), and every other count
+    zero.  Each binomial is one `math.comb(node, degree)`, and a known zero
+    is never multiplied out."""
     if S.params is None:
         raise ValueError("system carries no code parameters; solve it directly")
     if S.nodes is None:
@@ -178,7 +180,6 @@ def _solve_counts(S: MomentSystem, knowns: Mapping[int, int]) -> tuple[int | Fra
             raise ValueError(f"known index {j!r} is not an unknown of this system")
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:
             raise ValueError(f"known A_{j} must be a nonnegative integer, got {v!r}")
-    unknown = [j for j in labels if j not in knowns]
     u, rows = len(unknown), len(degrees)
     if u > rows:
         raise TooFewKnownsError(
@@ -194,8 +195,8 @@ def _solve_counts(S: MomentSystem, knowns: Mapping[int, int]) -> tuple[int | Fra
             raise InconsistentKnownsError(
                 f"surplus equation {label} off by {off}; "
                 "knowns admit no common solution")
-    values = dict(zip(unknown, sol))
-    return tuple(knowns[j] if j in knowns else values[j] for j in labels)
+    values = {**knowns, **dict(zip(unknown, sol))}
+    return tuple(values.get(j, 0) for j in labels)
 
 
 def solve_with_knowns(S: MomentSystem, knowns: Mapping[int, int]) -> WeightDistribution:
@@ -210,7 +211,7 @@ def solve_with_knowns(S: MomentSystem, knowns: Mapping[int, int]) -> WeightDistr
     requested parameters.  The solve reads the system's degrees and nodes
     and builds no matrix; a system given as rows is refused, and
     `solve_exact` solves it."""
-    counts = _solve_counts(S, knowns)
+    counts = _solve_counts(S, knowns, [j for j in S.col_labels if j not in knowns])
     for j, v in zip(S.col_labels, counts):
         if v.denominator != 1:
             raise NonIntegralSolutionError(

@@ -16,8 +16,8 @@ import functools
 from dataclasses import dataclass
 
 from .codes import LinearCode, WeightDistribution, require_ints
-from .enumeration import DEFAULT_BUDGET, check_budget
-from .errors import BudgetExceededError, RegimeViolationError
+from .enumeration import check_budget
+from .errors import DEFAULT_BUDGET, BudgetExceededError, RegimeViolationError
 from .fields import array_ops
 from .matrices import GFMatrix, _elimination, binom, gf_kernel_basis, gf_rank, gf_row_reduce
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from gf_oracle import matvec
 
-from weightdist.census import census, check_full_rank_regime, verify_counting_identity
+from weightdist.rank_census import census, check_full_rank_regime, verify_counting_identity
 from weightdist.cli import main
 from weightdist.closed_forms import (
     AmdsInput,

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import random
 
@@ -7,17 +6,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weightdist.census import (_rank_table, _window, census, check_full_rank_regime,
-                               verify_counting_identity)
+from weightdist import rank_census
+from weightdist.rank_census import (_rank_table, _window, census, check_full_rank_regime,
+                                    verify_counting_identity)
 from weightdist.codes import LinearCode, random_code
 from weightdist.errors import BudgetExceededError, RegimeViolationError
 from weightdist.fields import GF
 from weightdist.matrices import GFMatrix, binom, gf_matmul, gf_rank, gf_row_reduce
 
 from gf_oracle import census_table_oracle, gf_matrices, rank_oracle, select_columns
-
-# the module, which the package's `census` function shadows as an attribute
-census_module = importlib.import_module("weightdist.census")
 
 IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
@@ -252,7 +249,7 @@ def test_census_budget_limited_walk_matches_oracle(M, budget):
     words = 1 if M.field.q == 2 else max(R, 1)
     independent = sum(binom(t - 1, j) for j in range(max(R, 1)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(census_module, "_WHOLE_TABLE_NODES", 0)
+        mp.setattr(rank_census, "_WHOLE_TABLE_NODES", 0)
         for nu in range(1, t + 1):
             tally = (R + 1) * (t + 1) * (nu + 1)
             if min(binom(t, nu - 1), independent) * t * words + tally > budget:
@@ -303,7 +300,7 @@ def test_rank_table_matches_the_oracle_in_every_window(M, chunk):
     # every window (lo, hi), the whole one walked on the kernel when that has
     # fewer rows; chunks of a few subsets make the walk cross chunk edges
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(census_module, "_CHUNK", chunk)
+        mp.setattr(rank_census, "_CHUNK", chunk)
         for lo in range(M.cols + 1):
             for hi in range(lo, M.cols + 1):
                 assert _rank_table.__wrapped__(M, lo, hi) == census_table_oracle(M, lo, hi)
@@ -332,7 +329,7 @@ def test_rank_table_matches_every_subset_ranked_alone(M, chunk):
     # subset is ranked on its own instead.  Tall matrices of rank above
     # cols - rank walk their whole table on the kernel.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(census_module, "_CHUNK", chunk)
+        mp.setattr(rank_census, "_CHUNK", chunk)
         for lo in range(M.cols + 1):
             for hi in range(lo, M.cols + 1):
                 assert _rank_table.__wrapped__(M, lo, hi) == subset_table_oracle(M, lo, hi)
@@ -365,9 +362,9 @@ def assert_walks_agree(M, windows, rng):
         assert _rank_table.__wrapped__(permuted, lo, hi) == table
         assert _rank_table.__wrapped__(mixed, lo, hi) == table
         # the direct walk, never on the kernel
-        direct = census_module._frontier(basis, R, lo, hi)
-        assert census_module._frontier(mixed_basis, R, lo, hi) == direct
-        assert census_module._frontier(select_columns(basis, perm), R, lo, hi) == direct
+        direct = rank_census._frontier(basis, R, lo, hi)
+        assert rank_census._frontier(mixed_basis, R, lo, hi) == direct
+        assert rank_census._frontier(select_columns(basis, perm), R, lo, hi) == direct
 
 
 @settings(max_examples=40, deadline=None)
@@ -416,12 +413,12 @@ def test_dual_matroid_rank_rule(q, n, data):
 def test_walk_keys_past_int64():
     # an ended node's key is at most (R + 1) (t + 1)^3 - 1; past int64 the
     # walk keys its nodes by Python ints, and counts the same
-    assert census_module._key_type(0, (1 << 21) - 1) is np.int64
-    assert census_module._key_type(0, 1 << 21) is object
-    assert census_module._key_type(7, (1 << 20) - 1) is np.int64
-    assert census_module._key_type(8, (1 << 20) - 1) is object
+    assert rank_census._key_type(0, (1 << 21) - 1) is np.int64
+    assert rank_census._key_type(0, 1 << 21) is object
+    assert rank_census._key_type(7, (1 << 20) - 1) is np.int64
+    assert rank_census._key_type(8, (1 << 20) - 1) is object
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(census_module, "_key_type", lambda R, t: object)
+        mp.setattr(rank_census, "_key_type", lambda R, t: object)
         for M in (TALL, WIDE, LARGE, NO_ROWS, REPEATS, DEPENDENT_512):
             for lo in range(M.cols + 1):
                 for hi in range(lo, M.cols + 1):

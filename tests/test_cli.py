@@ -361,26 +361,53 @@ def test_crosscheck_honours_format(capsys):
     assert rc == 0 and list(json.loads(out)) == ["pascal", "pless", "agree"]
 
 
-def test_commands_that_do_not_enumerate_never_load_numpy():
+# Every command reads or writes through fileio, which needs codes, matrices
+# and errors; beside those each loads the modules of the package it runs.
+READ_WRITE = {"cli", "codes", "errors", "fileio", "matrices"}
+SOLVES = READ_WRITE | {"moments"}
+CLOSED_FORMS = SOLVES | {"closed_forms"}
+ENUMERATES = READ_WRITE | {"fields", "enumeration"}
+
+
+def loaded_by(argv) -> tuple[list[str], list[str]]:
+    """The modules of the package, and of numpy and the process pool, that
+    one command loads in a new interpreter; it must exit 0."""
     script = f"""
-import sys
-import weightdist
-assert "numpy" not in sys.modules, "import weightdist loaded numpy"
-assert "concurrent.futures.process" not in sys.modules, "import weightdist loaded the process pool"
+import contextlib, io, json, sys
 from weightdist.cli import main
-for argv in (["crosscheck", *{PARAMS_844!r}, "--knowns", {KNOWNS_844!r}],
-             ["solve", *{PARAMS_844!r}, "--knowns", {KNOWNS_844!r}],
-             ["mds", "7", "3", "8"], ["nmds", "8", "4", "4", "27"],
-             ["amds", "8", "4", "4", "2", "30"], ["extremal", "1"]):
-    assert main(argv) == 0, argv
-    assert "numpy" not in sys.modules, f"{{argv[0]}} loaded numpy"
-    assert "concurrent.futures.process" not in sys.modules, f"{{argv[0]}} loaded the process pool"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({[str(a) for a in argv]!r}) == 0
+print(json.dumps([sorted(m[len("weightdist."):] for m in sys.modules
+                         if m.startswith("weightdist.")),
+                  sorted(m for m in ("numpy", "concurrent.futures.process")
+                         if m in sys.modules)]))
 """
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=root,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_commands_that_do_not_enumerate_never_load_numpy():
+    for argv, modules in (
+            (["crosscheck", *PARAMS_844, "--knowns", KNOWNS_844], SOLVES),
+            (["solve", *PARAMS_844, "--knowns", KNOWNS_844], SOLVES),
+            (["pless-report", *PARAMS_844], SOLVES),
+            (["mds", "7", "3", "8"], CLOSED_FORMS), (["nmds", "8", "4", "4", "27"], CLOSED_FORMS),
+            (["amds", "8", "4", "4", "2", "30"], CLOSED_FORMS), (["extremal", "1"], CLOSED_FORMS)):
+        assert loaded_by(argv) == [sorted(modules), []], argv[0]
+
+
+def test_enumerating_commands_load_only_what_they_run(code_files):
+    fa, _ = code_files
+    for argv, modules in (
+            (["enumerate", fa], ENUMERATES),
+            (["dual", fa], READ_WRITE | {"fields"}),
+            (["census", fa, "--nu", "4"], ENUMERATES | {"rank_census"}),
+            (["verify", fa], ENUMERATES | {"rank_census", "moments"})):
+        assert loaded_by(argv)[0] == sorted(modules), argv[0]
 
 
 def test_closed_form_commands(capsys):
@@ -403,6 +430,14 @@ def test_negative_closed_form_counts_are_math_errors(capsys):
         assert rc == 1, argv
         assert out == ""
         assert "NegativeEntryError: A_5 = -3832 is negative" in err
+
+
+def test_nmds_input_errors_name_a_d_and_k(capsys):
+    for argv, message in ((("nmds", "8", "4", "4", "-1"), "a_d must be >= 0, got a_d=-1"),
+                          (("nmds", "8", "8", "4", "1"),
+                           "need k <= n-1 = 7 for d = n-k >= 1, got k=8")):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (2, "", f"error: ValueError: {message}\n"), argv
 
 
 # The README's exit codes: 1 a mathematical failure, 3 a budget exceeded,

@@ -1,6 +1,6 @@
 import pytest
 
-from weightdist.census import census
+from weightdist.rank_census import census
 from weightdist.codes import WeightDistribution, random_code
 from weightdist.errors import CodeFileFormatError
 from weightdist.fields import GF

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from weightdist import enumeration
-from weightdist.census import census
+from weightdist.rank_census import census
 from weightdist.closed_forms import reed_solomon_code
 from weightdist.codes import random_code
 from weightdist.errors import SingularMatrixError
