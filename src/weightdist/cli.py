@@ -182,14 +182,8 @@ def cmd_census(args) -> int:
 
 
 def _trivial_plus_seed_knowns(A: WeightDistribution, params: CodeParameters) -> dict[int, int]:
-    knowns = {i: A.counts[i] for i in range(params.d)}
-    need = (params.n + 1 - params.d_perp) - len(knowns)
-    for i in range(params.d, params.n + 1):
-        if need <= 0:
-            break
-        knowns[i] = A.counts[i]
-        need -= 1
-    return knowns
+    """A_0..A_{d-1}, then the next counts up to n + 1 - d_perp knowns."""
+    return {i: A.counts[i] for i in range(max(params.d, params.n + 1 - params.d_perp))}
 
 
 def cmd_verify(args) -> int:
@@ -341,7 +335,7 @@ def cmd_pless_report(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    """Regenerate the golden files the test suite cross-references."""
+    """Write the NMDS [8,4]_4 codes and distributions, extremal m = 1 files, MDS and NMDS tables."""
     from .closed_forms import (extremal_distribution, extremal_system, mds_distribution,
                                nmds_distribution)
     from .matrices import solve_exact

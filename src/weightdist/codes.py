@@ -21,6 +21,8 @@ from .matrices import GFMatrix, gf_kernel_basis, gf_matmul, gf_rank
 if TYPE_CHECKING:
     from .fields import Field
 
+enumeration = None  # bound on first use, so that solving moment systems never loads it
+
 
 def require_ints(**values) -> None:
     """Raise ValueError naming the first value that is not an int.  A bool is
@@ -58,10 +60,6 @@ class CodeParameters:
     @property
     def sigma(self) -> int:
         return self.n + 2 - self.d - self.d_perp
-
-    @property
-    def defect(self) -> int:
-        return self.n - self.k + 1 - self.d
 
 
 @dataclass(frozen=True)
@@ -160,16 +158,16 @@ class LinearCode:
         or for a high-rate code the syndrome count.  The distribution is
         cached, and `check_count` checks every call once: inside
         `weight_histogram` on the first, directly on a cached one."""
-        # here, so that a command that only solves moment systems never loads it
-        from .enumeration import check_count, weight_histogram
-
+        global enumeration
+        if enumeration is None:
+            from . import enumeration
         if self._distribution is None:
-            counts = weight_histogram(self.G, budget, workers)
+            counts = enumeration.weight_histogram(self.G, budget, workers)
             dist = WeightDistribution(tuple(counts), self.field.q, self.k)
             dist.validate()
             self._distribution = dist
         else:
-            check_count(self.G, budget, workers)
+            enumeration.check_count(self.G, budget, workers)
         return self._distribution
 
     def parameters(self, budget: int | None = DEFAULT_BUDGET) -> CodeParameters:

@@ -3,16 +3,15 @@ counting facts built on them: the kernel-counting identity relating a code's
 weight distribution to the census of its parity-check matrix, and the
 full-rank regime where every wide-enough column selection has maximal rank.
 
-The census defines no arithmetic of its own.  Its walk decides the columns
-in order and reduces a chunk of column subsets of one depth at a time in
-numpy rather than through the scalar step of `matrices._elimination`, by the
-field's `fields.array_ops`, from a basis read from the memoised
-`matrices.gf_row_reduce`.  numpy is imported when the first census runs.
+A census walks the whole table of every width or its width alone, whichever
+is priced lower, as the enumeration takes its cheaper count; the identity,
+which every caller reads at every width, reads the whole table.  The walk
+reduces column subsets in numpy by the field's `fields.array_ops`, from a
+basis read from the memoised `matrices.gf_row_reduce`; numpy loads with it.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .codes import LinearCode, WeightDistribution, require_ints
@@ -20,11 +19,6 @@ from .enumeration import check_budget
 from .errors import DEFAULT_BUDGET, BudgetExceededError, RegimeViolationError
 from .fields import array_ops
 from .matrices import GFMatrix, _elimination, binom, gf_kernel_basis, gf_rank, gf_row_reduce
-
-# A census walks the whole table, which every later width then reads, only
-# when that walk takes at most this many nodes, at any number of columns;
-# otherwise it walks the width asked for alone.
-_WHOLE_TABLE_NODES = 1 << 16
 
 # Each step of the walk takes at most this many nodes of one depth and makes
 # their children, two per node.  It goes depth first and each depth holds
@@ -51,52 +45,64 @@ def census(M: GFMatrix, nu: int, budget: int | None = DEFAULT_BUDGET) -> RankCen
 
     The row for nu is read from a table counts[size][rank] that one walk
     over column subsets (`_frontier`) builds for every size at once (the
-    Whitney rank-generating function of the column matroid), so every later
-    width is a lookup.  `_window` picks the whole table when its walk is
-    bounded small, at any number of columns, else width nu alone; the
-    budget caps the price of that walk and its tally and never changes
-    either.  A whole table is walked on the kernel K of M instead when that
-    has fewer rows, and mapped back by the dual-matroid rank rule
-    r_M(S) = |S| - r_K(E) + r_K(E \\ S).  Tables are kept in a small LRU
-    cache keyed by (matrix, window), so a run's checks share one walk.
+    Whitney rank-generating function of the column matroid) or for width nu
+    alone, whichever `_window` prices lower, as `enumeration.check_count`
+    takes the cheaper count; the budget caps that price and never changes
+    the choice.  A whole table is walked on the kernel K of M when that has
+    fewer rows, mapped back by r_M(S) = |S| - r_K(E) + r_K(E \\ S), and kept
+    by matrix (`_read`), so a run's checks share one walk.
     """
-    t = M.cols
+    whole, lone = _window(M, nu)
+    return _read(M, nu, budget, lone if lone[1] < whole[1] else whole)
+
+
+def _window(M: GFMatrix, nu: int) -> tuple[tuple[str, int, tuple[int, int], int], ...]:
+    """The two walks that give width nu, an int 1 <= nu <= cols, as (route,
+    cost, (lo, hi), nodes): the whole table (0, cols) on the side of M with
+    fewer rows and width nu alone (nu, nu) on M's own rows, of which
+    `census` takes the cheaper, the whole table on a tie.  nodes is one more
+    than the most the walk takes (`_frontier`; binom(t, nu - 1) bounds nu
+    alone, the least bound when nu <= rank); the cost is those times t
+    columns times one word per row of the side walked, per 64 rows over
+    GF(2), plus the (R + 1) (t + 1) (hi + 1) additions that bound the
+    tally's fold on its R rows."""
     require_ints(nu=nu)
-    if not 1 <= nu <= t:
-        raise ValueError(f"need 1 <= nu <= {t}, got {nu}")
-    route, cost, window, nodes = _window(M, nu)
-    check_budget(cost, budget, route)
-    table = _rank_table(M, *window, nodes)
-    counts = {r: c for r, c in enumerate(table[nu]) if c}
-    return RankCensus(nu=nu, counts=counts, source_dims=(M.rows, t))
+    if not 1 <= nu <= M.cols:
+        raise ValueError(f"need 1 <= nu <= {M.cols}, got {nu}")
+    t, rank = M.cols, gf_rank(M)
 
-
-def _window(M: GFMatrix, nu: int) -> tuple[str, int, tuple[int, int], int]:
-    """(route, cost, (lo, hi), nodes): the whole table (0, cols) when its
-    walk is small enough (see _WHOLE_TABLE_NODES), else width nu alone; one
-    more than the most nodes that walk takes (`_frontier`; random H took
-    0.70-1.00 of it, see ROADMAP); and its cost, those nodes times t columns
-    times one word per row of the side walked, per 64 rows over GF(2), plus
-    the (R + 1) (t + 1) (hi + 1) additions that bound the tally's fold on
-    the R rows of that side."""
-    t = M.cols
-
-    def walk(R):  # one more than the most nodes a walk on R rows takes
+    def bound(R):  # one more than the most nodes a walk on R rows takes
         return sum(binom(t - 1, j) for j in range(max(R, 1)))
 
-    rank = gf_rank(M)
-    rows = min(rank, t - rank)  # of the side a whole table is walked on
-    if walk(rows) <= _WHOLE_TABLE_NODES:
-        route, window, nodes = "whole census table", (0, t), walk(rows)
-    else:  # a lone width is walked on M's own rows, taking at most nu - 2
-        route, window, rows = f"census at width {nu}", (nu, nu), rank
-        nodes = min(binom(t, nu - 1), walk(min(rank, nu)))
-    unit = t * max(-(-rows // 64) if M.field.q == 2 else rows, 1)
-    fold = (rows + 1) * (t + 1) * (window[1] + 1)
-    return route, nodes * unit + fold, window, nodes
+    def walk(route, window, R, nodes):
+        words = max(-(-R // 64) if M.field.q == 2 else R, 1)
+        return route, nodes * t * words + (R + 1) * (t + 1) * (window[1] + 1), window, nodes
+
+    R = min(rank, t - rank)
+    return (walk("whole census table", (0, t), R, bound(R)),
+            walk(f"census at width {nu}", (nu, nu), rank,
+                 binom(t, nu - 1) if nu <= rank else min(binom(t, nu - 1), bound(rank))))
 
 
-@functools.lru_cache(maxsize=16)
+# whole tables by matrix, the 16 read last; no caller reads a lone width twice
+_TABLES: dict[GFMatrix, tuple[tuple[int, ...], ...]] = {}
+
+
+def _read(M: GFMatrix, nu: int, budget: int | None, walk: tuple) -> RankCensus:
+    """The census of M at width nu by `walk`, one of `_window`'s, refused
+    when it costs more than the budget; a whole table of M already kept is
+    read instead, so the cache saves walks but never a price or a refusal."""
+    route, cost, (lo, hi), nodes = walk
+    check_budget(cost, budget, route)
+    table = _TABLES.pop(M, None) or _rank_table(M, lo, hi, nodes)
+    if table[0][0]:  # a whole table, which counts the empty subset
+        _TABLES[M] = table  # read last, so dropped last
+        if len(_TABLES) > 16:
+            del _TABLES[next(iter(_TABLES))]
+    counts = {r: c for r, c in enumerate(table[nu]) if c}
+    return RankCensus(nu=nu, counts=counts, source_dims=(M.rows, M.cols))
+
+
 def _rank_table(M: GFMatrix, lo: int, hi: int,
                 limit: int | None = None) -> tuple[tuple[int, ...], ...]:
     """counts[size][rank] for every column subset with lo <= size <= hi;
@@ -297,15 +303,17 @@ def verify_counting_identity(C: LinearCode, A: WeightDistribution, nu: int,
     Right side from the parity-check census:  sum_r N(nu, r) q^(nu-r).
     The two counts are computed by entirely independent paths; equality for
     every nu is the core consistency fact this package is built around.
+    The census side reads the whole table of H, priced as that walk, even
+    where width nu alone costs less: every caller reads every width 1..n,
+    and one whole table costs less than all of them alone.
     """
     n, q = C.n, C.field.q
     if (A.n, A.q) != (n, q):
         raise ValueError(f"distribution of length {A.n} over GF({A.q}) given for "
                          f"a code of length {n} over GF({q})")
-    if not 1 <= nu <= n:
-        raise ValueError(f"need 1 <= nu <= {n}, got {nu}")
+    whole = _window(C.H, nu)[0]
     lhs = sum(binom(n - s, nu - s) * A.counts[s] for s in range(nu + 1))
-    cen = census(C.H, nu, budget)
+    cen = _read(C.H, nu, budget, whole)
     rhs = sum(cnt * q ** (nu - r) for r, cnt in cen.counts.items())
     return lhs, rhs, lhs == rhs
 

@@ -253,7 +253,7 @@ print(json.dumps({"ok": ok, "maxrss_mb": hwm_kb / 1024}))
 
 def test_criterion_12_large_censuses():
     # nu = 12 of a [24,12]_2 (2.7 million subsets) in at most 64 MB, and
-    # every width of a [20,10]_2; each width of either is walked alone
+    # every width of a [20,10]_2; the identity reads each code's whole table
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with _Timer(12, limit=5.0):

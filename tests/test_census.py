@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weightdist import rank_census
-from weightdist.rank_census import (_rank_table, _window, census, check_full_rank_regime,
-                                    verify_counting_identity)
+from weightdist.rank_census import (_rank_table, _read, _window, census,
+                                    check_full_rank_regime, verify_counting_identity)
+from weightdist.closed_forms import mds_distribution, reed_solomon_code
 from weightdist.codes import LinearCode, random_code
 from weightdist.errors import BudgetExceededError, RegimeViolationError
 from weightdist.fields import GF
@@ -30,6 +32,9 @@ def test_census_rejects_bool_and_non_int_width(nu):
     M = GFMatrix.from_rows(GF(2), IDENTITY3)
     with pytest.raises(ValueError):
         census(M, nu)
+    code = LinearCode(M)
+    with pytest.raises(ValueError, match="nu must be an integer"):
+        verify_counting_identity(code, code.weight_distribution(), nu)
 
 
 @pytest.mark.parametrize("budget", [-1, 0, 2.5, True, "10"])
@@ -98,7 +103,7 @@ def test_census_totals_and_rank_cap():
 
 
 def test_census_budget():
-    """The budget caps the cost of the walk chosen at its boundary: budget =
+    """The budget caps the cost of the cheaper walk at its boundary: budget =
     cost runs and cost - 1 refuses, naming the walk.  The cost is one more
     than the most nodes the walk takes, times t residual columns, times one
     word per row of the side walked (per 64 rows over GF(2)): for a whole
@@ -108,11 +113,15 @@ def test_census_budget():
     rng = random.Random(5)
     for q in CENSUS_FIELDS:
         f = GF(q)
-        # 3 x 8: a whole table of at most 29 nodes; 10 x 20: a whole table
-        # could take about 2^18, so width 3 is walked alone, binom(20, 2) = 190
+        # 3 x 8 at width 2 and 10 x 20 at width 3 walk the width alone, at
+        # binom(8, 1) = 8 and binom(20, 2) = 190 nodes, beside a whole table
+        # of 29 and of about 2^18; 7 x 8 walks its whole table on a kernel of
+        # one or two rows, at most 8 nodes, where width 4 alone takes 56
         small = GFMatrix.from_rows(f, [[rng.randrange(q) for _ in range(8)] for _ in range(3)])
         wide = GFMatrix.from_rows(f, [[rng.randrange(q) for _ in range(20)] for _ in range(10)])
-        for M, nu, route in ((small, 2, "whole census table"), (wide, 3, "census at width 3")):
+        tall = GFMatrix.from_rows(f, [[rng.randrange(q) for _ in range(8)] for _ in range(7)])
+        for M, nu, route in ((small, 2, "census at width 2"), (wide, 3, "census at width 3"),
+                             (tall, 4, "whole census table")):
             t, R = M.cols, rank_oracle(M)
             if route == "whole census table":
                 rows, hi = min(R, t - R), t
@@ -124,12 +133,55 @@ def test_census_budget():
             with pytest.raises(BudgetExceededError,
                                match=f"^{route} costs {cost} element operations"):
                 census(M, nu, budget=cost - 1)
-    # one row of 30 ones, rank 1: a whole table of one node of 30 columns,
-    # and a tally of 2 * 31 * 31
+    # one row of 30 ones, rank 1: width 15 alone, one node of 30 columns and
+    # a tally of 2 * 31 * 16, beside a whole table's tally of 2 * 31 * 31
     M = GFMatrix.from_rows(GF(2), [[1] * 30])
-    with pytest.raises(BudgetExceededError):
-        census(M, 15, budget=1951)
-    assert census(M, 15, budget=1952).counts == {1: binom(30, 15)}
+    with pytest.raises(BudgetExceededError, match="^census at width 15 costs 1022 "):
+        census(M, 15, budget=1021)
+    assert census(M, 15, budget=1022).counts == {1: binom(30, 15)}
+
+
+def test_one_width_of_a_long_row_is_walked_alone():
+    """One row of 2000 ones over GF(2): width 3 alone is one node of 2000
+    columns and a tally of 2 * 2001 * 4, 18,008 operations, where the whole
+    table's tally alone is 2 * 2001^2."""
+    M = GFMatrix.from_rows(GF(2), [[1] * 2000])
+    assert census(M, 3, budget=18_008).counts == {1: binom(2000, 3)}
+    with pytest.raises(BudgetExceededError, match="^census at width 3 costs 18008 "):
+        census(M, 3, budget=18_007)
+
+
+def test_reed_solomon_parity_check_walks_its_whole_table():
+    """H of RS [40,6]_256 has 34 rows and a kernel of 6: its whole table on
+    the kernel is priced at 160,314,487 and width 20 alone far past the
+    default budget, so the census reads the whole table.  Any 34 columns of
+    H, a generator of the dual MDS code, are independent, so every
+    20-column selection has rank 20; the identity holds against the MDS
+    closed form."""
+    code = reed_solomon_code(GF(256), 40, 6)
+    with pytest.raises(BudgetExceededError, match="^whole census table costs 160314487 "):
+        census(code.H, 20, budget=160_314_486)
+    assert census(code.H, 20).counts == {20: binom(40, 20)}
+    A = mds_distribution(40, 6, 256)
+    for nu in (1, 20, 34, 35, 40):
+        assert verify_counting_identity(code, A, nu)[2], nu
+
+
+@pytest.mark.parametrize("q, n, k", [(2, 16, 8), (2, 16, 4), (3, 14, 7), (4, 12, 6)])
+def test_verify_walks_one_table_per_code(q, n, k):
+    """The identity at every width reads the whole table of H, and the
+    full-rank regime at each of its widths reads that table again, cheaper
+    route or not: one walk per code."""
+    code = random_code(GF(q), n, k, seed=n * k)
+    A = code.weight_distribution()
+    d_perp = code.parameters().d_perp
+    with patch.object(rank_census, "_TABLES", {}), \
+            patch.object(rank_census, "_frontier", wraps=rank_census._frontier) as walk:
+        for nu in range(1, n + 1):
+            assert verify_counting_identity(code, A, nu)[2]
+        for nu in range(n - d_perp + 1, n + 1):
+            assert check_full_rank_regime(code, nu, d_perp=d_perp)
+    assert walk.call_count == 1
 
 
 def test_counting_identity_repetition():
@@ -165,18 +217,18 @@ def test_full_rank_regime_reference(reference_pair):
 def test_full_rank_regime_enumerates_under_the_default_budget():
     """Without d_perp the dual distance is enumerated under the one budget
     that also caps the census.  At the default both fit a [30,27]_2 code:
-    its syndrome count costs 30 * 8 * 31 = 7,440 operations, and the whole
-    table of its 3-row H (1 + 29 + 406) * 30 + 4 * 31 * 31 = 16,924, its
-    walk and its tally.  Below the syndrome count's cost the enumeration
-    refuses, cached or not."""
+    its syndrome count costs 30 * 8 * 31 = 7,440 operations, and width 30
+    of its 3-row H alone min(30, 1 + 29 + 406) * 30 + 4 * 31 * 31 = 4,744,
+    its walk and its tally, less than the whole table's 16,924.  Below the
+    syndrome count's cost the enumeration refuses, cached or not."""
     code = random_code(GF(2), 30, 27, seed=30)
     assert check_full_rank_regime(code, 30)
     d_perp = code.parameters().d_perp
     with pytest.raises(BudgetExceededError, match="^syndrome count costs 7440 "):
         check_full_rank_regime(code, 30, budget=7439)
-    assert check_full_rank_regime(code, 30, d_perp=d_perp, budget=16_924)
-    with pytest.raises(BudgetExceededError, match="^whole census table costs 16924 "):
-        check_full_rank_regime(code, 30, d_perp=d_perp, budget=16_923)
+    assert check_full_rank_regime(code, 30, d_perp=d_perp, budget=4_744)
+    with pytest.raises(BudgetExceededError, match="^census at width 30 costs 4744 "):
+        check_full_rank_regime(code, 30, d_perp=d_perp, budget=4_743)
 
 
 def test_regime_substitution_reproduces_moment_rhs(reference_pair):
@@ -236,27 +288,41 @@ def test_census_whole_table_matches_oracle(M):
 
 
 @settings(max_examples=80, deadline=None)
-@given(gf_matrices(CENSUS_FIELDS), st.integers(1, 400))
-@example(TALL, 7)
-@example(WIDE, 30)
-def test_census_budget_limited_walk_matches_oracle(M, budget):
-    # with no whole table allowed each width is walked alone, and the budget
-    # caps that walk at binom(t, nu - 1) nodes, or sum_{j<R} binom(t - 1, j)
-    # if fewer, of t residuals, one word per row (these have at most 5, one
-    # word over GF(2)), and its tally at (R + 1) (t + 1) (nu + 1) additions;
-    # within it the counts are exact
+@given(gf_matrices(CENSUS_FIELDS))
+@example(TALL)
+@example(WIDE)
+@example(LARGE)
+def test_census_budget_limited_walk_matches_oracle(M):
+    # each width takes the cheaper of two walks, the whole table on the
+    # side of fewer rows and the width alone on M's R rows, a tie going to
+    # the whole table; each is priced at its nodes (sum_{j<rows}
+    # binom(t - 1, j), and for width nu alone also at most binom(t, nu - 1))
+    # of t residuals, one word per row (these have at most 5, one word over
+    # GF(2)), plus its tally's (rows + 1) (t + 1) (hi + 1) additions.  That
+    # price runs and one less refuses, from an empty cache and with the
+    # whole table kept, which then saves every walk; the counts are exact
     t, R = M.cols, rank_oracle(M)
-    words = 1 if M.field.q == 2 else max(R, 1)
-    independent = sum(binom(t - 1, j) for j in range(max(R, 1)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rank_census, "_WHOLE_TABLE_NODES", 0)
-        for nu in range(1, t + 1):
-            tally = (R + 1) * (t + 1) * (nu + 1)
-            if min(binom(t, nu - 1), independent) * t * words + tally > budget:
-                with pytest.raises(BudgetExceededError):
-                    census(M, nu, budget=budget)
-            else:
-                assert census(M, nu, budget=budget).counts == naive_census(M, nu)
+
+    def walk(rows):
+        return sum(binom(t - 1, j) for j in range(max(rows, 1)))
+
+    def price(rows, nodes, hi):
+        return nodes * t * (1 if M.field.q == 2 else max(rows, 1)) + (rows + 1) * (t + 1) * (hi + 1)
+
+    whole = price(min(R, t - R), walk(min(R, t - R)), t)
+    with patch.object(rank_census, "_TABLES", {}):
+        for kept in (False, True):
+            if kept:
+                _read(M, 1, None, _window(M, 1)[0])
+            with patch.object(rank_census, "_frontier", wraps=rank_census._frontier) as frontier:
+                for nu in range(1, t + 1):
+                    lone = price(R, min(binom(t, nu - 1), walk(min(R, nu))), nu)
+                    route = "whole census table" if whole <= lone else f"census at width {nu}"
+                    with pytest.raises(BudgetExceededError,
+                                       match=f"^{route} costs {min(whole, lone)} "):
+                        census(M, nu, budget=min(whole, lone) - 1)
+                    assert census(M, nu, budget=min(whole, lone)).counts == naive_census(M, nu)
+            assert not (kept and frontier.called)
 
 
 # edge cases of the walk: no rows, one row, all zero, and repeated columns
@@ -303,7 +369,7 @@ def test_rank_table_matches_the_oracle_in_every_window(M, chunk):
         mp.setattr(rank_census, "_CHUNK", chunk)
         for lo in range(M.cols + 1):
             for hi in range(lo, M.cols + 1):
-                assert _rank_table.__wrapped__(M, lo, hi) == census_table_oracle(M, lo, hi)
+                assert _rank_table(M, lo, hi) == census_table_oracle(M, lo, hi)
 
 
 def subset_table_oracle(M, lo, hi):
@@ -332,7 +398,7 @@ def test_rank_table_matches_every_subset_ranked_alone(M, chunk):
         mp.setattr(rank_census, "_CHUNK", chunk)
         for lo in range(M.cols + 1):
             for hi in range(lo, M.cols + 1):
-                assert _rank_table.__wrapped__(M, lo, hi) == subset_table_oracle(M, lo, hi)
+                assert _rank_table(M, lo, hi) == subset_table_oracle(M, lo, hi)
 
 
 def invertible(field, n, rng):
@@ -358,9 +424,9 @@ def assert_walks_agree(M, windows, rng):
     R = basis.rows
     mixed_basis = gf_matmul(invertible(M.field, R, rng), basis)
     for lo, hi in windows:
-        table = _rank_table.__wrapped__(M, lo, hi)
-        assert _rank_table.__wrapped__(permuted, lo, hi) == table
-        assert _rank_table.__wrapped__(mixed, lo, hi) == table
+        table = _rank_table(M, lo, hi)
+        assert _rank_table(permuted, lo, hi) == table
+        assert _rank_table(mixed, lo, hi) == table
         # the direct walk, never on the kernel
         direct = rank_census._frontier(basis, R, lo, hi)
         assert rank_census._frontier(mixed_basis, R, lo, hi) == direct
@@ -422,7 +488,7 @@ def test_walk_keys_past_int64():
         for M in (TALL, WIDE, LARGE, NO_ROWS, REPEATS, DEPENDENT_512):
             for lo in range(M.cols + 1):
                 for hi in range(lo, M.cols + 1):
-                    assert _rank_table.__wrapped__(M, lo, hi) == census_table_oracle(M, lo, hi)
+                    assert _rank_table(M, lo, hi) == census_table_oracle(M, lo, hi)
 
 
 @settings(max_examples=80, deadline=None)
@@ -448,13 +514,13 @@ def test_walks_take_fewer_nodes_than_they_are_priced_at(M):
         return sum(binom(t - 1, j) for j in range(max(R, 1))) - 1
 
     whole = bound(min(rank, t - rank))
-    assert _rank_table.__wrapped__(M, 0, t, whole) == census_table_oracle(M, 0, t)
+    assert _rank_table(M, 0, t, whole) == census_table_oracle(M, 0, t)
     for nu in range(1, t + 1):
         lone = min(binom(t, nu - 1) - 1, bound(rank))
-        assert _rank_table.__wrapped__(M, nu, nu, lone) == census_table_oracle(M, nu, nu)
+        assert _rank_table(M, nu, nu, lone) == census_table_oracle(M, nu, nu)
     if whole:
         with pytest.raises(BudgetExceededError, match="nodes it was priced at"):
-            _rank_table.__wrapped__(M, 0, t, 0)
+            _rank_table(M, 0, t, 0)
 
 
 def test_parallel_columns_walk_within_their_price():
@@ -462,30 +528,41 @@ def test_parallel_columns_walk_within_their_price():
     copies of e_1 has rank 1, yet the walk leaves each copy after the first
     free instead of branching on it, and takes 2,415 nodes of the 2,416 a
     whole table on 3 rows is priced at, each at 70 columns, beside a tally
-    of 4 * 71 * 71.  Its H, 67 rows, walks the same table on its 3-row
-    kernel at the same price.  Pairs of G's columns have rank 1 within the
-    copies of e_1 and 2 otherwise; a pair of H's has rank 2 - 3 plus the
-    rank of G's other 68 columns: 0 for e_2 and e_3, 1 with one of them."""
+    of 4 * 71 * 71.  Its H, 67 rows, has the same table on its 3-row kernel
+    at the same price, which the identity reads.  Width 2 alone costs less
+    on either: 70 nodes of 70 columns, one word per 64 rows, and a tally of
+    (R + 1) * 71 * 3.  Pairs of G's columns have rank 1 within the copies
+    of e_1 and 2 otherwise; a pair of H's has rank 2 - 3 plus the rank of
+    G's other 68 columns: 0 for e_2 and e_3, 1 with one of them."""
     rows = [[int(j == r) for j in range(3)] + [int(r == 0)] * 67 for r in range(3)]
     code = LinearCode(GFMatrix.from_rows(GF(2), rows))
-    route, cost, window, nodes = _window(code.G, 2)
     price = 2416 * 70 + 4 * 71 * 71
-    assert (route, window, nodes, cost) == ("whole census table", (0, 70), 2416, price)
-    assert _rank_table.__wrapped__(code.G, 0, 70, nodes - 1)[2] == (0, binom(68, 2), 137, 0)
+    for M in (code.G, code.H):
+        assert _window(M, 2)[0] == ("whole census table", price, (0, 70), 2416)
+    assert _rank_table(code.G, 0, 70, 2415)[2] == (0, binom(68, 2), 137, 0)
     with pytest.raises(BudgetExceededError):
-        _rank_table.__wrapped__(code.G, 0, 70, nodes - 2)
-    assert census(code.G, 2, budget=cost).counts == {1: binom(68, 2), 2: 137}
-    assert census(code.H, 2).counts == {0: 1, 1: 136, 2: binom(68, 2)}
-    assert _window(code.H, 2)[:3] == ("whole census table", price, (0, 70))
+        _rank_table(code.G, 0, 70, 2414)
+    for M, lone, counts in ((code.G, 70 * 70 + 4 * 71 * 3, {1: binom(68, 2), 2: 137}),
+                            (code.H, 70 * 70 * 2 + 68 * 71 * 3, {0: 1, 1: 136, 2: binom(68, 2)})):
+        assert census(M, 2, budget=lone).counts == counts
+        with pytest.raises(BudgetExceededError, match=f"^census at width 2 costs {lone} "):
+            census(M, 2, budget=lone - 1)
+    A = code.weight_distribution()
+    assert verify_counting_identity(code, A, 2, budget=price)[2]
+    with pytest.raises(BudgetExceededError, match=f"^whole census table costs {price} "):
+        verify_counting_identity(code, A, 2, budget=price - 1)
 
 
 def test_wide_low_rank_matrices_walk_whole_tables_within_their_price():
-    """A matrix of one or two rows walks its whole table at any width, past
-    128 columns too: on R rows sum_{j<R} binom(t - 1, j) nodes of t columns,
-    one word per row (per 64 rows over GF(2)), and a tally of
-    (R + 1) (t + 1)^2 additions.  A subset has rank 0 on zero columns alone,
-    1 on zero columns and one class of parallel nonzero columns, 2
-    otherwise; every size s has binom(t, s) subsets."""
+    """A matrix of one or two rows has a whole table at any width, past 128
+    columns too: on R rows sum_{j<R} binom(t - 1, j) nodes of t columns, one
+    word per row (per 64 rows over GF(2)), and a tally of (R + 1) (t + 1)^2
+    additions.  Width t alone takes as many nodes and the same tally, so it
+    reads the whole table; width 3 alone takes them too, at most
+    binom(t, 2), but a tally of (R + 1) (t + 1) 4, and is walked alone.  A
+    subset has rank 0 on zero columns alone, 1 on zero columns and one
+    class of parallel nonzero columns, 2 otherwise; every size s has
+    binom(t, s) subsets."""
     rng = random.Random(2)
     matrices = [GFMatrix.from_rows(GF(2), [[1] * 300])]
     for q, t in ((2, 300), (3, 200)):
@@ -494,11 +571,14 @@ def test_wide_low_rank_matrices_walk_whole_tables_within_their_price():
     for M in matrices:
         t, R, q = M.cols, M.rows, M.field.q
         nodes = sum(binom(t - 1, j) for j in range(R))
-        cost = nodes * t * (1 if q == 2 else R) + (R + 1) * (t + 1) ** 2
-        assert _window(M, 3) == ("whole census table", cost, (0, t), nodes)
-        with pytest.raises(BudgetExceededError, match=f"^whole census table costs {cost} "):
-            census(M, 3, budget=cost - 1)
-        assert census(M, 3, budget=cost).nu == 3
+        walk = nodes * t * (1 if q == 2 else R)
+        cost, lone = walk + (R + 1) * (t + 1) ** 2, walk + (R + 1) * (t + 1) * 4
+        assert _window(M, 3) == (("whole census table", cost, (0, t), nodes),
+                                 ("census at width 3", lone, (3, 3), nodes))
+        for nu, route, price in ((3, "census at width 3", lone), (t, "whole census table", cost)):
+            with pytest.raises(BudgetExceededError, match=f"^{route} costs {price} "):
+                census(M, nu, budget=price - 1)
+            assert census(M, nu, budget=price).nu == nu
         # the classes: zero columns, and nonzero columns by their value
         # scaled to a leading 1
         classes: dict[tuple, int] = {}
@@ -515,8 +595,10 @@ def test_wide_low_rank_matrices_walk_whole_tables_within_their_price():
                      sum(binom(zero + v, s) - binom(zero, s) for v in classes.values())]
             ranks.append(binom(t, s) - ranks[0] - ranks[1])
             assert table[s] == tuple(ranks[:R + 1])
-            if s:
-                assert census(M, s, budget=cost).counts == {r: c for r, c in enumerate(ranks) if c}
+            if s:  # read from the whole table kept by width t
+                with patch.object(rank_census, "_frontier") as walk:
+                    assert census(M, s, budget=cost).counts == {r: c for r, c in enumerate(ranks) if c}
+                assert not walk.called
 
 
 def test_census_small_width_of_wide_matrix():
@@ -541,5 +623,6 @@ def test_census_small_width_of_rank_deficient_square_matrix():
     rows = top + [[a ^ b for a, b in zip(top[i], top[i + 1])] for i in range(10)]
     M = GFMatrix.from_rows(GF(2), rows + [top[0], [0] * 23])
     assert (M.rows, M.cols, rank_oracle(M)) == (23, 23, 11)
-    assert _window(M, 3)[2] == (3, 3)
+    whole, lone = _window(M, 3)
+    assert lone[1] < whole[1]
     assert census(M, 3).counts == naive_census(M, 3)

@@ -169,15 +169,17 @@ def test_verify_honours_format(code_files, capsys):
 
 def test_budget_refusal_inside_verify_exits_3(code_files, capsys):
     """A check that the budget refuses is no failed check: verify exits 3,
-    as census does on the same refusal, and prints no check lines."""
+    as census does on a refusal, and prints no check lines.  The identity
+    reads the whole table; width 4 alone is the cheaper walk."""
     fa, _ = code_files
     injected = distribution_to_json(WeightDistribution(NMDS_844_DISTRIBUTION_A, q=4, k=4))
-    for argv in (["verify", fa, "--inject-distribution", json.dumps(injected)],
-                 ["census", fa, "--nu", "4"]):
+    for argv, route in ((["verify", fa, "--inject-distribution", json.dumps(injected)],
+                         "whole census table"),
+                        (["census", fa, "--nu", "4"], "census at width 4")):
         rc, out, err = run(capsys, *argv, "--budget", "1")
         assert rc == 3, argv
         assert out == ""
-        assert err.startswith("error: whole census table costs ")
+        assert err.startswith(f"error: {route} costs ")
 
 
 def test_one_budget_covers_high_rate_codes_at_the_default(tmp_path, capsys):
