@@ -9,9 +9,10 @@ with fractions.Fraction formed only at back-substitution.
 Every scalar GF(q) elimination in the package, the row reduction behind code
 construction and kernels, runs one step (`_elimination`): GF(2) vectors are
 int bitmasks reduced by XOR, other fields' vectors are tuples reduced through
-the field's own `mul` and `sub`.  `gf_row_reduce` is memoised per matrix, so
-every rank, kernel and basis of one matrix reads one reduction.  This module
-tabulates no field arithmetic and never imports numpy.
+the field's own `mul` and `sub`.  `gf_row_reduce` and `gf_kernel_basis` are
+memoised per matrix, so every rank, kernel and basis of one matrix reads one
+reduction, and each kernel is built once.  This module tabulates no field
+arithmetic and never imports numpy.
 """
 
 from __future__ import annotations
@@ -173,8 +174,11 @@ def gf_rank(M: GFMatrix) -> int:
     return len(gf_row_reduce(M)[1])
 
 
+@functools.lru_cache(maxsize=32)
 def gf_kernel_basis(M: GFMatrix) -> GFMatrix:
-    """Basis (as rows) of {v : M v^T = 0}.  Full column rank gives 0 rows."""
+    """Basis (as rows) of {v : M v^T = 0}.  Full column rank gives 0 rows.
+    Memoised in a bounded cache, as `gf_row_reduce` is, so pricing a code's
+    syndrome count on every call builds its kernel once."""
     f = M.field
     rref, pivots = gf_row_reduce(M)
     free = [c for c in range(M.cols) if c not in pivots]

@@ -15,9 +15,15 @@ binom(x, j) of one degree j evaluated at distinct integer nodes x, one node
 per column.  A system holds that structure, its degrees and its nodes, and
 no table of binomials.  With u unknowns left after the knowns are
 substituted, the rows of degree < u are solved as the dual Vandermonde
-problem in the binomial basis (Bjorck & Pereyra 1970) in O(u^2) integer
-operations, and every other row is checked against that solution; this is
-the only solve, square or overdetermined.  Every closed form in
+problem in the binomial basis (Bjorck & Pereyra 1970), and every other row
+is checked against that solution; this is the only solve, square or
+overdetermined.  The right-hand side defines a functional on polynomials of
+degree < u, which Newton's forward-difference formula writes as a weighted
+sum of values at 0..u-1; its weights are a Taylor shift of the right-hand
+side by -1.  Each unknown is that functional of one node's Lagrange
+numerator, read from the values at 0..u-1 by exact divisions of a big
+integer by a small one: O(u^2) integer operations, and none of the per-node
+ones a product of two big integers.  Every closed form in
 `closed_forms` (MDS, NMDS, AMDS, extremal type II) is this solve on the
 truncated-Pascal system of its parameters.
 """
@@ -133,29 +139,40 @@ def binomial_interpolation(nodes: Sequence[int], degrees: Sequence[int],
     for distinct integer nodes, degrees 0..u-1 in any order and integer
     right-hand sides; each a_s is an int when it is integral (u = 0 gives ()).
 
-    With omega(x) = prod_t (x - x_t) and q_s(x) = omega(x) / (x - x_s), the
-    binomial-basis coefficients c_s of q_s give <c_s, b> = sum_t q_s(x_t) a_t
-    = q_s(x_s) a_s.  Multiplying by (x - c) maps binom(x, j) to
-    (j+1) binom(x, j+1) + (j-c) binom(x, j), so every coefficient is an
-    integer and dividing omega by (x - x_s) is an exact back-recurrence from
-    q_u = 0, summed into <c_s, b> as it runs."""
+    Let L be the functional on polynomials of degree < u with
+    L(binom(x, j)) = b_j; the equations say L(f) = sum_t a_t f(x_t).  By
+    Newton's forward-difference formula L(f) = sum_{i<u} g_i f(i), where g
+    holds the coefficients of B(z - 1) for B(z) = sum_j b_j z^j: a Taylor
+    shift of b by -1 in u(u-1)/2 subtractions.  With omega(x) =
+    prod_t (x - x_t) and q_s(x) = omega(x) / (x - x_s), L(q_s) =
+    q_s(x_s) a_s.  At a point i < u that is not a node, g_i q_s(i) is the
+    exact division g_i omega(i) // (i - x_s), with g_i omega(i) formed once
+    per call; at another node q_s is 0; and i = x_s, a point only when
+    0 <= x_s < u, adds g_i q_s(x_s).  So each node costs u small products
+    for q_s(x_s) and at most u exact divisions of a big integer by a small
+    one, and no product of two big integers."""
     u = len(nodes)
-    b = [0] * u
+    g = [0] * u
     for j, v in zip(degrees, rhs):
-        b[j] = v
-    omega = [1]
-    for c in nodes:
-        omega = [(j - c) * a + j * p for j, (a, p) in enumerate(zip(omega + [0], [0] + omega))]
-    steps = [(j, omega[j], b[j - 1]) for j in range(u, 0, -1)]
+        g[j] = v
+    for i in range(u - 1):
+        for j in range(u - 2, i - 1, -1):
+            g[j] -= g[j + 1]
+    node_set = set(nodes)
+    terms = []
+    for i, gi in enumerate(g):
+        if gi and i not in node_set:
+            for t in nodes:
+                gi *= i - t
+            terms.append((i, gi))
     out = []
     for c in nodes:
-        qj = num = 0
-        for j, w, bj in steps:  # omega_j = j q_{j-1} + (j - c) q_j, for q_{j-1}
-            qj = (w - (j - c) * qj) // j
-            num += qj * bj
+        num = sum(d // (i - c) for i, d in terms)
         den = 1
         for t in nodes:
             den *= c - t or 1  # the node itself contributes 1
+        if 0 <= c < u:
+            num += g[c] * den
         whole, rem = divmod(num, den)
         out.append(Fraction(num, den) if rem else whole)
     return tuple(out)

@@ -30,7 +30,7 @@ from weightdist.closed_forms import (
 )
 from weightdist.codes import macwilliams_transform, random_code
 from weightdist.corpus import find_amds_specimens
-from weightdist.errors import SingularMatrixError
+from weightdist.errors import NegativeEntryError, SingularMatrixError
 from weightdist.fields import GF
 from weightdist.fileio import format_code_file
 from weightdist.matrices import binom, pascal_minor_check, solve_exact
@@ -188,6 +188,15 @@ def test_criterion_07_extremal():
             full = extremal_system(m, widths, include_symmetry=True)
             vec = [dist.counts[u] for u in full.col_labels]
             assert matvec(full.matrix, vec) == full.rhs
+
+
+def test_criterion_07_extremal_nonexistence_at_m_154():
+    # Zhang's bound: no extremal type II code of length 24m exists for
+    # m >= 154, and at m = 154 the solve certifies it with a negative A_624
+    with _Timer("7 (m = 154)", limit=8.0):
+        with pytest.raises(NegativeEntryError, match=r"^A_624 = -\d+ is negative; "
+                           r"no \[3696,1848,620\] extremal type II code exists$"):
+            extremal_distribution(154)
 
 
 def test_criterion_08_moment_recovery(corpus):

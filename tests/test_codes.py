@@ -20,7 +20,7 @@ from weightdist.errors import (
     ZeroCodeError,
 )
 from weightdist.fields import GF
-from weightdist.matrices import GFMatrix, gf_rank
+from weightdist.matrices import GFMatrix, gf_kernel_basis, gf_rank
 from weightdist.reference import NMDS_844_DISTRIBUTION_A, NMDS_844_DISTRIBUTION_B
 
 from gf_oracle import krawtchouk, same_codewords, select_columns
@@ -216,6 +216,21 @@ def test_each_distribution_call_checks_the_count_once(n, k):
             c.weight_distribution(budget=10 ** 6)
             assert len(calls) == i
     assert all(args[1] == 10 ** 6 for args in calls)
+
+
+def test_a_cached_distribution_builds_no_kernel():
+    # a high-rate code's call prices the syndrome count, which reads the
+    # kernel of G: each cached call, and parameters(), rebuilt it
+    c = random_code(GF(2), 30, 27, seed=30)
+    c.weight_distribution()
+    before = gf_kernel_basis.cache_info()
+    for _ in range(3):
+        c.weight_distribution()
+        c.parameters()
+    after = gf_kernel_basis.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 6
+    assert gf_kernel_basis(c.G) is c.H
+    assert after.maxsize is not None
 
 
 def test_support_size_is_weight_and_parity_check_dependence():

@@ -386,18 +386,25 @@ def test_lowest_degree_rows_are_never_singular():
 # structured moment systems: binomial-basis interpolation
 # ---------------------------------------------------------------------------
 
+def _binomial(x, j):
+    """binom(x, j) = x (x-1) ... (x-j+1) / j! for any integer x, negative too;
+    0 when 0 <= x < j."""
+    return math.prod(range(x - j + 1, x + 1)) // math.factorial(j)
+
+
 @st.composite
 def binomial_systems(draw):
-    """Distinct integer nodes in [0, 60), degrees 0..u-1 in any order, and a
+    """Distinct integer nodes in [-30, 60), so that some fall below 0, some
+    inside [0, u) and some at u or above; degrees 0..u-1 in any order, and a
     right-hand side that is arbitrary or the image of an integer vector."""
     u = draw(st.integers(1, 40))
-    nodes = draw(st.lists(st.integers(0, 59), min_size=u, max_size=u, unique=True))
+    nodes = draw(st.lists(st.integers(-30, 59), min_size=u, max_size=u, unique=True))
     degrees = draw(st.permutations(range(u)))
     if draw(st.booleans()):
         rhs = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=u, max_size=u))
     else:
         a = draw(st.lists(st.integers(-50, 50), min_size=u, max_size=u))
-        rhs = [sum(math.comb(x, j) * v for x, v in zip(nodes, a)) for j in degrees]
+        rhs = [sum(_binomial(x, j) * v for x, v in zip(nodes, a)) for j in degrees]
     return nodes, degrees, rhs
 
 
@@ -406,9 +413,11 @@ def binomial_systems(draw):
 @example(([0], [0], [5]))
 @example(([3, 0], [1, 0], [-2, 7]))
 @example(([5, 59, 0, 1], [3, 0, 2, 1], [1, 2, 3, 4]))
+@example(([-1, 2], [0, 1], [3, 5]))  # 1/3 and 8/3; a node below 0 is not a point i < u
+@example(([-30, 1, 0, 7, -2], [4, 2, 0, 1, 3], [9, -4, 2, 0, 11]))
 def test_binomial_interpolation_matches_bareiss(case):
     nodes, degrees, rhs = case
-    A = RationalMatrix.from_rows([[math.comb(x, j) for x in nodes] for j in degrees])
+    A = RationalMatrix.from_rows([[_binomial(x, j) for x in nodes] for j in degrees])
     got = binomial_interpolation(nodes, degrees, rhs)
     assert _exact([Fraction(v) for v in got]) == _exact(solve_exact(A, rhs))
     assert all(type(v) is int or v.denominator > 1 for v in got)
