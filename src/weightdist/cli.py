@@ -172,12 +172,13 @@ def cmd_census(args) -> int:
     code = _load_code(args.codefile)
     M = code.G if args.matrix == "g" else code.H
     cen = census(M, args.nu, budget=args.budget)
+    ranks = sorted(cen.counts.items())
     if args.format == "json":
         _emit(args, dumps(census_to_json(cen)))
+    elif args.format == "csv":
+        _emit(args, "".join(f"{r},{c}\n" for r, c in [("rank", "count"), *ranks]))
     else:
-        lines = [f"nu = {cen.nu}"]
-        lines += [f"rank {r}: {c}" for r, c in sorted(cen.counts.items())]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, "".join([f"nu = {cen.nu}\n", *(f"rank {r}: {c}\n" for r, c in ranks)]))
     return EXIT_OK
 
 
@@ -388,15 +389,16 @@ def cmd_fixtures(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    # every command takes --format and --output, and only the count flags
-    # that it reads
-    def output_flags(default_format: str) -> argparse.ArgumentParser:
+    # every command takes --output, and --format and the count flags only
+    # where it reads them
+    def output_flags(default_format: str | None) -> argparse.ArgumentParser:
         flags = argparse.ArgumentParser(add_help=False)
-        flags.add_argument("--format", choices=("json", "csv", "table"), default=default_format)
+        if default_format:
+            flags.add_argument("--format", choices=("json", "csv", "table"), default=default_format)
         flags.add_argument("--output", help="write to this path instead of stdout")
         return flags
 
-    common = output_flags("json")
+    common, output = output_flags("json"), output_flags(None)
     budget, workers = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     budget.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                         help="max element operations of each enumeration or census, "
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("codefile")
     s.set_defaults(func=cmd_enumerate)
 
-    s = sub.add_parser("dual", parents=[common], help="emit the dual code file")
+    s = sub.add_parser("dual", parents=[output], help="emit the dual code file")
     s.add_argument("codefile")
     s.set_defaults(func=cmd_dual)
 
@@ -489,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ranks of the two moment systems and their stack")
     s.set_defaults(func=cmd_pless_report)
 
-    s = sub.add_parser("fixtures", parents=[budget, common],
+    s = sub.add_parser("fixtures", parents=[budget, output],
                        help="regenerate golden files (default ./fixtures)")
     s.set_defaults(func=cmd_fixtures)
 

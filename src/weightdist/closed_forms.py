@@ -165,9 +165,9 @@ class ExtremalParams:
 
 def extremal_relation_range(m: int) -> range:
     """Widths nu for which the census identity collapses to a relation on
-    the 4m-1 free counts: 20m-4 < nu <= 24m."""
-    ExtremalParams(m)  # validates m
-    return range(20 * m - 3, 24 * m + 1)
+    the 4m-1 free counts: 20m-4 < nu <= 24m, the Pascal widths of d_perp = d."""
+    ep = ExtremalParams(m)
+    return range(ep.n - ep.d + 1, ep.n + 1)
 
 
 def extremal_system(m: int, nu_set: Sequence[int],
@@ -178,19 +178,23 @@ def extremal_system(m: int, nu_set: Sequence[int],
         sum_l binom(20m-4l, nu-4m-4l) A_{4m+4l}
             = binom(24m, nu) (2^(nu-12m) - 1) - delta(24m, nu)
 
-    for each requested nu in (20m-4, 24m], optionally extended with the
-    2m-1 symmetry rows A_{4m+4l} = A_{20m-4l}."""
+    for each requested nu in (20m-4, 24m], the code's truncated-Pascal row
+    nu less A_0 = A_24m = 1, optionally extended with the 2m-1 symmetry
+    rows A_{4m+4l} = A_{20m-4l}."""
     ep = ExtremalParams(m)
     unknowns = ep.unknown_indices
     pos = {u: i for i, u in enumerate(unknowns)}
-    rows, rhs, labels, widths = [], [], [], extremal_relation_range(m)
+    S = build_pascal_system(CodeParameters(n=ep.n, k=ep.k, d=ep.d, d_perp=ep.d, q=2))
+    pascal = {nu: (deg, b) for nu, deg, b in zip(S.row_labels, S.degrees, S.rhs)}
+    rows, rhs, labels = [], [], []
     for nu in nu_set:
-        if nu not in widths:
+        if nu not in pascal:
             raise RangeViolationError(
                 f"nu={nu} outside ({20 * m - 4}, {24 * m}]")
-        rows.append([binom(20 * m - 4 * l, nu - 4 * m - 4 * l)
-                     for l in range(1, 4 * m)])
-        rhs.append(binom(24 * m, nu) * (2 ** (nu - 12 * m) - 1) - (nu == 24 * m))
+        deg, b = pascal[nu]
+        # column s of the Pascal system is A_s, at node n - s
+        rows.append([binom(S.nodes[u], deg) for u in unknowns])
+        rhs.append(b - binom(S.nodes[0], deg) - binom(S.nodes[ep.n], deg))
         labels.append(nu)
     if include_symmetry:
         for l in range(1, 2 * m):

@@ -120,6 +120,8 @@ class LinearCode:
                     f"generator has rank {gf_rank(self.G)} < {self.k} rows")
             if self.H.cols != self.n or self.H.rows != self.n - self.k:
                 raise ValueError("parity-check shape mismatch")
+            if H is not None and gf_rank(H) != self.n - self.k:
+                raise ValueError(f"parity-check rank {gf_rank(H)} < {self.n - self.k} rows")
             prod = gf_matmul(self.G, self.H.transpose())
             if any(any(r) for r in prod.entries):
                 raise ValueError("G H^T != 0")
@@ -156,8 +158,8 @@ class LinearCode:
                             workers: int = 1) -> WeightDistribution:
         """Exact distribution by `weight_histogram`: the table enumeration,
         or for a high-rate code the syndrome count.  The distribution is
-        cached, and `check_count` checks every call once: inside
-        `weight_histogram` on the first, directly on a cached one."""
+        cached, and `check_count` checks every call once, from the memoised
+        rank: inside `weight_histogram` on the first, directly on a cached one."""
         global enumeration
         if enumeration is None:
             from . import enumeration

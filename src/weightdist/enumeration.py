@@ -52,12 +52,13 @@ last column the count at syndrome 0 is the number of codewords of each
 weight, each reached by q^(rows - rank) messages.  So it counts the same
 codewords as the table, by a different walk over the same space; it uses no
 MacWilliams transform, nor any other identity between weight distributions
-that the package checks.  It is taken only when q^r fits the block table
-and its element operations, n m (p - 1) q^r (n + 1), are fewer than the
-table's, ceil(q^k / (q - 1)) messages times its words per codeword.  The
-budget caps the cost of the route taken and never chooses it.  Counts are
-int64 while q^k < 2^63 and Python ints beyond.  Worker processes split only
-the table enumeration.
+that the package checks.  `check_count` prices the table at
+ceil(q^k / (q - 1)) messages times its words per codeword and, while its
+q^r states fit the block table (r = n - rank(G), memoised), the syndrome
+count at n m (p - 1) q^r (n + 1); by `errors.cheapest_route`, the one rule
+of every exact count, it takes the cheaper, the table on a tie, under the
+budget and returns its name and price.  Counts are int64 while q^k < 2^63
+and Python ints beyond.  Worker processes split only the table enumeration.
 
 numpy and the process pool are imported inside the functions that use them,
 so that loading this module, or every module of the package on the first
@@ -70,9 +71,9 @@ from __future__ import annotations
 import os
 from typing import Iterator, Sequence
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, cheapest_route
 from .fields import TABLE_ORDER_LIMIT, Field, array_ops
-from .matrices import GFMatrix, gf_kernel_basis, gf_row_reduce
+from .matrices import GFMatrix, gf_kernel_basis, gf_rank, gf_row_reduce
 
 _BLOCK_ROWS = 1 << 16
 
@@ -187,16 +188,6 @@ def _worker(args) -> list[int]:
     return _histogram_range(Field(p, m, modulus or None), inner, outer, n, start, stop).tolist()
 
 
-def check_budget(cost: int, budget: int | None, route: str) -> None:
-    """Refuse a budget that is not None or an int >= 1 (ValueError), and a
-    route whose cost exceeds it (BudgetExceededError, naming both)."""
-    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int) or budget < 1):
-        raise ValueError(f"budget must be None or a positive integer, got {budget!r}")
-    if budget is not None and cost > budget:
-        raise BudgetExceededError(f"{route} costs {cost} element operations, "
-                                  f"over the budget of {budget}")
-
-
 def _syndrome_histogram(G: GFMatrix, H: GFMatrix) -> list[int]:
     """Exact weight histogram (A_0..A_n) of the row space of G, counted over
     the q^r syndromes of H = `gf_kernel_basis(G)`, which has r = n - rank(G)
@@ -287,31 +278,21 @@ def _table_histogram(G: GFMatrix, workers: int) -> list[int]:
 
 
 def check_count(G: GFMatrix, budget: int | None = DEFAULT_BUDGET,
-                workers: int = 1) -> GFMatrix | None:
+                workers: int = 1) -> tuple[str, int]:
     """Refuse a workers count that is not a positive int (ValueError) before
-    anything is computed, then the cheaper count of G (see the module
-    docstring) if it costs more than the budget (`check_budget`); return the
-    H = `gf_kernel_basis(G)` the syndrome count reads, or None for the table."""
+    anything is computed, then take and cap the cheaper count of G by
+    `cheapest_route` (see the module docstring); return its (name, price)."""
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     field, n, k = G.field, G.cols, G.rows
-    q = field.q
+    q, r = field.q, n - gf_rank(G)
     # the table's words per codeword: every coordinate over GF(2), packed,
     # else the non-pivot ones (at least one, so a price is never zero)
-    table = -(-q ** k // (q - 1)) * (-(-n // 64) if q == 2 else max(n - k, 1))
-
-    def syndromes(r):  # past the block table, never below the table's cost
-        return n * field.m * (field.p - 1) * q ** r * (n + 1) if q ** r <= _BLOCK_ROWS else table
-
-    # r >= n - k, so the first test sends a code to the table without an
-    # elimination; only a rank-deficient G can pass it and fail the second
-    if syndromes(max(n - k, 0)) < table:
-        H = gf_kernel_basis(G)
-        if syndromes(H.rows) < table:
-            check_budget(syndromes(H.rows), budget, "syndrome count")
-            return H
-    check_budget(table, budget, "table enumeration")
-    return None
+    routes = [("table enumeration",
+               -(-q ** k // (q - 1)) * (-(-n // 64) if q == 2 else max(n - k, 1)))]
+    if q ** r <= _BLOCK_ROWS:
+        routes.append(("syndrome count", n * field.m * (field.p - 1) * q ** r * (n + 1)))
+    return cheapest_route(routes, budget)
 
 
 def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_BUDGET,
@@ -319,5 +300,6 @@ def weight_histogram(G: GFMatrix, budget: int | None = DEFAULT_BUDGET,
     """Exact weight histogram (A_0..A_n) of the row space of G by the cheaper
     of the two exact counts, whose cost the budget caps (see the module
     docstring); `workers` splits the table, at most `os.cpu_count()` ways."""
-    H = check_count(G, budget, workers)
-    return _table_histogram(G, workers) if H is None else _syndrome_histogram(G, H)
+    if check_count(G, budget, workers)[0] == "syndrome count":
+        return _syndrome_histogram(G, gf_kernel_basis(G))
+    return _table_histogram(G, workers)

@@ -63,6 +63,19 @@ class BudgetExceededError(WeightDistError):
     """Requested exhaustive computation exceeds the configured budget."""
 
 
+def cheapest_route(routes, budget: int | None):
+    """The one rule of every exact count: refuse a budget that is not None or
+    an int >= 1 (ValueError), and return the cheapest priced route (name,
+    price, ...), the first on a tie, unless it costs more (BudgetExceededError)."""
+    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int) or budget < 1):
+        raise ValueError(f"budget must be None or a positive integer, got {budget!r}")
+    route = min(routes, key=lambda r: r[1])
+    if budget is not None and route[1] > budget:
+        raise BudgetExceededError(f"{route[0]} costs {route[1]} element operations, "
+                                  f"over the budget of {budget}")
+    return route
+
+
 class ZeroCodeError(WeightDistError):
     """Minimum distance is undefined: the (primal or dual) code has no
     nonzero codeword."""

@@ -177,8 +177,8 @@ def gf_rank(M: GFMatrix) -> int:
 @functools.lru_cache(maxsize=32)
 def gf_kernel_basis(M: GFMatrix) -> GFMatrix:
     """Basis (as rows) of {v : M v^T = 0}.  Full column rank gives 0 rows.
-    Memoised in a bounded cache, as `gf_row_reduce` is, so pricing a code's
-    syndrome count on every call builds its kernel once."""
+    Memoised in a bounded cache, as `gf_row_reduce` is, so a code's H and the
+    kernel its syndrome count and census read are one build."""
     f = M.field
     rref, pivots = gf_row_reduce(M)
     free = [c for c in range(M.cols) if c not in pivots]

@@ -4,7 +4,7 @@ weight distribution to the census of its parity-check matrix, and the
 full-rank regime where every wide-enough column selection has maximal rank.
 
 A census walks the whole table of every width or its width alone, whichever
-is priced lower, as the enumeration takes its cheaper count; the identity,
+is priced lower, by the rule that takes the enumeration's count; the identity,
 which every caller reads at every width, reads the whole table.  The walk
 reduces column subsets in numpy by the field's `fields.array_ops`, from a
 basis read from the memoised `matrices.gf_row_reduce`; numpy loads with it.
@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import LinearCode, WeightDistribution, require_ints
-from .enumeration import check_budget
-from .errors import DEFAULT_BUDGET, BudgetExceededError, RegimeViolationError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, RegimeViolationError, cheapest_route
 from .fields import array_ops
 from .matrices import GFMatrix, _elimination, binom, gf_kernel_basis, gf_rank, gf_row_reduce
 
@@ -46,14 +45,13 @@ def census(M: GFMatrix, nu: int, budget: int | None = DEFAULT_BUDGET) -> RankCen
     The row for nu is read from a table counts[size][rank] that one walk
     over column subsets (`_frontier`) builds for every size at once (the
     Whitney rank-generating function of the column matroid) or for width nu
-    alone, whichever `_window` prices lower, as `enumeration.check_count`
-    takes the cheaper count; the budget caps that price and never changes
-    the choice.  A whole table is walked on the kernel K of M when that has
-    fewer rows, mapped back by r_M(S) = |S| - r_K(E) + r_K(E \\ S), and kept
-    by matrix (`_read`), so a run's checks share one walk.
+    alone, whichever `_window` prices lower, the whole table on a tie, by
+    `errors.cheapest_route`, the one rule of every exact count.  A whole
+    table is walked on the kernel K of M when that has fewer rows, mapped
+    back by r_M(S) = |S| - r_K(E) + r_K(E \\ S), and kept by matrix
+    (`_read`), so a run's checks share one walk.
     """
-    whole, lone = _window(M, nu)
-    return _read(M, nu, budget, lone if lone[1] < whole[1] else whole)
+    return _read(M, nu, cheapest_route(_window(M, nu), budget))
 
 
 def _window(M: GFMatrix, nu: int) -> tuple[tuple[str, int, tuple[int, int], int], ...]:
@@ -88,12 +86,11 @@ def _window(M: GFMatrix, nu: int) -> tuple[tuple[str, int, tuple[int, int], int]
 _TABLES: dict[GFMatrix, tuple[tuple[int, ...], ...]] = {}
 
 
-def _read(M: GFMatrix, nu: int, budget: int | None, walk: tuple) -> RankCensus:
-    """The census of M at width nu by `walk`, one of `_window`'s, refused
-    when it costs more than the budget; a whole table of M already kept is
-    read instead, so the cache saves walks but never a price or a refusal."""
-    route, cost, (lo, hi), nodes = walk
-    check_budget(cost, budget, route)
+def _read(M: GFMatrix, nu: int, walk: tuple) -> RankCensus:
+    """The census of M at width nu by `walk`, one of `_window`'s that
+    `cheapest_route` took under the budget; a whole table of M already kept
+    is read instead, so the cache saves walks but never a price or a refusal."""
+    _, _, (lo, hi), nodes = walk
     table = _TABLES.pop(M, None) or _rank_table(M, lo, hi, nodes)
     if table[0][0]:  # a whole table, which counts the empty subset
         _TABLES[M] = table  # read last, so dropped last
@@ -311,9 +308,8 @@ def verify_counting_identity(C: LinearCode, A: WeightDistribution, nu: int,
     if (A.n, A.q) != (n, q):
         raise ValueError(f"distribution of length {A.n} over GF({A.q}) given for "
                          f"a code of length {n} over GF({q})")
-    whole = _window(C.H, nu)[0]
+    cen = _read(C.H, nu, cheapest_route(_window(C.H, nu)[:1], budget))
     lhs = sum(binom(n - s, nu - s) * A.counts[s] for s in range(nu + 1))
-    cen = _read(C.H, nu, budget, whole)
     rhs = sum(cnt * q ** (nu - r) for r, cnt in cen.counts.items())
     return lhs, rhs, lhs == rhs
 

@@ -313,7 +313,7 @@ def test_census_budget_limited_walk_matches_oracle(M):
     with patch.object(rank_census, "_TABLES", {}):
         for kept in (False, True):
             if kept:
-                _read(M, 1, None, _window(M, 1)[0])
+                _read(M, 1, _window(M, 1)[0])
             with patch.object(rank_census, "_frontier", wraps=rank_census._frontier) as frontier:
                 for nu in range(1, t + 1):
                     lone = price(R, min(binom(t, nu - 1), walk(min(R, nu))), nu)

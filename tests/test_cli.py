@@ -92,6 +92,9 @@ def test_count_flags_must_be_positive_integers(code_files, capsys, flags):
     (["extremal", "1"], ["--budget", "10"]),
     (["census", "{code}", "--nu", "2"], ["--workers", "2"]),
     (["fixtures"], ["--workers", "2"]),
+    # dual prints a code file and fixtures writes its files, in one format
+    (["dual", "{code}"], ["--format", "json"]),
+    (["fixtures"], ["--format", "csv"]),
 ])
 def test_commands_refuse_count_flags_they_do_not_read(code_files, capsys, command, flags):
     fa, _ = code_files
@@ -124,6 +127,14 @@ def test_census_json(code_files, capsys):
     assert rc == 0
     obj = json.loads(out)
     assert obj["counts"] == {"4": "1"}
+
+
+def test_census_formats(code_files, capsys):
+    fa, _ = code_files
+    rc, out, _ = run(capsys, "census", fa, "--nu", "5", "--format", "csv")
+    assert rc == 0 and out.splitlines() == ["rank,count", "4,56"]
+    rc, out, _ = run(capsys, "census", fa, "--nu", "5", "--format", "table")
+    assert rc == 0 and out.splitlines() == ["nu = 5", "rank 4: 56"]
 
 
 def test_verify_all_passes(code_files, capsys):
@@ -407,7 +418,7 @@ def test_enumerating_commands_load_only_what_they_run(code_files):
     for argv, modules in (
             (["enumerate", fa], ENUMERATES),
             (["dual", fa], READ_WRITE | {"fields"}),
-            (["census", fa, "--nu", "4"], ENUMERATES | {"rank_census"}),
+            (["census", fa, "--nu", "4"], READ_WRITE | {"fields", "rank_census"}),
             (["verify", fa], ENUMERATES | {"rank_census", "moments"})):
         assert loaded_by(argv)[0] == sorted(modules), argv[0]
 

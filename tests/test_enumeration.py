@@ -21,7 +21,7 @@ from weightdist import enumeration
 from weightdist.codes import LinearCode, macwilliams_transform, random_code
 from weightdist.closed_forms import reed_solomon_code
 from weightdist.enumeration import weight_histogram
-from weightdist.errors import BudgetExceededError
+from weightdist.errors import BudgetExceededError, cheapest_route
 from weightdist.fields import GF, Field, array_ops
 from weightdist.matrices import GFMatrix, gf_kernel_basis, gf_rank, gf_row_reduce
 
@@ -479,6 +479,22 @@ def test_budget_boundary_on_both_routes(field):
                            match=f"^{route} costs {cost} element operations, "
                                  f"over the budget of {cost - 1}$"):
             weight_histogram(G, budget=cost - 1)
+
+
+def test_cheapest_route_is_the_one_rule():
+    """The cheapest priced route is taken, the first listed on a tie, and
+    returned whole; the budget caps its price and never chooses another."""
+    routes = [("table enumeration", 7, "a"), ("syndrome count", 5), ("census", 5)]
+    assert cheapest_route(routes, None) == ("syndrome count", 5)
+    assert cheapest_route(routes[:1], 7) == ("table enumeration", 7, "a")
+    assert cheapest_route(routes, 5) == ("syndrome count", 5)
+    with pytest.raises(BudgetExceededError,
+                       match="^syndrome count costs 5 element operations, "
+                             "over the budget of 4$"):
+        cheapest_route(routes, 4)
+    for budget in (0, -1, True, 2.0, "5"):
+        with pytest.raises(ValueError, match="^budget must be None or a positive integer"):
+            cheapest_route(routes, budget)
 
 
 @pytest.mark.parametrize("q, n, k, route", [
