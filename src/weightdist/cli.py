@@ -321,7 +321,7 @@ def cmd_amds(args) -> int:
 def cmd_extremal(args) -> int:
     from .closed_forms import extremal_distribution
 
-    _emit(args, _render_distribution(args, extremal_distribution(args.m)))
+    _emit(args, _render_distribution(args, extremal_distribution(args.m, args.budget)))
     return EXIT_OK
 
 
@@ -401,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     common, output = output_flags("json"), output_flags(None)
     budget, workers = (argparse.ArgumentParser(add_help=False) for _ in range(2))
     budget.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                        help="max element operations of each enumeration or census, "
-                             "counted on the route it takes (default 1e9)")
+                        help="max element operations of each enumeration, census or "
+                             "extremal solve, counted on the route it takes (default 1e9)")
     workers.add_argument("--workers", type=_positive_int, default=1,
                          help="parallel workers for enumeration, capped at the core count")
 
@@ -482,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("seeds", help="comma-separated A_{n-k},...,A_{n-k+sigma-2}")
     s.set_defaults(func=cmd_amds)
 
-    s = sub.add_parser("extremal", parents=[common],
+    s = sub.add_parser("extremal", parents=[budget, common],
                        help="distribution of a [24m,12m,4m+4] type II code")
     s.add_argument("m", type=int)
     s.set_defaults(func=cmd_extremal)

@@ -24,10 +24,12 @@ from typing import TYPE_CHECKING, Sequence
 
 from .codes import CodeParameters, LinearCode, WeightDistribution, require_ints
 from .errors import (
+    DEFAULT_BUDGET,
     InconsistentKnownsError,
     NegativeEntryError,
     NonIntegralSolutionError,
     RangeViolationError,
+    cheapest_route,
 )
 from .matrices import GFMatrix, RationalMatrix, binom
 from .moments import MomentSystem, _solve_counts, build_pascal_system
@@ -208,13 +210,57 @@ def extremal_system(m: int, nu_set: Sequence[int],
                         rows=RationalMatrix.from_rows(rows, cols=len(unknowns)))
 
 
-def extremal_distribution(m: int) -> WeightDistribution:
+def _extremal_price(m: int) -> int:
+    """An upper bound on the work of `extremal_distribution(m)`, with each
+    big-integer step counted by the 64-bit words of its widest operand.
+
+    There are u = 4m - 1 unknowns at the nodes 20m - 4l and 4m + 4 rows,
+    and no point 0..u-1 of the interpolation is a node; every difference of
+    a point or node and a node is below 2^L, L the bit length of 20m.
+      - A right-hand side less the knowns is below 2^(24m) 2^(12m) +
+        2^(24m) + 1: 36m + 1 bits, and 9 steps a row to form it.
+      - The Taylor shift, u (u - 1) / 2 subtractions, adds at most u bits.
+      - The u^2 products of g_i omega(i) add at most u L more.
+      - Per node: u quotients and their u additions, a count's numerator
+        at most the bit length of u wider; u products for its denominator
+        +-4^(u-1) t! (u-1-t)!, below 2^(u L); at most 8 more steps.
+      - The surplus rows: per row and unknown a binomial below 2^(20m), a
+        product and a Fraction sum, at most 10 steps; every denominator
+        divides 4^(u-1) (u-1)!, so the sums' denominators stay below
+        2^(u L).
+      - 4 checks per count.
+    So the price grows as m^3, as the time does."""
+    u, rows, n = 4 * m - 1, 4 * m + 4, 24 * m
+    L = (20 * m).bit_length()
+    rhs = 36 * m + 1
+    shifted = rhs + u
+    term = shifted + u * L
+    count = term + u.bit_length()
+    den = u * L
+    row_sum = 20 * m + count + den + u.bit_length()
+
+    def words(bits: int) -> int:
+        return -(-bits // 64)
+
+    return (rows * 9 * words(rhs)
+            + u * (u - 1) // 2 * words(shifted)
+            + u * u * words(term)
+            + u * (u * (2 * words(count) + words(den)) + 8 * words(count))
+            + (rows - u) * u * 10 * words(row_sum)
+            + 4 * (n + 1) * words(count))
+
+
+def extremal_distribution(m: int, budget: int | None = DEFAULT_BUDGET) -> WeightDistribution:
     """Full distribution of a [24m, 12m, 4m+4] extremal type II code: the
     free counts solved from A_0 = A_24m = 1 at the 4m-1 largest widths (the
     widths 20m-3..20m+1 are surplus rows), then symmetry and total checked.
     A count that is not a nonnegative integer raises NonIntegralSolutionError
-    or NegativeEntryError naming its weight: no such code exists."""
+    or NegativeEntryError naming its weight: no such code exists.  The
+    budget caps the solve's price in 64-bit word operations (see
+    `_extremal_price`) by `cheapest_route`, the rule of every exact count,
+    before anything is solved."""
     ep = ExtremalParams(m)
+    cheapest_route([("extremal solve", _extremal_price(m))], budget)
     n, k = ep.n, ep.k
     params = CodeParameters(n=n, k=k, d=ep.d, d_perp=ep.d, q=2)
     counts = _pascal_counts(params, {0: 1, n: 1}, ep.unknown_indices)

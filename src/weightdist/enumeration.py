@@ -40,7 +40,13 @@ layouts:
     histogram lands.  Each compare writes into one preallocated buffer.
 Packing several such symbols per word and counting the nonzero fields of
 their difference was measured slower than this per-symbol compare, so only
-GF(2) packs.
+GF(2) packs.  The weights of a block are tallied by `np.bincount`: up to
+n = 255 they are uint8, and each adjacent pair is read as one uint16 bin,
+so the count makes half the passes and the histogram is the row sums plus
+the column sums of the pair counts, reshaped (bins, 256) and cut to
+(bins, bins); an odd block is padded
+with one zero weight, taken back out of bin 0.  Past n = 255 the weights
+are int64 and counted one at a time.
 
 The syndrome count (Wolf's trellis: J. K. Wolf, IEEE Trans. Inf. Theory 24,
 1978) serves high-rate codes, whose q^(n-k) syndromes are far fewer than
@@ -49,16 +55,26 @@ vector x with H x^T = 0.  Column by column, it counts the vectors over the
 columns so far by syndrome and weight: a next coordinate a != 0 moves a
 vector from syndrome s - a h_j to s and adds one to its weight.  After the
 last column the count at syndrome 0 is the number of codewords of each
-weight, each reached by q^(rows - rank) messages.  So it counts the same
+weight, each reached by q^(rows - rank) messages.  The sum over a != 0
+runs over the line <h_j>, which x^i h_j (i < m) span over GF(p): it is m
+sums of p states each, along c x^i h_j (c in GF(p)).  Every step x^i h_j
+is formed before the first column, in one field product, and a step of a
+zero column is never taken.  Over GF(2^m) the state of s - c x^i h_j is
+an XOR of states; over odd p the state of s - x^i h_j is found once per
+step, from a borrow per digit over a prime field, and that of
+s - c x^i h_j by applying that map c times.  The counts are kept
+state-major, one row of weights per syndrome.  So it counts the same
 codewords as the table, by a different walk over the same space; it uses no
 MacWilliams transform, nor any other identity between weight distributions
 that the package checks.  `check_count` prices the table at
-ceil(q^k / (q - 1)) messages times its words per codeword and, while its
-q^r states fit the block table (r = n - rank(G), memoised), the syndrome
-count at n m (p - 1) q^r (n + 1); by `errors.cheapest_route`, the one rule
-of every exact count, it takes the cheaper, the table on a tie, under the
-budget and returns its name and price.  Counts are int64 while q^k < 2^63
-and Python ints beyond.  Worker processes split only the table enumeration.
+ceil(q^k / (q - 1)) messages times its words per codeword, k = rank(G)
+(memoised), the rows it enumerates, and, while its q^r states fit the
+block table (r = n - k), the syndrome count at n m (p - 1) q^r (n + 1), its
+n m (p - 1) gathers of at most q^r (n + 1) counts; by
+`errors.cheapest_route`, the one rule of every exact count, it takes the
+cheaper, the table on a tie, under the budget and returns its name and
+price.  Counts are int64 while q^k < 2^63 and Python ints beyond.  Worker
+processes split only the table enumeration.
 
 numpy and the process pool are imported inside the functions that use them,
 so that loading this module, or every module of the package on the first
@@ -163,7 +179,12 @@ def _histogram_range(field: Field, inner: Sequence[Sequence[int]],
     if q <= TABLE_ORDER_LIMIT:
         outer_mults = [_multiples(field, row, range(q)) for row in outer]
 
-    wbuf = np.empty(size, dtype=wdtype)
+    # uint8 weights are counted in pairs (see the module docstring): the
+    # uint16 view reads w + 256 w' or 256 w + w' by byte order, and the row
+    # plus column sums below count both either way
+    paired = wdtype == np.uint8
+    wbuf = np.zeros(size + (size % 2 if paired else 0), dtype=wdtype)
+    weights = wbuf[:size]
     hist = np.zeros(n + 1, dtype=np.int64)
     for v in _normalised_messages(q, len(outer), outer_start, outer_stop):
         target = np.zeros(width, dtype=word)
@@ -176,10 +197,20 @@ def _histogram_range(field: Field, inner: Sequence[Sequence[int]],
                 mult = (outer_mults[i][lam] if outer_mults is not None
                         else _multiples(field, outer[i], [lam])[0])
                 target = sub(target, mult)
-        np.copyto(wbuf, digits)
+        np.copyto(weights, digits)
         for col, t in zip(table, target):
-            np.add(wbuf, differing(col, t), out=wbuf)
-        hist[shift:] += np.bincount(wbuf, minlength=n + 1 - shift) * (q - 1 if v else 1)
+            np.add(weights, differing(col, t), out=weights)
+        # every weight is below bins, so a pair's bin is below 256 bins and
+        # only the first bins columns of the reshape are nonzero
+        bins = n + 1 - shift
+        if paired:
+            pairs = np.bincount(wbuf.view(np.uint16), minlength=256 * bins)
+            pairs = pairs.reshape(bins, 256)[:, :bins]
+            count = pairs.sum(axis=1) + pairs.sum(axis=0)
+            count[0] -= wbuf.size - size
+        else:
+            count = np.bincount(wbuf, minlength=bins)
+        hist[shift:] += count * (q - 1 if v else 1)
     return hist
 
 
@@ -195,42 +226,51 @@ def _syndrome_histogram(G: GFMatrix, H: GFMatrix) -> list[int]:
     import numpy as np
 
     field, n, r = G.field, G.cols, H.rows
-    p, q = field.p, field.q
+    p, q, m = field.p, field.q, field.m
     dtype, mul, sub, _ = array_ops(field)
     # syndrome s is state sum_i s_i q^i; digits[s] holds its coordinates
     states = np.arange(q ** r)
     powers = np.array([q ** i for i in range(r)], dtype=np.int64)
-    digits = np.empty((q ** r, r), dtype=dtype)
-    rest = states.copy()
-    for i in range(r):
-        digits[:, i] = rest % q
-        rest //= q
+    digits = (states[:, None] // powers % q).astype(dtype)
+    carries = q * powers
+    # steps[j, i] = x^i h_j, x^i being encoded as p^i, and codes[j][i] its state
+    columns = np.array(H.entries, dtype=dtype).reshape(r, n).T
+    steps = mul(np.array([p ** i for i in range(m)], dtype=dtype)[:, None], columns[:, None])
+    codes = (steps @ powers).tolist()
+    nonzero = columns.any(axis=1).tolist()
     # counts[s, w]: vectors over the columns so far with syndrome s and weight
     # w.  It and every coset sum below count vectors of one fiber of a linear
     # map, at most q^rank(G) of them, so int64 holds them while q^rows does.
     counts = np.zeros((q ** r, n + 1), dtype=np.int64 if q ** G.rows < 1 << 63 else object)
     counts[0, 0] = 1
     for j in range(n):
-        column = np.asarray(H.column(j), dtype=dtype)
         below = counts[:, :j + 1]
-        if not column.any():
+        if not nonzero[j]:
             counts[:, 1:j + 2] += below * (q - 1)
             continue
         # sum over a != 0 of below[s - a h_j]: the sum over the coset of the
-        # line <h_j> through s, less below[s].  x^i h_j (i < m) span the line
-        # over GF(p), so the coset sum is m sums over p states each, along
-        # c x^i h_j (c in GF(p)), whose encoding scalar is c p^i.
+        # line <h_j> through s, less below[s]
         coset = below
-        for i in range(field.m):
-            scalars = np.array([c * p ** i for c in range(1, p)], dtype=dtype)
-            multiples = mul(scalars[:, None], column)
+        for i in range(m):
             if p == 2:
                 # each coordinate is m bits of the state, so a difference
                 # is an XOR of states
-                sources = states ^ (multiples @ powers)[:, None]
+                coset = coset + coset[states ^ codes[j][i]]
+                continue
+            # hop[s] is the state of s - x^i h_j, and hop applied c times
+            # that of s - c x^i h_j.  Over a prime field that state is
+            # s - codes[j][i] plus carries[d] = q^(d+1) for each digit d of s
+            # below the step's, which wraps by q
+            if m == 1:
+                hop = (digits < steps[j, i]) @ carries
+                hop += states - codes[j][i]
             else:
-                sources = [sub(digits, t) @ powers for t in multiples]
-            coset = coset + sum(coset[src] for src in sources)
+                hop = sub(digits, steps[j, i]) @ powers
+            src, total = hop, coset[hop]
+            for _ in range(p - 2):
+                src = hop[src]
+                total += coset[src]
+            coset = coset + total
         counts[:, 1:j + 2] += coset - below
     scale = q ** (G.rows - n + r)
     return [int(c) * scale for c in counts[0]]
@@ -284,10 +324,11 @@ def check_count(G: GFMatrix, budget: int | None = DEFAULT_BUDGET,
     `cheapest_route` (see the module docstring); return its (name, price)."""
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    field, n, k = G.field, G.cols, G.rows
-    q, r = field.q, n - gf_rank(G)
-    # the table's words per codeword: every coordinate over GF(2), packed,
-    # else the non-pivot ones (at least one, so a price is never zero)
+    field, n, k = G.field, G.cols, gf_rank(G)
+    q, r = field.q, n - k
+    # the table enumerates the k rank rows of the reduced form; its words per
+    # codeword: every coordinate over GF(2), packed, else the non-pivot ones
+    # (at least one, so a price is never zero)
     routes = [("table enumeration",
                -(-q ** k // (q - 1)) * (-(-n // 64) if q == 2 else max(n - k, 1)))]
     if q ** r <= _BLOCK_ROWS:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightdist import cli, errors
+from weightdist import cli, closed_forms, errors
 from weightdist.cli import main
 from weightdist.codes import WeightDistribution, random_code
 from weightdist.fields import GF
@@ -89,7 +89,7 @@ def test_count_flags_must_be_positive_integers(code_files, capsys, flags):
 @pytest.mark.parametrize("command, flags", [
     (["mds", "8", "4", "9"], ["--workers", "2"]),
     (["dual", "{code}"], ["--budget", "10"]),
-    (["extremal", "1"], ["--budget", "10"]),
+    (["extremal", "1"], ["--workers", "2"]),
     (["census", "{code}", "--nu", "2"], ["--workers", "2"]),
     (["fixtures"], ["--workers", "2"]),
     # dual prints a code file and fixtures writes its files, in one format
@@ -435,6 +435,17 @@ def test_closed_form_commands(capsys):
     obj = json.loads(out)
     for i, c in GOLAY_FREE_COUNTS.items():
         assert int(obj["A"][i]) == c
+
+
+def test_extremal_reads_the_budget(capsys):
+    price = closed_forms._extremal_price(1)
+    rc, out, _ = run(capsys, "extremal", "1", "--budget", str(price))
+    assert rc == 0 and int(json.loads(out)["A"][8]) == 759
+    rc, out, err = run(capsys, "extremal", "1", "--budget", str(price - 1))
+    assert (rc, out, err) == (3, "", f"error: extremal solve costs {price} element operations, "
+                                     f"over the budget of {price - 1}\n")
+    rc, out, err = run(capsys, "extremal", "1000")
+    assert rc == 3 and out == "" and err.endswith("over the budget of 1000000000\n")
 
 
 def test_negative_closed_form_counts_are_math_errors(capsys):

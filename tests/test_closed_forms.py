@@ -21,6 +21,8 @@ from weightdist.closed_forms import (
 from weightdist.codes import CodeParameters
 from weightdist.corpus import find_amds_specimens
 from weightdist.errors import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
     InconsistentKnownsError,
     NegativeEntryError,
     NonIntegralSolutionError,
@@ -299,6 +301,29 @@ def test_extremal_m2_known_enumerator():
     assert dist.counts[20] == 3995376
     assert dist.counts[24] == 7681680
     assert dist.total() == 2 ** 24
+
+
+def test_extremal_budget_caps_the_solve_price(monkeypatch):
+    """budget = price runs and price - 1 refuses; the price grows as m^3, as
+    the time does, so m = 154 (its certificate is pinned by the acceptance
+    suite) runs at the default budget and m = 1000 is refused before
+    anything is solved."""
+    for m in (1, 2, 8):
+        price = closed_forms._extremal_price(m)
+        assert extremal_distribution(m, budget=price).total() == 2 ** (12 * m)
+        with pytest.raises(BudgetExceededError,
+                           match=f"^extremal solve costs {price} element operations, "
+                                 f"over the budget of {price - 1}$"):
+            extremal_distribution(m, budget=price - 1)
+    assert all(7.5 < closed_forms._extremal_price(2 * m) / closed_forms._extremal_price(m) < 9
+               for m in (40, 80, 160, 320))
+    assert closed_forms._extremal_price(154) <= DEFAULT_BUDGET < closed_forms._extremal_price(1000)
+    monkeypatch.setattr(closed_forms, "_pascal_counts", None)
+    with pytest.raises(BudgetExceededError, match="^extremal solve costs "):
+        extremal_distribution(1000)
+    for budget in (0, True, 2.5):
+        with pytest.raises(ValueError, match="^budget must be None or a positive integer"):
+            extremal_distribution(1, budget=budget)
 
 
 def test_extremal_symmetry_and_all_relations_m123():

@@ -100,6 +100,51 @@ def test_syndrome_histogram_matches_codeword_oracle(field, data):
     assert enumeration._syndrome_histogram(G, H) == oracle_histogram(G)
 
 
+def two_row_histogram(G: GFMatrix) -> list[int]:
+    """Weights of a rank-2 code from its columns alone: each line through 0
+    of GF(q)^2 is the set of columns c with lam . c = 0 for q - 1 of the
+    nonzero messages lam, whose codeword is nonzero everywhere else; a zero
+    column lies on every line.  No codeword is encoded."""
+    f, n = G.field, G.cols
+    assert gf_rank(G) == 2
+    lines: dict[tuple[int, int], int] = {}
+    for a, b in zip(*G.entries):
+        if a or b:
+            point = (1, f.mul(b, f.inv(a))) if a else (0, 1)
+            lines[point] = lines.get(point, 0) + 1
+    zeros = n - sum(lines.values())
+    hist = [1] + [0] * n
+    hist[n - zeros] += (f.q - 1) * (f.q + 1 - len(lines))
+    for on_line in lines.values():
+        hist[n - zeros - on_line] += f.q - 1
+    return hist
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.q})")
+def test_syndrome_count_zero_columns_and_counts_past_int64(field):
+    """The first row of G is e_0, so column 0 of H is zero, beside nonzero
+    columns wherever q^r and the p - 1 coset gathers per step stay small
+    (otherwise H has no rows and every column is zero).  Copies of the first
+    row up to q^rows >= 2^63 make the counts Python ints, each codeword
+    reached by q^copies messages."""
+    q, p = field.q, field.p
+    k = max(1, math.floor(math.log(MAX_WORDS, q)))
+    r = min(2, math.floor(math.log(MAX_WORDS, q))) if q * p <= 10 ** 5 else 0
+    n = k + r
+    rows = [[int(j == 0) for j in range(n)]]
+    rows += [[0] + row for row in _random_rows(field, k - 1, n - 1, seed=q)]
+    G = GFMatrix.from_rows(field, rows)
+    H = gf_kernel_basis(G)
+    assert H.rows == r and not any(H.column(0))
+    expected = oracle_histogram(G)
+    assert enumeration._syndrome_histogram(G, H) == expected
+    copies = 1
+    while q ** (k + copies) < 1 << 63:
+        copies += 1
+    tall = GFMatrix.from_rows(field, rows + rows[:1] * copies)
+    assert enumeration._syndrome_histogram(tall, H) == [q ** copies * a for a in expected]
+
+
 def _edge_generators(field: Field) -> dict[str, GFMatrix]:
     """Three columns each, so that no count here has over 16^3 states."""
     q, rng = field.q, random.Random(field.q)
@@ -291,6 +336,36 @@ def test_two_workers_odd_normalised_range(q, k_inner):
         assert weight_histogram(G, budget=None, workers=2) == oracle_histogram(G)
 
 
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.q})")
+def test_table_at_the_width_of_the_weight_buffer(field):
+    """n = 255 is the widest code whose weights are uint8, tallied two at a
+    time, and n = 256 the narrowest tallied one at a time: two random rows
+    at every split whose block fits and whose outer part has at most q + 2
+    <= 300 messages.  Over odd q every block is odd, and so is the one-word
+    block of k_inner = 0 over GF(2)."""
+    q = field.q
+    for n in (255, 256):
+        G = GFMatrix.from_rows(field, _random_rows(field, 2, n, seed=n + q))
+        expected = two_row_histogram(G)
+        for k_inner in range(3):
+            if q ** k_inner <= 1 << 16 and (k_inner or q <= 300):
+                with patch.object(enumeration, "_BLOCK_ROWS", q ** k_inner):
+                    assert enumeration._table_histogram(G, 1) == expected, (n, k_inner)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.q})")
+def test_two_workers_over_every_field(field):
+    """Both rows outer: 1 + 1 + q normalised messages over two processes,
+    which rebuild the field from its characteristic, degree and modulus."""
+    G = GFMatrix.from_rows(field, _random_rows(field, 2, 4, seed=field.q))
+    with patch.object(enumeration, "_BLOCK_ROWS", 1), \
+            patch.object(enumeration.os, "cpu_count", lambda: 2), \
+            patch.object(enumeration, "_histogram_range",
+                         wraps=enumeration._histogram_range) as run:
+        assert enumeration._table_histogram(G, 2) == two_row_histogram(G)
+    assert not run.called
+
+
 def _binary_code(n: int, k: int, seed: int, extra=()) -> GFMatrix:
     """Rows `extra`, an all-ones row (weight n, so the top of the weight
     buffer is reached), then random rows; k rows in all."""
@@ -479,6 +554,19 @@ def test_budget_boundary_on_both_routes(field):
                            match=f"^{route} costs {cost} element operations, "
                                  f"over the budget of {cost - 1}$"):
             weight_histogram(G, budget=cost - 1)
+
+
+def test_table_is_priced_on_the_rank():
+    """30 copies of one length-40 row over GF(3) have rank 1: the table
+    enumerates that one row, ceil(3 / 2) messages of its 39 non-pivot words,
+    78 operations, not the ceil(3^30 / 2) messages of G, and the 3^39
+    syndromes are past the block table.  Each codeword has 3^29 messages."""
+    field = GF(3)
+    row = _random_rows(field, 1, 40, seed=40)[0]
+    G = GFMatrix.from_rows(field, [row] * 30)
+    assert enumeration.check_count(G) == ("table enumeration", 78)
+    assert weight_histogram(G) == [3 ** 29 * a
+                                   for a in oracle_histogram(GFMatrix.from_rows(field, [row]))]
 
 
 def test_cheapest_route_is_the_one_rule():
