@@ -41,12 +41,14 @@ layouts:
 Packing several such symbols per word and counting the nonzero fields of
 their difference was measured slower than this per-symbol compare, so only
 GF(2) packs.  The weights of a block are tallied by `np.bincount`: up to
-n = 255 they are uint8, and each adjacent pair is read as one uint16 bin,
-so the count makes half the passes and the histogram is the row sums plus
-the column sums of the pair counts, reshaped (bins, 256) and cut to
-(bins, bins); an odd block is padded
-with one zero weight, taken back out of bin 0.  Past n = 255 the weights
-are int64 and counted one at a time.
+n = 255 they are uint8, and in a block of more weights than the 256 (n + 1)
+bins of a pair table each adjacent pair is read as one uint16 bin, so the
+count makes half the passes and the histogram is the row sums plus the
+column sums of the pair counts, reshaped (bins, 256) and cut to
+(bins, bins); an odd block is padded with one zero weight, taken back out
+of bin 0.  A smaller block, whose pair table would cost more to clear and
+sum than its weights to count, and the int64 weights past n = 255 are
+counted one at a time.
 
 The syndrome count (Wolf's trellis: J. K. Wolf, IEEE Trans. Inf. Theory 24,
 1978) serves high-rate codes, whose q^(n-k) syndromes are far fewer than
@@ -61,7 +63,7 @@ sums of p states each, along c x^i h_j (c in GF(p)).  Every step x^i h_j
 is formed before the first column, in one field product, and a step of a
 zero column is never taken.  Over GF(2^m) the state of s - c x^i h_j is
 an XOR of states; over odd p the state of s - x^i h_j is found once per
-step, from a borrow per digit over a prime field, and that of
+step, by one digit subtraction, and that of
 s - c x^i h_j by applying that map c times.  The counts are kept
 state-major, one row of weights per syndrome.  So it counts the same
 codewords as the table, by a different walk over the same space; it uses no
@@ -179,10 +181,11 @@ def _histogram_range(field: Field, inner: Sequence[Sequence[int]],
     if q <= TABLE_ORDER_LIMIT:
         outer_mults = [_multiples(field, row, range(q)) for row in outer]
 
-    # uint8 weights are counted in pairs (see the module docstring): the
-    # uint16 view reads w + 256 w' or 256 w + w' by byte order, and the row
-    # plus column sums below count both either way
-    paired = wdtype == np.uint8
+    # uint8 weights of a block larger than the pair table are counted in
+    # pairs (see the module docstring): the uint16 view reads w + 256 w' or
+    # 256 w + w' by byte order, and the row plus column sums below count
+    # both either way
+    paired = wdtype == np.uint8 and size > 256 * (n + 1)
     wbuf = np.zeros(size + (size % 2 if paired else 0), dtype=wdtype)
     weights = wbuf[:size]
     hist = np.zeros(n + 1, dtype=np.int64)
@@ -232,7 +235,6 @@ def _syndrome_histogram(G: GFMatrix, H: GFMatrix) -> list[int]:
     states = np.arange(q ** r)
     powers = np.array([q ** i for i in range(r)], dtype=np.int64)
     digits = (states[:, None] // powers % q).astype(dtype)
-    carries = q * powers
     # steps[j, i] = x^i h_j, x^i being encoded as p^i, and codes[j][i] its state
     columns = np.array(H.entries, dtype=dtype).reshape(r, n).T
     steps = mul(np.array([p ** i for i in range(m)], dtype=dtype)[:, None], columns[:, None])
@@ -258,14 +260,8 @@ def _syndrome_histogram(G: GFMatrix, H: GFMatrix) -> list[int]:
                 coset = coset + coset[states ^ codes[j][i]]
                 continue
             # hop[s] is the state of s - x^i h_j, and hop applied c times
-            # that of s - c x^i h_j.  Over a prime field that state is
-            # s - codes[j][i] plus carries[d] = q^(d+1) for each digit d of s
-            # below the step's, which wraps by q
-            if m == 1:
-                hop = (digits < steps[j, i]) @ carries
-                hop += states - codes[j][i]
-            else:
-                hop = sub(digits, steps[j, i]) @ powers
+            # that of s - c x^i h_j
+            hop = sub(digits, steps[j, i]) @ powers
             src, total = hop, coset[hop]
             for _ in range(p - 2):
                 src = hop[src]

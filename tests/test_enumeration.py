@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from weightdist import enumeration
 from weightdist.codes import LinearCode, macwilliams_transform, random_code
-from weightdist.closed_forms import reed_solomon_code
+from weightdist.closed_forms import mds_distribution, reed_solomon_code
 from weightdist.enumeration import weight_histogram
 from weightdist.errors import BudgetExceededError, cheapest_route
 from weightdist.fields import GF, Field, array_ops
@@ -338,11 +338,11 @@ def test_two_workers_odd_normalised_range(q, k_inner):
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.q})")
 def test_table_at_the_width_of_the_weight_buffer(field):
-    """n = 255 is the widest code whose weights are uint8, tallied two at a
-    time, and n = 256 the narrowest tallied one at a time: two random rows
-    at every split whose block fits and whose outer part has at most q + 2
-    <= 300 messages.  Over odd q every block is odd, and so is the one-word
-    block of k_inner = 0 over GF(2)."""
+    """n = 255 is the widest code whose weights are uint8 and n = 256 the
+    narrowest whose weights are int64: two random rows at every split whose
+    block fits and whose outer part has at most q + 2 <= 300 messages.  No
+    block of at most 2^16 weights is past the 256^2 bins of a pair table at
+    n = 255, so both widths tally one weight at a time."""
     q = field.q
     for n in (255, 256):
         G = GFMatrix.from_rows(field, _random_rows(field, 2, n, seed=n + q))
@@ -351,6 +351,23 @@ def test_table_at_the_width_of_the_weight_buffer(field):
             if q ** k_inner <= 1 << 16 and (k_inner or q <= 300):
                 with patch.object(enumeration, "_BLOCK_ROWS", q ** k_inner):
                     assert enumeration._table_histogram(G, 1) == expected, (n, k_inner)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.q})")
+def test_table_tallies_a_block_past_the_pair_table_in_pairs(field):
+    """A systematic [k + 1, k] code with nonzero parity coefficients is MDS.
+    k is the fewest rows whose one block of q^k weights is past the
+    256 (k + 2) bins of a pair table, so its weights are tallied two at a
+    time; over odd q the block is odd and padded with one zero weight."""
+    q = field.q
+    k = 1
+    while q ** k <= 256 * (k + 2):
+        k += 1
+    rng = random.Random(q)
+    G = GFMatrix.from_rows(field, [[int(i == j) for j in range(k)] + [rng.randrange(1, q)]
+                                   for i in range(k)])
+    with patch.object(enumeration, "_BLOCK_ROWS", q ** k):
+        assert enumeration._table_histogram(G, 1) == list(mds_distribution(k + 1, k, q).counts)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.q})")
