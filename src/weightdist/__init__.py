@@ -17,10 +17,9 @@ the module `weightdist.rank_census`.
 _MODULE_OF = {
     **dict.fromkeys(("RankCensus", "census", "check_full_rank_regime",
                      "verify_counting_identity"), "rank_census"),
-    **dict.fromkeys(("AmdsInput", "ExtremalParams", "amds_counts", "amds_distribution",
-                     "extremal_distribution", "extremal_relation_range", "extremal_system",
-                     "mds_distribution", "nmds_distribution", "reed_solomon_code"),
-                    "closed_forms"),
+    **dict.fromkeys(("AmdsInput", "amds_counts", "amds_distribution", "extremal_distribution",
+                     "extremal_system", "mds_distribution", "nmds_distribution",
+                     "reed_solomon_code"), "closed_forms"),
     **dict.fromkeys(("CodeParameters", "LinearCode", "WeightDistribution",
                      "macwilliams_transform", "random_code"), "codes"),
     **dict.fromkeys(("find_amds_specimens", "random_corpus"), "corpus"),

@@ -14,13 +14,18 @@ distributions (MDS is the no-seed case and near-MDS the one-seed case), and
 A_0 = A_24m = 1 and zeros for the extremal type II distribution.  The rows
 the interpolation does not use are checked by the same solve: the MDS row
 at width n - k, and the extremal rows at widths 20m-3..20m+1.
+
+A type II code of the extremal family is its `CodeParameters` and its 4m-1
+free counts, nothing more.  `extremal_system` selects some of its relations,
+with symmetry rows if asked, as a plain matrix and right-hand side that
+`solve_exact` solves; no closed form reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .codes import CodeParameters, LinearCode, WeightDistribution, require_ints
 from .errors import (
@@ -32,7 +37,7 @@ from .errors import (
     cheapest_route,
 )
 from .matrices import GFMatrix, RationalMatrix, binom
-from .moments import MomentSystem, _solve_counts, build_pascal_system
+from .moments import _solve_counts, build_pascal_system
 
 if TYPE_CHECKING:
     from .fields import Field
@@ -135,45 +140,31 @@ def amds_distribution(inp: AmdsInput) -> WeightDistribution:
 # extremal doubly-even self-dual binary codes [24m, 12m, 4m+4]
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtremalParams:
-    """Derived parameters of the extremal type II family."""
-
-    m: int
-
-    def __post_init__(self):
-        require_ints(m=self.m)
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-
-    @property
-    def n(self) -> int:
-        return 24 * self.m
-
-    @property
-    def k(self) -> int:
-        return 12 * self.m
-
-    @property
-    def d(self) -> int:
-        return 4 * self.m + 4
-
-    @property
-    def unknown_indices(self) -> tuple[int, ...]:
-        """Weights not forced to 0 or 1 by divisibility and symmetry:
-        A_{4m+4}, A_{4m+8}, ..., A_{20m-4}."""
-        return tuple(4 * self.m + 4 * l for l in range(1, 4 * self.m))
+def _type_ii(m: int) -> tuple[CodeParameters, tuple[int, ...]]:
+    """The parameters of a [24m, 12m, 4m+4] type II code, whose dual
+    distance is d as it is self-dual, and its 4m-1 free counts: the weights
+    4m+4, 4m+8, ..., 20m-4 that divisibility and symmetry do not force to 0
+    or 1."""
+    require_ints(m=m)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    d = 4 * m + 4
+    return (CodeParameters(n=24 * m, k=12 * m, d=d, d_perp=d, q=2),
+            tuple(range(d, 20 * m - 3, 4)))
 
 
-def extremal_relation_range(m: int) -> range:
-    """Widths nu for which the census identity collapses to a relation on
-    the 4m-1 free counts: 20m-4 < nu <= 24m, the Pascal widths of d_perp = d."""
-    ep = ExtremalParams(m)
-    return range(ep.n - ep.d + 1, ep.n + 1)
+class ExtremalSystem(NamedTuple):
+    """Relations on the free counts of a type II code, as the rows and
+    right-hand side that `solve_exact` takes."""
+
+    matrix: RationalMatrix
+    rhs: tuple[int, ...]
+    row_labels: tuple[object, ...]
+    col_labels: tuple[int, ...]
 
 
 def extremal_system(m: int, nu_set: Sequence[int],
-                    include_symmetry: bool = False) -> MomentSystem:
+                    include_symmetry: bool = False) -> ExtremalSystem:
     """Relations on the free counts A_{4m+4l} of a [24m, 12m, 4m+4] type II
     code:
 
@@ -183,10 +174,9 @@ def extremal_system(m: int, nu_set: Sequence[int],
     for each requested nu in (20m-4, 24m], the code's truncated-Pascal row
     nu less A_0 = A_24m = 1, optionally extended with the 2m-1 symmetry
     rows A_{4m+4l} = A_{20m-4l}."""
-    ep = ExtremalParams(m)
-    unknowns = ep.unknown_indices
+    params, unknowns = _type_ii(m)
     pos = {u: i for i, u in enumerate(unknowns)}
-    S = build_pascal_system(CodeParameters(n=ep.n, k=ep.k, d=ep.d, d_perp=ep.d, q=2))
+    S = build_pascal_system(params)
     pascal = {nu: (deg, b) for nu, deg, b in zip(S.row_labels, S.degrees, S.rhs)}
     rows, rhs, labels = [], [], []
     for nu in nu_set:
@@ -196,7 +186,7 @@ def extremal_system(m: int, nu_set: Sequence[int],
         deg, b = pascal[nu]
         # column s of the Pascal system is A_s, at node n - s
         rows.append([binom(S.nodes[u], deg) for u in unknowns])
-        rhs.append(b - binom(S.nodes[0], deg) - binom(S.nodes[ep.n], deg))
+        rhs.append(b - binom(S.nodes[0], deg) - binom(S.nodes[params.n], deg))
         labels.append(nu)
     if include_symmetry:
         for l in range(1, 2 * m):
@@ -206,8 +196,8 @@ def extremal_system(m: int, nu_set: Sequence[int],
             rows.append(row)
             rhs.append(0)
             labels.append(f"sym A_{4 * m + 4 * l}=A_{20 * m - 4 * l}")
-    return MomentSystem("extremal", tuple(rhs), tuple(labels), unknowns,
-                        rows=RationalMatrix.from_rows(rows, cols=len(unknowns)))
+    return ExtremalSystem(RationalMatrix.from_rows(rows, cols=len(unknowns)),
+                          tuple(rhs), tuple(labels), unknowns)
 
 
 def _extremal_price(m: int) -> int:
@@ -259,12 +249,11 @@ def extremal_distribution(m: int, budget: int | None = DEFAULT_BUDGET) -> Weight
     budget caps the solve's price in 64-bit word operations (see
     `_extremal_price`) by `cheapest_route`, the rule of every exact count,
     before anything is solved."""
-    ep = ExtremalParams(m)
+    params, unknowns = _type_ii(m)
     cheapest_route([("extremal solve", _extremal_price(m))], budget)
-    n, k = ep.n, ep.k
-    params = CodeParameters(n=n, k=k, d=ep.d, d_perp=ep.d, q=2)
-    counts = _pascal_counts(params, {0: 1, n: 1}, ep.unknown_indices)
-    code = f"[{n},{k},{ep.d}] extremal type II code"
+    n, k = params.n, params.k
+    counts = _pascal_counts(params, {0: 1, n: 1}, unknowns)
+    code = f"[{n},{k},{params.d}] extremal type II code"
     for u, v in enumerate(counts):
         if v.denominator != 1:
             raise NonIntegralSolutionError(f"A_{u} = {v} is not an integer; no {code} exists")

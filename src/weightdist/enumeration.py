@@ -60,10 +60,10 @@ last column the count at syndrome 0 is the number of codewords of each
 weight, each reached by q^(rows - rank) messages.  The sum over a != 0
 runs over the line <h_j>, which x^i h_j (i < m) span over GF(p): it is m
 sums of p states each, along c x^i h_j (c in GF(p)).  Every step x^i h_j
-is formed before the first column, in one field product, and a step of a
-zero column is never taken.  Over GF(2^m) the state of s - c x^i h_j is
-an XOR of states; over odd p the state of s - x^i h_j is found once per
-step, by one digit subtraction, and that of
+is formed before the first column, in one field product; a zero column
+takes the same steps, each of which adds a count to itself.  Over GF(2^m)
+the state of s - c x^i h_j is an XOR of states; over odd p the state of
+s - x^i h_j is found once per step, by one digit subtraction, and that of
 s - c x^i h_j by applying that map c times.  The counts are kept
 state-major, one row of weights per syndrome.  So it counts the same
 codewords as the table, by a different walk over the same space; it uses no
@@ -75,8 +75,8 @@ block table (r = n - k), the syndrome count at n m (p - 1) q^r (n + 1), its
 n m (p - 1) gathers of at most q^r (n + 1) counts; by
 `errors.cheapest_route`, the one rule of every exact count, it takes the
 cheaper, the table on a tie, under the budget and returns its name and
-price.  Counts are int64 while q^k < 2^63 and Python ints beyond.  Worker
-processes split only the table enumeration.
+price.  Counts are int64 while q^k < 2^63, k = rank(G), and Python ints
+beyond.  Worker processes split only the table enumeration.
 
 numpy and the process pool are imported inside the functions that use them,
 so that loading this module, or every module of the package on the first
@@ -218,8 +218,7 @@ def _histogram_range(field: Field, inner: Sequence[Sequence[int]],
 
 
 def _worker(args) -> list[int]:
-    p, m, modulus, inner, outer, n, start, stop = args
-    return _histogram_range(Field(p, m, modulus or None), inner, outer, n, start, stop).tolist()
+    return _histogram_range(*args).tolist()
 
 
 def _syndrome_histogram(G: GFMatrix, H: GFMatrix) -> list[int]:
@@ -239,17 +238,14 @@ def _syndrome_histogram(G: GFMatrix, H: GFMatrix) -> list[int]:
     columns = np.array(H.entries, dtype=dtype).reshape(r, n).T
     steps = mul(np.array([p ** i for i in range(m)], dtype=dtype)[:, None], columns[:, None])
     codes = (steps @ powers).tolist()
-    nonzero = columns.any(axis=1).tolist()
     # counts[s, w]: vectors over the columns so far with syndrome s and weight
     # w.  It and every coset sum below count vectors of one fiber of a linear
-    # map, at most q^rank(G) of them, so int64 holds them while q^rows does.
-    counts = np.zeros((q ** r, n + 1), dtype=np.int64 if q ** G.rows < 1 << 63 else object)
+    # map, at most q^rank(G) of them, so int64 holds them while q^rank(G),
+    # q^(n - r), does.
+    counts = np.zeros((q ** r, n + 1), dtype=np.int64 if q ** (n - r) < 1 << 63 else object)
     counts[0, 0] = 1
     for j in range(n):
         below = counts[:, :j + 1]
-        if not nonzero[j]:
-            counts[:, 1:j + 2] += below * (q - 1)
-            continue
         # sum over a != 0 of below[s - a h_j]: the sum over the coset of the
         # line <h_j> through s, less below[s]
         coset = below
@@ -303,9 +299,7 @@ def _table_histogram(G: GFMatrix, workers: int) -> list[int]:
     else:
         from concurrent.futures import ProcessPoolExecutor
         bounds = [n_outer * i // workers for i in range(workers + 1)]
-        modulus = tuple(field.modulus_poly)
-        jobs = [(field.p, field.m, modulus, inner, outer, n, bounds[i], bounds[i + 1])
-                for i in range(workers)]
+        jobs = [(field, inner, outer, n, bounds[i], bounds[i + 1]) for i in range(workers)]
         hist = [0] * (n + 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_worker, jobs):

@@ -187,9 +187,8 @@ class Field:
     # -- construction helpers ------------------------------------------
 
     def _raw_mul(self, a: int, b: int) -> int:
-        """Table-free product, used to bootstrap the tables."""
-        if self.m == 1:
-            return (a * b) % self.p
+        """Table-free product in an extension field: it builds the log
+        tables, and serves every product of a field too large for them."""
         pa = _digits(a, self.p, self.m)
         pb = _digits(b, self.p, self.m)
         digits = _poly_mulmod(pa, pb, self.modulus_poly, self.p)

@@ -48,43 +48,34 @@ from .matrices import RationalMatrix, binom, rational_rank
 
 @dataclass(frozen=True)
 class MomentSystem:
-    """An exact linear system rows x unknowns on weight counts.
+    """An exact linear system rows x unknowns on the weight counts of a code
+    with parameters `params`, given by its structure alone: its entry at row
+    i and column s is binom(nodes[s], degrees[i]), the degrees are
+    0..rows-1 in some order and the nodes are distinct integers.
 
-    row_labels names each row (the width nu for moment rows, a symmetry tag
-    for symmetry rows); col_labels lists which A_i each column stands for.
-    A binomial system gives only its structure, degrees and nodes: its entry
-    at row i and column s is binom(nodes[s], degrees[i]), the degrees are
-    0..rows-1 in some order and the nodes are distinct integers.  Any other
-    system gives its coefficient matrix as `rows` instead, which
-    `solve_with_knowns` refuses and `solve_exact` solves.
+    row_labels names each row (its width nu); col_labels lists which A_i
+    each column stands for.
     """
 
-    kind: str  # "pascal" | "pless" | "extremal"
-    rhs: tuple[int | Fraction, ...]
-    row_labels: tuple[object, ...]
+    kind: str  # "pascal" | "pless"
+    rhs: tuple[int, ...]
+    row_labels: tuple[int, ...]
     col_labels: tuple[int, ...]
-    params: CodeParameters | None = None
-    degrees: tuple[int, ...] | None = None
-    nodes: tuple[int, ...] | None = None
-    rows: RationalMatrix | None = None
+    params: CodeParameters
+    degrees: tuple[int, ...]
+    nodes: tuple[int, ...]
 
     def __post_init__(self):
-        if (self.rows is None, self.degrees is None, self.nodes is None) not in (
-                (True, False, False), (False, True, True)):
-            raise ValueError("give either rows, or both degrees and nodes")
-        if self.rows is None:
-            if sorted(self.degrees) != list(range(len(self.rhs))):
-                raise ValueError(f"row degrees {self.degrees} are not 0..{len(self.rhs) - 1}")
-            if len(self.nodes) != len(self.col_labels) or len(set(self.nodes)) != len(self.nodes):
-                raise ValueError(f"need {len(self.col_labels)} distinct column nodes, "
-                                 f"got {self.nodes}")
+        if sorted(self.degrees) != list(range(len(self.rhs))):
+            raise ValueError(f"row degrees {self.degrees} are not 0..{len(self.rhs) - 1}")
+        if len(self.nodes) != len(self.col_labels) or len(set(self.nodes)) != len(self.nodes):
+            raise ValueError(f"need {len(self.col_labels)} distinct column nodes, "
+                             f"got {self.nodes}")
 
     @cached_property
     def matrix(self) -> RationalMatrix:
-        """The coefficient matrix: `rows`, or the binomials of the structure,
-        built on first use; no solve reads it."""
-        if self.rows is not None:
-            return self.rows
+        """The coefficient matrix, the binomials of the structure, built on
+        first use; no solve reads it."""
         return RationalMatrix(tuple(tuple(math.comb(x, j) for x in self.nodes)
                                     for j in self.degrees), len(self.nodes))
 
@@ -185,11 +176,6 @@ def _solve_counts(S: MomentSystem, knowns: Mapping[int, int],
     Fraction when not integral, negatives included), and every other count
     zero.  Each binomial is one `math.comb(node, degree)`, and a known zero
     is never multiplied out."""
-    if S.params is None:
-        raise ValueError("system carries no code parameters; solve it directly")
-    if S.nodes is None:
-        raise ValueError("system records no row degrees or column nodes; "
-                         "solve it with solve_exact")
     labels, nodes, degrees = S.col_labels, S.nodes, S.degrees
     pos = {lab: idx for idx, lab in enumerate(labels)}
     for j, v in knowns.items():
@@ -226,8 +212,7 @@ def solve_with_knowns(S: MomentSystem, knowns: Mapping[int, int]) -> WeightDistr
     misses, or a count that is not a nonnegative integer, is surfaced as the
     corresponding error and doubles as a nonexistence certificate for the
     requested parameters.  The solve reads the system's degrees and nodes
-    and builds no matrix; a system given as rows is refused, and
-    `solve_exact` solves it."""
+    and builds no matrix."""
     counts = _solve_counts(S, knowns, [j for j in S.col_labels if j not in knowns])
     for j, v in zip(S.col_labels, counts):
         if v.denominator != 1:

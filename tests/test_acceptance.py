@@ -22,7 +22,6 @@ from weightdist.closed_forms import (
     AmdsInput,
     amds_distribution,
     extremal_distribution,
-    extremal_relation_range,
     extremal_system,
     mds_distribution,
     nmds_distribution,
@@ -183,7 +182,7 @@ def test_criterion_07_extremal():
             n = 24 * m
             assert dist.total() == 2 ** (12 * m)
             assert all(dist.counts[i] == dist.counts[n - i] for i in range(n + 1))
-            widths = list(extremal_relation_range(m))
+            widths = list(range(20 * m - 3, 24 * m + 1))
             assert len(widths) == 4 * m + 4
             full = extremal_system(m, widths, include_symmetry=True)
             vec = [dist.counts[u] for u in full.col_labels]

@@ -154,6 +154,20 @@ def test_verify_corrupted_distribution_fails(code_files, capsys):
     assert "FAIL" in out
 
 
+def test_verify_tells_the_two_nmds_codes_apart_by_the_census_alone(code_files, capsys):
+    """Codes A and B share every parameter, so B's distribution passes every
+    check on A but the census identity, which A's submatrix ranks decide."""
+    fa, _ = code_files
+    _, b = nmds_844_codes()
+    injected = json.dumps(distribution_to_json(b.weight_distribution()))
+    rc, out, _ = run(capsys, "verify", fa, "--inject-distribution", injected)
+    assert rc == 1
+    identity, *rest = out.splitlines()
+    assert identity == "identity    FAIL  nu=4: 100 != 97"
+    assert [line.split()[:2] for line in rest] == [
+        ["pless", "PASS"], ["regime", "PASS"], ["crosscheck", "PASS"]]
+
+
 def test_verify_honours_format(code_files, capsys):
     """verify prints its table by default; json prints one object of the
     checks, csv a header and one row per check, and the exit code is the
@@ -274,6 +288,12 @@ def test_invalid_code_parameters_are_input_errors(capsys, flags):
         rc, out, err = run(capsys, command, *flags, "--knowns", '{"0":"1"}')
         assert rc == 2, (command, flags)
         assert out == "" and "ValueError" in err
+
+
+def test_solve_without_a_code_needs_every_parameter(capsys):
+    rc, out, err = run(capsys, "solve", "--n", "8", "--k", "4", "--knowns", '{"0":"1"}')
+    assert rc == 2 and out == ""
+    assert err.rstrip().endswith("(missing ['q', 'd', 'dperp'])")
 
 
 def test_solve_reference(code_files, capsys):

@@ -8,11 +8,9 @@ from gf_oracle import golay_code, matvec, quadratic_residue_47_code
 from weightdist import closed_forms, moments
 from weightdist.closed_forms import (
     AmdsInput,
-    ExtremalParams,
     amds_counts,
     amds_distribution,
     extremal_distribution,
-    extremal_relation_range,
     extremal_system,
     mds_distribution,
     nmds_distribution,
@@ -171,7 +169,7 @@ def test_amds_input_validation():
     lambda: AmdsInput(8, 4, True, 2, (27,)),
     lambda: AmdsInput(8, 4, 4, 3, (27, 2.0)),
     lambda: extremal_distribution(True),
-    lambda: extremal_relation_range(True),
+    lambda: extremal_system(True, [24]),
     lambda: reed_solomon_code(GF(5), 4, True),
     lambda: reed_solomon_code(GF(5), 4.0, 2),
     lambda: mds_distribution("5", 2, 4),
@@ -203,11 +201,9 @@ def test_amds_satisfies_both_moment_systems():
 
 
 def test_extremal_params():
-    ep = ExtremalParams(1)
-    assert (ep.n, ep.k, ep.d) == (24, 12, 8)
-    assert ep.unknown_indices == (8, 12, 16)
-    # 4m+4 = 8 relation widths: 16 < nu <= 24
-    assert list(extremal_relation_range(1)) == list(range(17, 25))
+    # the free counts of a [24, 12, 8] code over its 4m+4 = 8 relation
+    # widths, 16 < nu <= 24
+    assert extremal_system(1, range(17, 25)).col_labels == (8, 12, 16)
 
 
 def test_extremal_system_m1_independent_selection():
@@ -284,7 +280,7 @@ def test_extremal_unused_widths_are_surplus_rows_of_the_solve(monkeypatch):
 
     def tampered(*args):
         x = list(interpolate(*args))
-        x[ExtremalParams(1).unknown_indices.index(12)] += 1
+        x[extremal_system(1, [24]).col_labels.index(12)] += 1
         return tuple(x)
 
     monkeypatch.setattr(moments, "binomial_interpolation", tampered)
@@ -332,7 +328,7 @@ def test_extremal_symmetry_and_all_relations_m123():
         n = 24 * m
         assert all(dist.counts[i] == dist.counts[n - i] for i in range(n + 1))
         assert all(c == 0 for i, c in enumerate(dist.counts) if i % 4)
-        full = extremal_system(m, list(extremal_relation_range(m)), include_symmetry=True)
+        full = extremal_system(m, range(20 * m - 3, 24 * m + 1), include_symmetry=True)
         vec = [dist.counts[u] for u in full.col_labels]
         assert matvec(full.matrix, vec) == full.rhs
 
@@ -341,10 +337,10 @@ def test_extremal_distribution_matches_elimination_on_its_selection():
     """Interpolation on the 4m-1 largest widths gives, count for count, what
     elimination gives on the same relations."""
     for m in range(1, 9):
-        ep = ExtremalParams(m)
-        S = extremal_system(m, list(extremal_relation_range(m))[-(4 * m - 1):])
-        expected = [0] * (ep.n + 1)
-        expected[0] = expected[ep.n] = 1
+        n = 24 * m
+        S = extremal_system(m, list(range(20 * m - 3, 24 * m + 1))[-(4 * m - 1):])
+        expected = [0] * (n + 1)
+        expected[0] = expected[n] = 1
         for u, v in zip(S.col_labels, solve_exact(S.matrix, S.rhs)):
             expected[u] = v
         assert extremal_distribution(m).counts == tuple(expected)
@@ -354,7 +350,7 @@ def test_extremal_relations_are_binomials_at_nodes_24m_minus_u():
     """Width nu's entry at A_u is binom(24m - u, 24m - nu): the node
     24m - u and the degree 24m - nu that extremal_distribution solves with."""
     for m in range(1, 9):
-        widths = extremal_relation_range(m)
+        widths = range(20 * m - 3, 24 * m + 1)
         S = extremal_system(m, widths)
         assert S.matrix.entries == tuple(
             tuple(math.comb(24 * m - u, 24 * m - nu) for u in S.col_labels) for nu in widths)

@@ -35,7 +35,6 @@ from weightdist.matrices import (
 )
 from weightdist.closed_forms import mds_distribution
 from weightdist.moments import (
-    MomentSystem,
     binomial_interpolation,
     build_pascal_system,
     build_pless_system,
@@ -313,17 +312,6 @@ def test_solve_with_knowns_matches_oracle(case):
         assert type(ei.value) is want[0] and str(ei.value) == want[1]
     else:
         assert solve_with_knowns(S, knowns).counts == want
-
-
-def test_solve_with_knowns_refuses_an_unstructured_system():
-    """A system given as rows, with no degrees and nodes, is refused
-    whatever its rows; solve_exact solves such a matrix."""
-    params = CodeParameters(n=3, k=2, d=2, d_perp=3, q=2)
-    rows = [[1, 1, 1, 1], [0, 1, 2, 3], [0, 0, 1, 3]]
-    S = MomentSystem("pascal", (4, 6, 4), (0, 1, 2), (0, 1, 2, 3), params,
-                     rows=RationalMatrix.from_rows(rows))
-    with pytest.raises(ValueError, match="solve_exact"):
-        solve_with_knowns(S, {0: 1})
 
 
 def test_overdetermined_inconsistent_message_is_pinned():

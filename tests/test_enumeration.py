@@ -121,12 +121,14 @@ def two_row_histogram(G: GFMatrix) -> list[int]:
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.q})")
-def test_syndrome_count_zero_columns_and_counts_past_int64(field):
+def test_syndrome_count_zero_columns_and_counts_past_int64(field, monkeypatch):
     """The first row of G is e_0, so column 0 of H is zero, beside nonzero
     columns wherever q^r and the p - 1 coset gathers per step stay small
     (otherwise H has no rows and every column is zero).  Copies of the first
-    row up to q^rows >= 2^63 make the counts Python ints, each codeword
-    reached by q^copies messages."""
+    row, up to q^rows >= 2^63, take the returned counts past 2^63, each
+    codeword reached by q^copies messages.  Every count is at most
+    q^rank(G), so the carrier is keyed on the rank, not the row count, and
+    both counts are int64."""
     q, p = field.q, field.p
     k = max(1, math.floor(math.log(MAX_WORDS, q)))
     r = min(2, math.floor(math.log(MAX_WORDS, q))) if q * p <= 10 ** 5 else 0
@@ -137,12 +139,20 @@ def test_syndrome_count_zero_columns_and_counts_past_int64(field):
     H = gf_kernel_basis(G)
     assert H.rows == r and not any(H.column(0))
     expected = oracle_histogram(G)
+    zeros, made = np.zeros, []
+
+    def spy(shape, *args, **kwargs):
+        made.append(zeros(shape, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np, "zeros", spy)
     assert enumeration._syndrome_histogram(G, H) == expected
     copies = 1
     while q ** (k + copies) < 1 << 63:
         copies += 1
     tall = GFMatrix.from_rows(field, rows + rows[:1] * copies)
     assert enumeration._syndrome_histogram(tall, H) == [q ** copies * a for a in expected]
+    assert [a.dtype for a in made if a.shape == (q ** r, n + 1)] == [np.int64] * 2
 
 
 def _edge_generators(field: Field) -> dict[str, GFMatrix]:
@@ -373,10 +383,12 @@ def test_table_tallies_a_block_past_the_pair_table_in_pairs(field):
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF({f.q})")
 def test_two_workers_over_every_field(field):
     """Both rows outer: 1 + 1 + q normalised messages over two processes,
-    which rebuild the field from its characteristic, degree and modulus."""
+    which receive the field itself, log tables included: building the
+    tables of an extension field is refused while they run."""
     G = GFMatrix.from_rows(field, _random_rows(field, 2, 4, seed=field.q))
     with patch.object(enumeration, "_BLOCK_ROWS", 1), \
             patch.object(enumeration.os, "cpu_count", lambda: 2), \
+            patch.object(Field, "_build_tables", side_effect=AssertionError("field rebuilt")), \
             patch.object(enumeration, "_histogram_range",
                          wraps=enumeration._histogram_range) as run:
         assert enumeration._table_histogram(G, 2) == two_row_histogram(G)

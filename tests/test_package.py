@@ -14,10 +14,11 @@ import weightdist
 ROOT = Path(__file__).resolve().parent.parent
 
 # The public names of the package before its names were bound on first use,
-# when every module was imported by `import weightdist`.
+# when every module was imported by `import weightdist`, less the extremal
+# family's parameter class and relation range, which were removed since.
 PUBLIC_NAMES = {
     "AmdsInput", "BudgetExceededError", "CodeFileFormatError", "CodeParameters",
-    "DEFAULT_BUDGET", "DivisionByZeroError", "ExtremalParams", "Field", "GF", "GFMatrix",
+    "DEFAULT_BUDGET", "DivisionByZeroError", "Field", "GF", "GFMatrix",
     "InconsistentKnownsError", "LinearCode", "MomentSystem", "NegativeEntryError",
     "NegativeSolutionError", "NonIntegralResultError", "NonIntegralSolutionError",
     "NotPrimeError", "RangeViolationError", "RankCensus", "RankDeficientGeneratorError",
@@ -27,7 +28,7 @@ PUBLIC_NAMES = {
     "amds_counts", "amds_distribution", "binom", "build_pascal_system",
     "build_pless_system", "census", "check_full_rank_regime", "cross_check_systems",
     "default_modulus", "distribution_from_json", "distribution_to_json",
-    "extremal_distribution", "extremal_relation_range", "extremal_system",
+    "extremal_distribution", "extremal_system",
     "find_amds_specimens", "format_code_file", "gf_kernel_basis", "gf_matmul", "gf_rank",
     "is_irreducible", "knowns_from_json", "macwilliams_transform", "mds_distribution",
     "nmds_distribution", "parse_code_file", "pascal_minor_check", "random_code",
