@@ -389,9 +389,30 @@ def maximal_minors(rows: Sequence[Sequence[int]]
     return zip(combinations(cols, r), chain.from_iterable(dets))
 
 
+@functools.lru_cache(maxsize=256)
+def _leading_block_nonzero(r: int, s: int) -> bool:
+    """Whether every r x r minor of truncated_pascal(r, s) through its column
+    0, its leading block, is nonzero.  Row 0 is binom(x, 0) = 1, so one
+    elimination step on column 0 with pivot 1 leaves the rows
+    binom(s - j, i) - binom(s, i), i = 1..r-1 and j = 1..s, whose maximal
+    minors are the block's minors, value for value (`maximal_minors`).  Every
+    top argument is >= 0, so `math.comb` gives them.  Memoised in a bounded
+    cache, as `gf_row_reduce` is, so a sweep over t computes each block once."""
+    if r == 1:
+        return binom(s, 0) != 0
+    return all(det for _, det in maximal_minors(
+        [[math.comb(s - j, i) - math.comb(s, i) for j in range(1, s + 1)] for i in range(1, r)]))
+
+
 def pascal_minor_check(r: int, t: int) -> bool:
     """Exhaustively verify that every r x r minor of the truncated Pascal
     matrix is nonzero (the property that makes the moment systems uniquely
-    solvable for any choice of known weights).  Each minor is computed by
-    elimination, in one walk that shares prefixes (`maximal_minors`)."""
-    return all(det for _, det in maximal_minors(truncated_pascal(r, t).entries))
+    solvable for any choice of known weights).  Columns c.. of
+    truncated_pascal(r, t) are truncated_pascal(r, t - c), so the minors
+    whose first column is c are the leading block of s = t - c
+    (`_leading_block_nonzero`), and the check is the AND of the blocks
+    s = r-1..t.  Each minor is still computed by elimination, each block
+    once per process."""
+    if not 1 <= r <= t + 1:
+        raise ValueError(f"need 1 <= r <= t+1, got r={r}, t={t}")
+    return all(_leading_block_nonzero(r, s) for s in range(r - 1, t + 1))

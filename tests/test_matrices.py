@@ -1,4 +1,6 @@
+import math
 import random
+import re
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -6,12 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from weightdist import enumeration
+from weightdist import enumeration, matrices
 from weightdist.rank_census import census
-from weightdist.closed_forms import reed_solomon_code
+from weightdist.closed_forms import (
+    AmdsInput,
+    extremal_distribution,
+    mds_distribution,
+    reed_solomon_code,
+)
+from weightdist.codes import macwilliams_transform
 from weightdist.codes import random_code
 from weightdist.errors import SingularMatrixError
 from weightdist.fields import GF, array_mul, array_ops, array_sub
+from weightdist.moments import verify_pless_full
 from weightdist.matrices import (
     GFMatrix,
     RationalMatrix,
@@ -241,6 +250,101 @@ def test_pascal_minor_check_spots():
     assert pascal_minor_check(3, 8)
     assert pascal_minor_check(1, 1)
     assert pascal_minor_check(4, 6)
+
+
+@pytest.fixture
+def block_cache():
+    """The leading-block cache behind `pascal_minor_check`, cleared on entry
+    and on exit, so that no test reads blocks another test computed."""
+    cache = matrices._leading_block_nonzero
+    cache.cache_clear()
+    yield cache
+    cache.cache_clear()
+
+
+def test_one_zero_minor_fails_every_matrix_holding_its_block(block_cache, monkeypatch):
+    """No Pascal minor is zero, so the False path is reached by reading one
+    minor of the leading block r = 4, s = 7 (rows 3 x 7) as 0: every t >= 7
+    holds that block, and no t < 7 does."""
+    walk = matrices.maximal_minors
+
+    def one_zero(rows):
+        minors = list(walk(rows))
+        if (len(rows), len(rows[0])) == (3, 7):
+            cols, _ = minors[len(minors) // 2]
+            minors[len(minors) // 2] = (cols, 0)
+        return iter(minors)
+
+    monkeypatch.setattr(matrices, "maximal_minors", one_zero)
+    assert [pascal_minor_check(4, t) for t in range(3, 13)] == [True] * 4 + [False] * 6
+
+
+def test_each_leading_block_is_computed_once(block_cache, monkeypatch):
+    """A sweep over t = r-1..12 reads binom(13, r) minors, where checking
+    each t whole read binom(t+1, r) for every t (6,461 for r = 1..5); a
+    repeated sweep reads none, and a cold check of one t reads binom(t+1, r)."""
+    read = []
+    walk = matrices.maximal_minors
+
+    def counted(rows):
+        for minor in walk(rows):
+            read.append(minor)
+            yield minor
+
+    monkeypatch.setattr(matrices, "maximal_minors", counted)
+
+    def sweep(r):
+        read.clear()
+        assert all(pascal_minor_check(r, t) for t in range(r - 1, 13))
+        return len(read)
+
+    assert ([sweep(r) for r in range(2, 6)] == [math.comb(13, r) for r in range(2, 6)]
+            == [78, 286, 715, 1287])
+    before = block_cache.cache_info()
+    assert [sweep(r) for r in range(2, 6)] == [0] * 4
+    after = block_cache.cache_info()
+    # t reads its t - r + 2 blocks s = r-1..t
+    assert after.misses == before.misses
+    assert after.hits - before.hits == sum(t - r + 2 for r in range(2, 6) for t in range(r - 1, 13))
+    for r, t in [(2, 20), (3, 8), (4, 10), (5, 12), (6, 9)]:
+        block_cache.cache_clear()
+        read.clear()
+        assert pascal_minor_check(r, t)
+        assert len(read) == math.comb(t + 1, r)
+    # bounded, and large enough for the benchmark sweep's 55 blocks (r = 1..5, t <= 12)
+    assert block_cache.cache_info().maxsize is not None
+    assert block_cache.cache_info().maxsize >= 55
+
+
+def _rs_4_2():
+    return reed_solomon_code(GF(4), 4, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pascal_minor_check(0, 3), "need 1 <= r <= t+1, got r=0, t=3"),
+    (lambda: pascal_minor_check(5, 3), "need 1 <= r <= t+1, got r=5, t=3"),
+    (lambda: pascal_minor_check(1, -1), "need 1 <= r <= t+1, got r=1, t=-1"),
+    (lambda: extremal_distribution(0), "m must be >= 1"),
+    (lambda: AmdsInput(10, 5, 7, 2, (-1,)), "seed weights must be >= 0"),
+    (lambda: reed_solomon_code(GF(4), 6, 2), "need 1 <= k <= n <= q+1, got n=6, k=2, q=4"),
+    (lambda: verify_pless_full(mds_distribution(4, 2, 4),
+                               macwilliams_transform(mds_distribution(4, 2, 4)), 5),
+     "need 0 <= nu <= 4"),
+    (lambda: census(_rs_4_2().H, 0), "need 1 <= nu <= 4, got 0"),
+    (lambda: census(_rs_4_2().H, 5), "need 1 <= nu <= 4, got 5"),
+    (lambda: solve_exact(RationalMatrix.from_rows([[1, 2]]), [1]),
+     "solve_exact needs a square matrix, got 1x2"),
+    (lambda: solve_exact(RationalMatrix.from_rows([[1, 0], [0, 1]]), [1]),
+     "right-hand side length mismatch"),
+], ids=["pascal-r0", "pascal-r-past-t", "pascal-t-negative", "extremal-m0",
+        "amds-negative-seed", "rs-n-past-q", "pless-nu-past-n", "census-nu0",
+        "census-nu-past-n", "solve-not-square", "solve-rhs-length"])
+def test_refusals(block_cache, call, message):
+    """Invalid arguments are refused with their message, before any work:
+    no refusal reads a block of Pascal minors."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+    assert block_cache.cache_info().currsize == 0
 
 
 def test_pascal_all_square_selections_solvable():
