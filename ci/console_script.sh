@@ -14,7 +14,11 @@
 # limit, directly (GF(3^6) subtracts base-p digit by digit); the
 # high-rate [8,6]_3 code takes the syndrome count, the others the
 # table enumeration; a command refuses a count flag it does not read;
-# dual refuses --format too (exit 2); census csv opens with rank,count;
+# dual refuses --format too (exit 2), and the dual of the dual, whose
+# generator is the kernel basis of the first dual's generator,
+# enumerates as the code itself, for NMDS [8,4,4]_4, whose dual has
+# its distribution, and for the [8,6]_3 code, whose [8,2]_3 dual does
+# not; census csv opens with rank,count;
 # a seed that matches no code is a mathematical failure (exit 1).
 # The table enumeration runs the reduced row echelon form, so the
 # GF(9) and GF(3^6) codes are enumerated a second time from another
@@ -104,6 +108,11 @@ printf 'q=3^6\n6 2\n1 0 5 77 300 728\n0 1 13 401 2 650\n' > "$RUNNER_TEMP/gf729.
 for code in gf9 gf257 gf3_86 gf729; do
   weightdist enumerate "$RUNNER_TEMP/$code.code"
   weightdist verify "$RUNNER_TEMP/$code.code" --which all
+done
+for code in fx/nmds_844_a gf3_86; do
+  weightdist dual "$RUNNER_TEMP/$code.code" > "$RUNNER_TEMP/$code.dual.code"
+  weightdist dual "$RUNNER_TEMP/$code.dual.code" > "$RUNNER_TEMP/$code.dual2.code"
+  diff <(weightdist enumerate "$RUNNER_TEMP/$code.code") <(weightdist enumerate "$RUNNER_TEMP/$code.dual2.code")
 done
 printf 'q=3^2\n6 3\n0 0 1 6 1 5\n0 1 1 8 6 6\n2 1 0 8 3 6\n' > "$RUNNER_TEMP/gf9_b.code"
 printf 'q=3^6\n6 2\n0 1 13 401 2 650\n1 5 31 148 298 566\n' > "$RUNNER_TEMP/gf729_b.code"

@@ -22,7 +22,7 @@ _MODULE_OF = {
                      "reed_solomon_code"), "closed_forms"),
     **dict.fromkeys(("CodeParameters", "LinearCode", "WeightDistribution",
                      "macwilliams_transform", "random_code"), "codes"),
-    **dict.fromkeys(("find_amds_specimens", "random_corpus"), "corpus"),
+    "find_amds_specimens": "corpus",
     "weight_histogram": "enumeration",
     # the error hierarchy is the API
     **dict.fromkeys(("DEFAULT_BUDGET", "WeightDistError", "NotPrimeError",
@@ -36,9 +36,8 @@ _MODULE_OF = {
     **dict.fromkeys(("GF", "Field", "default_modulus", "is_irreducible"), "fields"),
     **dict.fromkeys(("distribution_from_json", "distribution_to_json", "format_code_file",
                      "knowns_from_json", "parse_code_file"), "fileio"),
-    **dict.fromkeys(("GFMatrix", "RationalMatrix", "binom", "gf_kernel_basis", "gf_matmul",
-                     "gf_rank", "pascal_minor_check", "solve_exact", "truncated_pascal"),
-                    "matrices"),
+    **dict.fromkeys(("GFMatrix", "RationalMatrix", "binom", "gf_kernel_basis", "gf_rank",
+                     "pascal_minor_check", "solve_exact", "truncated_pascal"), "matrices"),
     **dict.fromkeys(("MomentSystem", "RankRelationshipReport", "build_pascal_system",
                      "build_pless_system", "cross_check_systems", "rank_relationship_report",
                      "solve_with_knowns", "verify_pless_full"), "moments"),

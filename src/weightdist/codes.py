@@ -16,7 +16,7 @@ from .errors import (
     RankDeficientGeneratorError,
     ZeroCodeError,
 )
-from .matrices import GFMatrix, gf_kernel_basis, gf_matmul, gf_rank
+from .matrices import GFMatrix, gf_kernel_basis, gf_rank
 
 if TYPE_CHECKING:
     from .fields import Field
@@ -102,33 +102,26 @@ class WeightDistribution:
 
 
 class LinearCode:
-    """An [n, k] code over GF(q), held as a full-rank generator matrix G and
-    a full-rank parity-check matrix H with G H^T = 0.
+    """An [n, k] code over GF(q), given by a full-rank generator matrix G.
+    The parity-check matrix H is derived from it, as the kernel basis of G,
+    and the dual code is the code that H generates.
 
     Immutable; the distribution and parameters are cached once computed.
     """
 
-    def __init__(self, G: GFMatrix, H: Optional[GFMatrix] = None, check: bool = True):
+    def __init__(self, G: GFMatrix):
         self.field = G.field
         self.G = G
-        self.H = gf_kernel_basis(G) if H is None else H
         self.n = G.cols
         self.k = G.rows
-        if check:
-            if gf_rank(self.G) != self.k:
-                raise RankDeficientGeneratorError(
-                    f"generator has rank {gf_rank(self.G)} < {self.k} rows")
-            if self.H.cols != self.n or self.H.rows != self.n - self.k:
-                raise ValueError("parity-check shape mismatch")
-            if H is not None and gf_rank(H) != self.n - self.k:
-                raise ValueError(f"parity-check rank {gf_rank(H)} < {self.n - self.k} rows")
-            prod = gf_matmul(self.G, self.H.transpose())
-            if any(any(r) for r in prod.entries):
-                raise ValueError("G H^T != 0")
+        if gf_rank(G) != self.k:
+            raise RankDeficientGeneratorError(f"generator has rank {gf_rank(G)} < {self.k} rows")
+        self.H = gf_kernel_basis(G)
         self._distribution: Optional[WeightDistribution] = None
 
     def dual(self) -> "LinearCode":
-        return LinearCode(self.H, self.G, check=False)
+        """The code generated by H; its own H is another basis of this code."""
+        return LinearCode(self.H)
 
     def codewords(self) -> Iterator[tuple[int, ...]]:
         """All q^k codewords, for small-code tests and demos."""
@@ -237,4 +230,4 @@ def random_code(field: Field, n: int, k: int, seed: int) -> LinearCode:
         rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(k)]
         G = GFMatrix.from_rows(field, rows)
         if gf_rank(G) == k:
-            return LinearCode(G, check=False)
+            return LinearCode(G)

@@ -1,8 +1,8 @@
-"""Seeded random-code corpora for property testing and demos.
+"""Seeded search for almost-MDS specimens.
 
-random_corpus keeps both q^k and q^(n-k) small enough that the code and its
-dual can be enumerated cheaply.  find_amds_specimens searches such corpora
-for almost-MDS codes with a requested defect sum, which is how concrete
+find_amds_specimens draws random codes over GF(3), GF(4) and GF(5) of
+length at most 10, with both q^k and q^(n-k) small enough to enumerate
+cheaply, and keeps those with a requested defect sum, which is how concrete
 sigma = 3 instances for the closed-form check are produced.
 """
 
@@ -15,48 +15,20 @@ from .codes import CodeParameters, LinearCode, random_code
 from .fields import GF
 
 
-def random_corpus(seed: int, count_per_q: int = 30,
-                  q_values: tuple[int, ...] = (2, 3, 4, 5),
-                  max_n: int = 10, max_words: int = 200_000
-                  ) -> list[LinearCode]:
-    """Deterministic list of random codes with cheaply enumerable duals."""
-    rng = random.Random(seed)
-    out: list[LinearCode] = []
-    for q in q_values:
-        field = GF(q)
-        made = 0
-        while made < count_per_q:
-            n = rng.randrange(4, max_n + 1)
-            ks = [k for k in range(1, n)
-                  if q ** k <= max_words and q ** (n - k) <= max_words]
-            if not ks:
-                continue
-            k = rng.choice(ks)
-            out.append(random_code(field, n, k, seed=rng.randrange(2 ** 30)))
-            made += 1
-    return out
-
-
-def find_amds_specimens(sigma: int, count: int, seed: int,
-                        q_values: tuple[int, ...] = (3, 4, 5),
-                        max_n: int = 10,
-                        max_tries: int = 200_000
+def find_amds_specimens(sigma: int, count: int, seed: int
                         ) -> Iterator[tuple[LinearCode, CodeParameters]]:
     """Yield up to `count` random codes with Singleton defect exactly 1 and
-    defect sum exactly `sigma` (so the dual distance is k - sigma + 2)."""
+    defect sum exactly `sigma` (so the dual distance is k - sigma + 2),
+    among the first 200,000 draws."""
     rng = random.Random(seed)
     found = 0
-    for _ in range(max_tries):
+    for _ in range(200_000):
         if found == count:
             return
-        q = rng.choice(q_values)
-        field = GF(q)
-        n = rng.randrange(5, max_n + 1)
-        ks = [k for k in range(2, n - 1) if q ** max(k, n - k) <= 100_000]
-        if not ks:
-            continue
-        k = rng.choice(ks)
-        code = random_code(field, n, k, seed=rng.randrange(2 ** 30))
+        q = rng.choice((3, 4, 5))
+        n = rng.randrange(5, 11)
+        k = rng.choice([k for k in range(2, n - 1) if q ** max(k, n - k) <= 100_000])
+        code = random_code(GF(q), n, k, seed=rng.randrange(2 ** 30))
         params = code.parameters()
         if params.d == n - k and params.sigma == sigma:
             found += 1

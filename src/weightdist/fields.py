@@ -151,7 +151,7 @@ class Field:
     def __init__(self, p: int, m: int = 1, modulus_poly: Optional[Sequence[int]] = None):
         if not isinstance(p, int) or not is_prime(p):
             raise NotPrimeError(f"characteristic must be prime, got {p!r}")
-        if not isinstance(m, int) or m < 1:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise ValueError(f"extension degree must be a positive integer, got {m!r}")
         q = p ** m
         if m == 1:
@@ -391,6 +391,8 @@ def array_ops(f: Field):
 def GF(q: int, modulus_poly: Optional[Sequence[int]] = None) -> Field:
     """Construct the field of order q, factoring q as a prime power: q = p^m
     for the largest m with an integer m-th root p, which must be prime."""
+    if isinstance(q, bool) or not isinstance(q, int):
+        raise NotPrimeError(f"field order must be an integer, got {q!r}")
     if q < 2:
         raise NotPrimeError(f"field order must be >= 2, got {q}")
     for m in range(q.bit_length(), 0, -1):

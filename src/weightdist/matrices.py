@@ -84,33 +84,8 @@ class GFMatrix:
         entry each time."""
         return hash((self.field, self.entries, self.cols))
 
-    def transpose(self) -> "GFMatrix":
-        if not self.entries:
-            return GFMatrix(self.field, tuple(() for _ in range(self.cols)), 0)
-        return GFMatrix(self.field, tuple(zip(*self.entries)), self.rows)
-
     def __repr__(self) -> str:
         return f"GFMatrix({self.rows}x{self.cols} over {self.field!r})"
-
-
-def gf_matmul(A: GFMatrix, B: GFMatrix) -> GFMatrix:
-    if A.field != B.field:
-        raise ValueError("fields differ")
-    if A.cols != B.rows:
-        raise ValueError(f"shape mismatch {A.rows}x{A.cols} @ {B.rows}x{B.cols}")
-    f = A.field
-    Bcols = [B.column(j) for j in range(B.cols)]
-    out = []
-    for r in A.entries:
-        line = []
-        for c in Bcols:
-            acc = 0
-            for x, y in zip(r, c):
-                if x and y:
-                    acc = f.add(acc, f.mul(x, y))
-            line.append(acc)
-        out.append(tuple(line))
-    return GFMatrix(f, tuple(out), B.cols)
 
 
 @functools.lru_cache(maxsize=8)

@@ -314,16 +314,13 @@ def verify_counting_identity(C: LinearCode, A: WeightDistribution, nu: int,
     return lhs, rhs, lhs == rhs
 
 
-def check_full_rank_regime(C: LinearCode, nu: int, d_perp: int | None = None,
+def check_full_rank_regime(C: LinearCode, nu: int, d_perp: int,
                            budget: int | None = DEFAULT_BUDGET) -> bool:
-    """For nu wider than n minus the dual distance, every (n-k) x nu column
-    selection of H must have full rank n-k; returns whether the census is
-    concentrated there.  A False is a bug or a wrong d_perp, never a valid
-    outcome.  With d_perp None the dual distance comes from
-    `C.parameters(budget)`, so the one budget caps both the enumeration and
-    the census."""
-    if d_perp is None:
-        d_perp = C.parameters(budget).d_perp
+    """For nu wider than n minus the dual distance d_perp, every (n-k) x nu
+    column selection of H must have full rank n-k; returns whether the census
+    is concentrated there.  A False is a bug or a wrong d_perp, never a valid
+    outcome.  The caller supplies d_perp, which it has already read from the
+    code's parameters, so the check itself enumerates nothing."""
     require_ints(d_perp=d_perp)
     if not 1 <= d_perp <= C.k + 1:
         raise ValueError(f"need 1 <= d_perp <= k+1 = {C.k + 1}, got d_perp={d_perp}")

@@ -8,9 +8,11 @@ time, where the package sums digits of a // p^i and b // p^i in place.
 `select_columns` cuts the submatrix that the oracles rank, one column
 subset at a time.
 
-`same_codewords` compares two codes' row spaces by orthogonality to each
-other's parity check, and `krawtchouk` is the term-by-term Krawtchouk
-value that `codes._krawtchouk_matrix` computes by recurrence.
+`gf_matmul` and `transpose` are the plain matrix product and transpose over
+GF(q), which the package never needs.  `same_codewords` compares two codes'
+row spaces by orthogonality to each other's parity check through them, and
+`krawtchouk` is the term-by-term Krawtchouk value that
+`codes._krawtchouk_matrix` computes by recurrence.
 
 `matvec` multiplies a rational matrix by a vector, to check a solution
 against the rows it solves.
@@ -34,7 +36,7 @@ from hypothesis import strategies as st
 
 from weightdist.codes import LinearCode
 from weightdist.fields import GF
-from weightdist.matrices import GFMatrix, _elimination, _kernel_vector, binom, echelon, gf_matmul
+from weightdist.matrices import GFMatrix, _elimination, _kernel_vector, binom, echelon
 
 
 def rational_kernel_vector(A):
@@ -60,13 +62,41 @@ def select_columns(M, indices):
     return GFMatrix(M.field, tuple(tuple(r[j] for j in idx) for r in M.entries), len(idx))
 
 
+def transpose(M):
+    """M^T, a matrix with M.rows columns, 0 rows for a 0-column M."""
+    if not M.entries:
+        return GFMatrix(M.field, tuple(() for _ in range(M.cols)), 0)
+    return GFMatrix(M.field, tuple(zip(*M.entries)), M.rows)
+
+
+def gf_matmul(A, B):
+    """A B over their common field, one Field.add and Field.mul per term."""
+    if A.field != B.field:
+        raise ValueError("fields differ")
+    if A.cols != B.rows:
+        raise ValueError(f"shape mismatch {A.rows}x{A.cols} @ {B.rows}x{B.cols}")
+    f = A.field
+    Bcols = [B.column(j) for j in range(B.cols)]
+    out = []
+    for r in A.entries:
+        line = []
+        for c in Bcols:
+            acc = 0
+            for x, y in zip(r, c):
+                if x and y:
+                    acc = f.add(acc, f.mul(x, y))
+            line.append(acc)
+        out.append(tuple(line))
+    return GFMatrix(f, tuple(out), B.cols)
+
+
 def same_codewords(a, b):
     """True when two codes' row spaces coincide: same field, length and
     dimension, and each generator orthogonal to the other's parity check."""
     if a.field != b.field or a.n != b.n or a.k != b.k:
         return False
-    return not any(any(r) for r in gf_matmul(a.G, b.H.transpose()).entries
-                   + gf_matmul(b.G, a.H.transpose()).entries)
+    return not any(any(r) for r in gf_matmul(a.G, transpose(b.H)).entries
+                   + gf_matmul(b.G, transpose(a.H)).entries)
 
 
 def krawtchouk(n, q, j, i):

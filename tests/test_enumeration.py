@@ -1,12 +1,13 @@
 """Both exact counts, the table enumeration and the syndrome count, checked
 against the codeword oracle.
 
-`LinearCode.codewords()` encodes every message with plain `Field.add` and
-`Field.mul`, so its histogram shares no code with the block tables or the
-syndrome counts, and scans every message, not one per line of nonzero
-multiples.
+`oracle_histogram` encodes every message with plain `Field.add` and
+`Field.mul`, so it shares no code with the block tables, the syndrome counts
+or `LinearCode`, and scans every message, not one per line of nonzero
+multiples; it takes any generator, of full rank or not.
 """
 
+import itertools
 import math
 import random
 from contextlib import contextmanager
@@ -39,8 +40,14 @@ MAX_WORDS = 5_000
 
 
 def oracle_histogram(G: GFMatrix) -> list[int]:
+    """How many of the q^rows messages m encode to m G of each weight."""
+    f = G.field
     hist = [0] * (G.cols + 1)
-    for word in LinearCode(G, check=False).codewords():
+    for msg in itertools.product(range(f.q), repeat=G.rows):
+        word = [0] * G.cols
+        for m, row in zip(msg, G.entries):
+            for j, e in enumerate(row):
+                word[j] = f.add(word[j], f.mul(m, e))
         hist[sum(1 for x in word if x)] += 1
     return hist
 

@@ -142,6 +142,10 @@ def test_caller_supplied_modulus_is_used():
 def test_default_moduli_are_irreducible():
     for p, m in [(2, 2), (2, 3), (2, 8), (3, 2), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)]:
         assert is_irreducible(default_modulus(p, m), p)
+    # a constant and a non-monic polynomial are not irreducible; a monic linear one is
+    assert not is_irreducible([1], 2)
+    assert not is_irreducible([1, 2], 3)
+    assert is_irreducible([2, 1], 3)
 
 
 def test_inverses_exhaustive_small_orders():
@@ -160,10 +164,13 @@ def test_frobenius_additivity():
 
 
 def test_pow_order():
-    for q in (4, 5, 9, 16):
+    for q in (4, 5, 9, 16, 256):
         f = GF(q)
         for a in range(1, q):
             assert f.pow(a, q - 1) == 1
+            # a negative exponent inverts first
+            for e in (1, 2, q - 2, q + 3):
+                assert f.mul(f.pow(a, -e), f.pow(a, e)) == 1
 
 
 def test_addition_matches_digitwise_polynomial_addition():

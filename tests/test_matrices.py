@@ -19,14 +19,14 @@ from weightdist.closed_forms import (
 from weightdist.codes import macwilliams_transform
 from weightdist.codes import random_code
 from weightdist.errors import SingularMatrixError
-from weightdist.fields import GF, array_mul, array_ops, array_sub
+from weightdist.fields import GF, Field, array_mul, array_ops, array_sub
+from weightdist.fileio import knowns_from_json, parse_code_file
 from weightdist.moments import verify_pless_full
 from weightdist.matrices import (
     GFMatrix,
     RationalMatrix,
     binom,
     gf_kernel_basis,
-    gf_matmul,
     gf_rank,
     gf_row_reduce,
     pascal_minor_check,
@@ -37,12 +37,14 @@ from weightdist.matrices import (
 
 from gf_oracle import (
     digitwise_oracle,
+    gf_matmul,
     gf_matrices,
     kernel_oracle,
     matvec,
     rational_kernel_vector,
     rref_oracle,
     select_columns,
+    transpose,
 )
 
 
@@ -80,7 +82,7 @@ def test_kernel_is_in_kernel_and_dimension_formula():
             kb = gf_kernel_basis(M)
             assert gf_rank(M) + kb.rows == c
             for v in kb.entries:
-                assert all(x == 0 for x in gf_matmul(M, GFMatrix.from_rows(f, [v]).transpose()).column(0))
+                assert all(x == 0 for x in gf_matmul(M, transpose(GFMatrix.from_rows(f, [v]))).column(0))
             if kb.rows:
                 assert gf_rank(kb) == kb.rows
 
@@ -105,7 +107,7 @@ def test_gf_elimination_matches_the_oracle(M):
     kb = gf_kernel_basis(M)
     assert kb == kernel_oracle(M)
     zero = GFMatrix.from_rows(M.field, [[0] * kb.rows] * M.rows, cols=kb.rows)
-    assert gf_matmul(M, kb.transpose()) == zero
+    assert gf_matmul(M, transpose(kb)) == zero
 
 
 def test_each_matrix_is_reduced_once():
@@ -336,12 +338,31 @@ def _rs_4_2():
      "solve_exact needs a square matrix, got 1x2"),
     (lambda: solve_exact(RationalMatrix.from_rows([[1, 0], [0, 1]]), [1]),
      "right-hand side length mismatch"),
+    (lambda: Field(2, True), "extension degree must be a positive integer, got True"),
+    (lambda: Field(2, 0), "extension degree must be a positive integer, got 0"),
+    (lambda: Field(2, 1.5), "extension degree must be a positive integer, got 1.5"),
+    (lambda: Field(3, 1, [1, 1]), "prime fields take no modulus polynomial"),
+    (lambda: GF(4.0), "field order must be an integer, got 4.0"),
+    (lambda: GF("4"), "field order must be an integer, got '4'"),
+    (lambda: GF(1), "field order must be >= 2, got 1"),
+    (lambda: GFMatrix.from_rows(GF(2), [[1], [1, 1]]), "ragged rows"),
+    (lambda: GFMatrix.from_rows(GF(2), []), "column count required for a 0-row matrix"),
+    (lambda: GFMatrix.from_rows(GF(2), [[2]]), "entry 2 outside [0, 2)"),
+    (lambda: parse_code_file("q=2 poly=a\n1 1\n1\n"), "bad poly list 'poly=a'"),
+    (lambda: parse_code_file("q=2\nx y\n"), "bad sizes 'x y'"),
+    (lambda: knowns_from_json([1]), "knowns must be a JSON object"),
+    (lambda: random_code(GF(2), 5, 0, seed=1), "need 0 < k < n, got k=0, n=5"),
+    (lambda: random_code(GF(2), 5, 5, seed=1), "need 0 < k < n, got k=5, n=5"),
 ], ids=["pascal-r0", "pascal-r-past-t", "pascal-t-negative", "extremal-m0",
         "amds-negative-seed", "rs-n-past-q", "pless-nu-past-n", "census-nu0",
-        "census-nu-past-n", "solve-not-square", "solve-rhs-length"])
+        "census-nu-past-n", "solve-not-square", "solve-rhs-length", "field-degree-bool",
+        "field-degree0", "field-degree-float", "field-prime-modulus", "gf-order-float",
+        "gf-order-str", "gf-order1", "matrix-ragged", "matrix-no-rows-no-cols",
+        "matrix-entry-past-q", "codefile-poly", "codefile-sizes", "knowns-not-object",
+        "random-code-k0", "random-code-k-n"])
 def test_refusals(block_cache, call, message):
-    """Invalid arguments are refused with their message, before any work:
-    no refusal reads a block of Pascal minors."""
+    """Invalid arguments are refused with their message, as a ValueError,
+    before any work: no refusal reads a block of Pascal minors."""
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
     assert block_cache.cache_info().currsize == 0

@@ -15,7 +15,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The public names of the package before its names were bound on first use,
 # when every module was imported by `import weightdist`, less the extremal
-# family's parameter class and relation range, which were removed since.
+# family's parameter class and relation range, which were removed since, and
+# `gf_matmul` and `random_corpus`, which only the tests used and which moved
+# into them.
 PUBLIC_NAMES = {
     "AmdsInput", "BudgetExceededError", "CodeFileFormatError", "CodeParameters",
     "DEFAULT_BUDGET", "DivisionByZeroError", "Field", "GF", "GFMatrix",
@@ -29,10 +31,10 @@ PUBLIC_NAMES = {
     "build_pless_system", "census", "check_full_rank_regime", "cross_check_systems",
     "default_modulus", "distribution_from_json", "distribution_to_json",
     "extremal_distribution", "extremal_system",
-    "find_amds_specimens", "format_code_file", "gf_kernel_basis", "gf_matmul", "gf_rank",
+    "find_amds_specimens", "format_code_file", "gf_kernel_basis", "gf_rank",
     "is_irreducible", "knowns_from_json", "macwilliams_transform", "mds_distribution",
     "nmds_distribution", "parse_code_file", "pascal_minor_check", "random_code",
-    "random_corpus", "rank_relationship_report", "reed_solomon_code", "solve_exact",
+    "rank_relationship_report", "reed_solomon_code", "solve_exact",
     "solve_with_knowns", "truncated_pascal", "verify_counting_identity",
     "verify_pless_full", "weight_histogram",
 }
