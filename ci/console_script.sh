@@ -45,13 +45,18 @@
 # near-MDS seed is an input error (exit 2).  Each command imports
 # only the modules it runs: -X importtime lists every module that a
 # crosscheck imports on stderr, and the step fails if that names
-# numpy or a weightdist module other than the package, cli, codes,
-# errors, fileio, matrices and moments
+# numpy, fractions, decimal or a weightdist module other than the
+# package, cli, codes, errors, fileio and moments; the same holds for
+# mds, which adds closed_forms
 python -c "import json, weightdist as wd; A = wd.mds_distribution(48, 24, 49); print(json.dumps({str(i): str(A.counts[i]) for i in range(1, 48, 2)}))" > "$RUNNER_TEMP/mds48.json"
 python -c "import json, weightdist as wd; A = wd.mds_distribution(48, 24, 49); k = {str(i): str(A.counts[i]) for i in range(1, 48, 2)}; k['25'] = str(A.counts[25] + 1); print(json.dumps(k))" > "$RUNNER_TEMP/mds48_bad.json"
 weightdist crosscheck --n 48 --k 24 --q 49 --d 25 --dperp 25 --knowns "$RUNNER_TEMP/mds48.json"
 python -X importtime -m weightdist.cli crosscheck --n 48 --k 24 --q 49 --d 25 --dperp 25 --knowns "$RUNNER_TEMP/mds48.json" > /dev/null 2> "$RUNNER_TEMP/importtime.txt"
-if grep -E '\| +numpy|\| +weightdist\.' "$RUNNER_TEMP/importtime.txt" | grep -vE '\| +weightdist\.(cli|codes|errors|fileio|matrices|moments)$'; then exit 1; fi
+grep -qE '\| +weightdist\.moments$' "$RUNNER_TEMP/importtime.txt"
+if grep -E '\| +numpy|\| +(fractions|decimal)$|\| +weightdist\.' "$RUNNER_TEMP/importtime.txt" | grep -vE '\| +weightdist\.(cli|codes|errors|fileio|moments)$'; then exit 1; fi
+python -X importtime -m weightdist.cli mds 48 24 49 > /dev/null 2> "$RUNNER_TEMP/importtime_mds.txt"
+grep -qE '\| +weightdist\.closed_forms$' "$RUNNER_TEMP/importtime_mds.txt"
+if grep -E '\| +numpy|\| +(fractions|decimal)$|\| +weightdist\.' "$RUNNER_TEMP/importtime_mds.txt" | grep -vE '\| +weightdist\.(cli|closed_forms|codes|errors|fileio|moments)$'; then exit 1; fi
 weightdist solve --n 48 --k 24 --q 49 --d 25 --dperp 25 --knowns "$RUNNER_TEMP/mds48.json" --system pless
 rc=0; weightdist crosscheck --n 48 --k 24 --q 49 --d 25 --dperp 25 --knowns "$RUNNER_TEMP/mds48_bad.json" || rc=$?
 test "$rc" = 1

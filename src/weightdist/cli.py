@@ -6,9 +6,12 @@ All integers are emitted as decimal strings in JSON and in full in tables;
 nothing is ever rounded.
 
 Every command reads a code file or writes its result through `fileio`, so
-`codes`, `errors`, `fileio` and `matrices` load with this module; each
-command imports what else it runs, so that it loads no module of the
-package that it does not run.
+`codes`, `errors` and `fileio` load with this module; each command imports
+what else it runs, so that it loads no module of the package that it does
+not run.  `matrices` loads only where a code file is read or a matrix
+built, so `solve`, `crosscheck`, `mds`, `nmds`, `amds` and `extremal` load
+neither it nor `fractions`; `pless-report`, which ranks the two systems'
+matrices, loads both.
 """
 
 from __future__ import annotations

@@ -19,12 +19,16 @@ A type II code of the extremal family is its `CodeParameters` and its 4m-1
 free counts, nothing more.  `extremal_system` selects some of its relations,
 with symmetry rows if asked, as a plain matrix and right-hand side that
 `solve_exact` solves; no closed form reads it.
+
+This module imports `codes`, `errors` and `moments` when it loads;
+`matrices` only in `extremal_system` and `reed_solomon_code`, which build a
+matrix, so no closed form loads it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .codes import CodeParameters, LinearCode, WeightDistribution, require_ints
@@ -36,11 +40,13 @@ from .errors import (
     RangeViolationError,
     cheapest_route,
 )
-from .matrices import GFMatrix, RationalMatrix, binom
 from .moments import _solve_counts, build_pascal_system
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .fields import Field
+    from .matrices import RationalMatrix
 
 
 def _pascal_counts(params: CodeParameters, known: dict[int, int],
@@ -174,6 +180,8 @@ def extremal_system(m: int, nu_set: Sequence[int],
     for each requested nu in (20m-4, 24m], the code's truncated-Pascal row
     nu less A_0 = A_24m = 1, optionally extended with the 2m-1 symmetry
     rows A_{4m+4l} = A_{20m-4l}."""
+    from .matrices import RationalMatrix
+
     params, unknowns = _type_ii(m)
     pos = {u: i for i, u in enumerate(unknowns)}
     S = build_pascal_system(params)
@@ -185,8 +193,8 @@ def extremal_system(m: int, nu_set: Sequence[int],
                 f"nu={nu} outside ({20 * m - 4}, {24 * m}]")
         deg, b = pascal[nu]
         # column s of the Pascal system is A_s, at node n - s
-        rows.append([binom(S.nodes[u], deg) for u in unknowns])
-        rhs.append(b - binom(S.nodes[0], deg) - binom(S.nodes[params.n], deg))
+        rows.append([math.comb(S.nodes[u], deg) for u in unknowns])
+        rhs.append(b - math.comb(S.nodes[0], deg) - math.comb(S.nodes[params.n], deg))
         labels.append(nu)
     if include_symmetry:
         for l in range(1, 2 * m):
@@ -272,6 +280,8 @@ def reed_solomon_code(field: Field, n: int, k: int) -> LinearCode:
     elements, extended with the point at infinity when n = q+1; an
     [n, k, n-k+1] MDS code.  Test fixture for comparing the closed form
     against the enumeration oracle."""
+    from .matrices import GFMatrix
+
     require_ints(n=n, k=k)
     if not 1 <= k <= n <= field.q + 1:
         raise ValueError(f"need 1 <= k <= n <= q+1, got n={n}, k={k}, q={field.q}")

@@ -2,13 +2,19 @@
 enumeration (the ground-truth oracle), parameter extraction, and the
 MacWilliams transform used to obtain the dual distance without enumerating
 the dual code.
+
+This module imports only `errors` when it loads.  `matrices` is imported
+by the functions that build or reduce a matrix (`LinearCode()` and
+`random_code`), and `enumeration` on the first weight distribution, so the
+parameters, distributions and MacWilliams transform that the moment systems
+and closed forms read load neither.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import (
     DEFAULT_BUDGET,
@@ -16,10 +22,10 @@ from .errors import (
     RankDeficientGeneratorError,
     ZeroCodeError,
 )
-from .matrices import GFMatrix, gf_kernel_basis, gf_rank
 
 if TYPE_CHECKING:
     from .fields import Field
+    from .matrices import GFMatrix
 
 enumeration = None  # bound on first use, so that solving moment systems never loads it
 
@@ -110,6 +116,8 @@ class LinearCode:
     """
 
     def __init__(self, G: GFMatrix):
+        from .matrices import gf_kernel_basis, gf_rank
+
         self.field = G.field
         self.G = G
         self.n = G.cols
@@ -122,30 +130,6 @@ class LinearCode:
     def dual(self) -> "LinearCode":
         """The code generated by H; its own H is another basis of this code."""
         return LinearCode(self.H)
-
-    def codewords(self) -> Iterator[tuple[int, ...]]:
-        """All q^k codewords, for small-code tests and demos."""
-        f, k = self.field, self.k
-        msg = [0] * k
-        while True:
-            yield tuple(self._encode(msg))
-            i = k - 1
-            while i >= 0 and msg[i] == f.q - 1:
-                msg[i] = 0
-                i -= 1
-            if i < 0:
-                return
-            msg[i] += 1
-
-    def _encode(self, msg) -> list[int]:
-        f = self.field
-        out = [0] * self.n
-        for mi, row in zip(msg, self.G.entries):
-            if mi:
-                for j, e in enumerate(row):
-                    if e:
-                        out[j] = f.add(out[j], f.mul(mi, e))
-        return out
 
     def weight_distribution(self, budget: int | None = DEFAULT_BUDGET,
                             workers: int = 1) -> WeightDistribution:
@@ -222,6 +206,8 @@ def macwilliams_transform(A: WeightDistribution) -> WeightDistribution:
 
 def random_code(field: Field, n: int, k: int, seed: int) -> LinearCode:
     """Uniformly sampled full-rank generator; deterministic for a seed."""
+    from .matrices import GFMatrix, gf_rank
+
     require_ints(n=n, k=k)
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")

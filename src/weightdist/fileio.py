@@ -14,17 +14,21 @@ distribution object is also accepted wherever knowns are, every entry
 becoming a known.  On reading, every count, index, n, k and q must be a
 JSON integer or a decimal-integer string; booleans, floats and other
 strings are rejected with CodeFileFormatError.
+
+This module imports `codes` and `errors` when it loads; `fields` and
+`matrices` only when a code file is parsed, so the commands that read and
+write only distributions and knowns load neither.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import TYPE_CHECKING, Mapping
 
 from .codes import LinearCode, WeightDistribution
 from .errors import CodeFileFormatError
-from .matrices import GFMatrix, binom
 
 if TYPE_CHECKING:
     from .fields import Field
@@ -68,6 +72,8 @@ def format_field_line(field: Field) -> str:
 
 
 def parse_code_file(text: str) -> LinearCode:
+    from .matrices import GFMatrix
+
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if len(lines) < 2:
         raise CodeFileFormatError("code file needs a field line and a size line")
@@ -157,7 +163,7 @@ def census_to_json(census: RankCensus) -> dict:
     return {
         "nu": census.nu,
         "counts": {str(r): str(c) for r, c in sorted(census.counts.items())},
-        "binom_total": str(binom(t, census.nu)),
+        "binom_total": str(math.comb(t, census.nu)),
     }
 
 

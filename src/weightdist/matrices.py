@@ -54,7 +54,9 @@ class GFMatrix:
 
     @classmethod
     def from_rows(cls, field: Field, rows: Iterable[Iterable[int]], cols: int | None = None) -> "GFMatrix":
-        tup = tuple(tuple(int(x) for x in r) for r in rows)
+        """The matrix of `rows`, each entry an int in [0, q); a bool is
+        refused although it is one, as by `codes.require_ints`."""
+        tup = tuple(tuple(r) for r in rows)
         if tup:
             cols = len(tup[0])
             if any(len(r) != cols for r in tup):
@@ -63,6 +65,8 @@ class GFMatrix:
             raise ValueError("column count required for a 0-row matrix")
         for r in tup:
             for x in r:
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise ValueError(f"entry {x!r} is not an integer")
                 if not 0 <= x < field.q:
                     raise ValueError(f"entry {x} outside [0, {field.q})")
         return cls(field, tup, cols)

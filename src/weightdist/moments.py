@@ -26,15 +26,20 @@ integer by a small one: O(u^2) integer operations, and none of the per-node
 ones a product of two big integers.  Every closed form in
 `closed_forms` (MDS, NMDS, AMDS, extremal type II) is this solve on the
 truncated-Pascal system of its parameters.
+
+This module imports `codes` and `errors` when it loads.  Every binomial is
+a `math.comb`; `fractions` is imported only where a value is not integral,
+and `matrices` only where a coefficient matrix is built
+(`MomentSystem.matrix`) or ranked (`rank_relationship_report`), so no
+solve with an integral solution loads either.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .codes import CodeParameters, WeightDistribution, require_ints
 from .errors import (
@@ -43,7 +48,11 @@ from .errors import (
     NonIntegralSolutionError,
     TooFewKnownsError,
 )
-from .matrices import RationalMatrix, binom, rational_rank
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .matrices import RationalMatrix
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,8 @@ class MomentSystem:
     def matrix(self) -> RationalMatrix:
         """The coefficient matrix, the binomials of the structure, built on
         first use; no solve reads it."""
+        from .matrices import RationalMatrix
+
         return RationalMatrix(tuple(tuple(math.comb(x, j) for x in self.nodes)
                                     for j in self.degrees), len(self.nodes))
 
@@ -89,7 +100,7 @@ def build_pascal_system(params: CodeParameters) -> MomentSystem:
     d_perp <= k + 1."""
     n, k, q, dp = params.n, params.k, params.q, params.d_perp
     widths = tuple(range(n - dp + 1, n + 1))
-    rhs = tuple(binom(n, nu) * q ** (nu + k - n) for nu in widths)
+    rhs = tuple(math.comb(n, nu) * q ** (nu + k - n) for nu in widths)
     return MomentSystem("pascal", rhs, widths, tuple(range(n + 1)), params,
                         tuple(n - nu for nu in widths), tuple(range(n, -1, -1)))
 
@@ -101,15 +112,17 @@ def build_pless_system(params: CodeParameters) -> MomentSystem:
     d_perp <= k + 1."""
     n, k, q, dp = params.n, params.k, params.q, params.d_perp
     widths, columns = tuple(range(dp)), tuple(range(n + 1))
-    rhs = tuple(q ** (k - nu) * binom(n, nu) * (q - 1) ** nu for nu in widths)
+    rhs = tuple(q ** (k - nu) * math.comb(n, nu) * (q - 1) ** nu for nu in widths)
     return MomentSystem("pless", rhs, widths, columns, params, widths, columns)
 
 
 def verify_pless_full(A: WeightDistribution, B: WeightDistribution, nu: int
-                      ) -> tuple[int, Fraction, bool]:
+                      ) -> tuple[int, int | Fraction, bool]:
     """Both sides of the full power-moment identity relating a distribution
     to its dual's:  sum_{i>=nu} binom(i, nu) A_i  against
-    q^(k-nu) sum_j (-1)^j binom(n-j, n-nu) (q-1)^(nu-j) B_j."""
+    q^(k-nu) sum_j (-1)^j binom(n-j, n-nu) (q-1)^(nu-j) B_j.  The right
+    side is an int for nu <= k, and a Fraction past k, where q^(k-nu) is
+    one."""
     n, q, k = A.n, A.q, A.k
     require_ints(nu=nu)
     if (B.n, B.q) != (n, q):
@@ -117,10 +130,15 @@ def verify_pless_full(A: WeightDistribution, B: WeightDistribution, nu: int
                          f"one of length {n} over GF({q})")
     if not 0 <= nu <= n:
         raise ValueError(f"need 0 <= nu <= {n}")
-    lhs = sum(binom(i, nu) * A.counts[i] for i in range(nu, n + 1))
-    s = sum((-1) ** j * binom(n - j, n - nu) * (q - 1) ** (nu - j) * B.counts[j]
+    lhs = sum(math.comb(i, nu) * A.counts[i] for i in range(nu, n + 1))
+    s = sum((-1) ** j * math.comb(n - j, n - nu) * (q - 1) ** (nu - j) * B.counts[j]
             for j in range(nu + 1))
-    rhs = Fraction(q) ** (k - nu) * s
+    if nu <= k:
+        rhs = q ** (k - nu) * s
+    else:
+        from fractions import Fraction
+
+        rhs = Fraction(s, q ** (nu - k))
     return lhs, rhs, lhs == rhs
 
 
@@ -165,7 +183,12 @@ def binomial_interpolation(nodes: Sequence[int], degrees: Sequence[int],
         if 0 <= c < u:
             num += g[c] * den
         whole, rem = divmod(num, den)
-        out.append(Fraction(num, den) if rem else whole)
+        if rem:
+            from fractions import Fraction
+
+            out.append(Fraction(num, den))
+        else:
+            out.append(whole)
     return tuple(out)
 
 
@@ -249,6 +272,8 @@ class RankRelationshipReport:
 
 
 def rank_relationship_report(params: CodeParameters) -> RankRelationshipReport:
+    from .matrices import rational_rank
+
     pas = build_pascal_system(params)
     ple = build_pless_system(params)
     joint = pas.matrix.stack(ple.matrix)

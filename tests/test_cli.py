@@ -394,17 +394,21 @@ def test_crosscheck_honours_format(capsys):
     assert rc == 0 and list(json.loads(out)) == ["pascal", "pless", "agree"]
 
 
-# Every command reads or writes through fileio, which needs codes, matrices
-# and errors; beside those each loads the modules of the package it runs.
-READ_WRITE = {"cli", "codes", "errors", "fileio", "matrices"}
+# Every command reads or writes through fileio, which needs codes and errors;
+# beside those each loads the modules of the package it runs, and reading a
+# code file loads fields and matrices.
+READ_WRITE = {"cli", "codes", "errors", "fileio"}
 SOLVES = READ_WRITE | {"moments"}
 CLOSED_FORMS = SOLVES | {"closed_forms"}
-ENUMERATES = READ_WRITE | {"fields", "enumeration"}
+READS_CODE = READ_WRITE | {"fields", "matrices"}
+ENUMERATES = READS_CODE | {"enumeration"}
+# matrices imports fractions, which imports decimal
+RATIONALS = ["decimal", "fractions"]
 
 
 def loaded_by(argv) -> tuple[list[str], list[str]]:
-    """The modules of the package, and of numpy and the process pool, that
-    one command loads in a new interpreter; it must exit 0."""
+    """The modules of the package, and of numpy, the process pool, fractions
+    and decimal, that one command loads in a new interpreter; it must exit 0."""
     script = f"""
 import contextlib, io, json, sys
 from weightdist.cli import main
@@ -412,7 +416,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main({[str(a) for a in argv]!r}) == 0
 print(json.dumps([sorted(m[len("weightdist."):] for m in sys.modules
                          if m.startswith("weightdist.")),
-                  sorted(m for m in ("numpy", "concurrent.futures.process")
+                  sorted(m for m in ("numpy", "concurrent.futures.process", "fractions", "decimal")
                          if m in sys.modules)]))
 """
     root = Path(__file__).resolve().parent.parent
@@ -424,21 +428,25 @@ print(json.dumps([sorted(m[len("weightdist."):] for m in sys.modules
 
 
 def test_commands_that_do_not_enumerate_never_load_numpy():
-    for argv, modules in (
-            (["crosscheck", *PARAMS_844, "--knowns", KNOWNS_844], SOLVES),
-            (["solve", *PARAMS_844, "--knowns", KNOWNS_844], SOLVES),
-            (["pless-report", *PARAMS_844], SOLVES),
-            (["mds", "7", "3", "8"], CLOSED_FORMS), (["nmds", "8", "4", "4", "27"], CLOSED_FORMS),
-            (["amds", "8", "4", "4", "2", "30"], CLOSED_FORMS), (["extremal", "1"], CLOSED_FORMS)):
-        assert loaded_by(argv) == [sorted(modules), []], argv[0]
+    """Nor do the moment-system and closed-form commands load matrices or
+    fractions: only pless-report, which ranks the systems' matrices."""
+    for argv, modules, others in (
+            (["crosscheck", *PARAMS_844, "--knowns", KNOWNS_844], SOLVES, []),
+            (["solve", *PARAMS_844, "--knowns", KNOWNS_844], SOLVES, []),
+            (["pless-report", *PARAMS_844], SOLVES | {"matrices"}, RATIONALS),
+            (["mds", "7", "3", "8"], CLOSED_FORMS, []),
+            (["nmds", "8", "4", "4", "27"], CLOSED_FORMS, []),
+            (["amds", "8", "4", "4", "2", "30"], CLOSED_FORMS, []),
+            (["extremal", "1"], CLOSED_FORMS, [])):
+        assert loaded_by(argv) == [sorted(modules), others], argv[0]
 
 
 def test_enumerating_commands_load_only_what_they_run(code_files):
     fa, _ = code_files
     for argv, modules in (
             (["enumerate", fa], ENUMERATES),
-            (["dual", fa], READ_WRITE | {"fields"}),
-            (["census", fa, "--nu", "4"], READ_WRITE | {"fields", "rank_census"}),
+            (["dual", fa], READS_CODE),
+            (["census", fa, "--nu", "4"], READS_CODE | {"rank_census"}),
             (["verify", fa], ENUMERATES | {"rank_census", "moments"})):
         assert loaded_by(argv)[0] == sorted(modules), argv[0]
 

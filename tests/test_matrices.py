@@ -348,6 +348,10 @@ def _rs_4_2():
     (lambda: GFMatrix.from_rows(GF(2), [[1], [1, 1]]), "ragged rows"),
     (lambda: GFMatrix.from_rows(GF(2), []), "column count required for a 0-row matrix"),
     (lambda: GFMatrix.from_rows(GF(2), [[2]]), "entry 2 outside [0, 2)"),
+    (lambda: GFMatrix.from_rows(GF(3), [[1.7, True, '2']]), "entry 1.7 is not an integer"),
+    (lambda: GFMatrix.from_rows(GF(3), [[1, True, 2]]), "entry True is not an integer"),
+    (lambda: GFMatrix.from_rows(GF(3), [[1, 0, '2']]), "entry '2' is not an integer"),
+    (lambda: GFMatrix.from_rows(GF(3), [[1.0]]), "entry 1.0 is not an integer"),
     (lambda: parse_code_file("q=2 poly=a\n1 1\n1\n"), "bad poly list 'poly=a'"),
     (lambda: parse_code_file("q=2\nx y\n"), "bad sizes 'x y'"),
     (lambda: knowns_from_json([1]), "knowns must be a JSON object"),
@@ -358,8 +362,9 @@ def _rs_4_2():
         "census-nu-past-n", "solve-not-square", "solve-rhs-length", "field-degree-bool",
         "field-degree0", "field-degree-float", "field-prime-modulus", "gf-order-float",
         "gf-order-str", "gf-order1", "matrix-ragged", "matrix-no-rows-no-cols",
-        "matrix-entry-past-q", "codefile-poly", "codefile-sizes", "knowns-not-object",
-        "random-code-k0", "random-code-k-n"])
+        "matrix-entry-past-q", "matrix-entry-float", "matrix-entry-bool",
+        "matrix-entry-str", "matrix-entry-integral-float", "codefile-poly", "codefile-sizes",
+        "knowns-not-object", "random-code-k0", "random-code-k-n"])
 def test_refusals(block_cache, call, message):
     """Invalid arguments are refused with their message, as a ValueError,
     before any work: no refusal reads a block of Pascal minors."""

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,25 @@ def test_verify_pless_full_reference(reference_pair):
     assert ok and lhs == 4 ** 4
     for nu in range(a.n + 1):
         assert verify_pless_full(A, B, nu)[2]
+
+
+def test_verify_pless_full_right_side_is_an_int_through_k(reference_pair):
+    """rhs = q^(k-nu) s: an int for nu <= k, a Fraction past k, the value
+    either way, also where a wrong dual distribution makes it fractional."""
+    A = reference_pair[0].weight_distribution()
+    B = macwilliams_transform(A)
+    off = WeightDistribution((B.counts[0], B.counts[1] + 1, *B.counts[2:]), B.q, B.k)
+    n, q, k = A.n, A.q, A.k
+    fractional = 0
+    for nu in range(n + 1):
+        lhs, rhs, ok = verify_pless_full(A, off, nu)
+        s = sum((-1) ** j * math.comb(n - j, n - nu) * (q - 1) ** (nu - j) * off.counts[j]
+                for j in range(nu + 1))
+        assert rhs == Fraction(q) ** (k - nu) * s
+        assert type(rhs) is (int if nu <= k else Fraction)
+        assert ok == (nu == 0)
+        fractional += rhs.denominator > 1
+    assert fractional
 
 
 @pytest.mark.parametrize("nu", [True, 1.0, "1"])
