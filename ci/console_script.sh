@@ -45,18 +45,21 @@
 # near-MDS seed is an input error (exit 2).  Each command imports
 # only the modules it runs: -X importtime lists every module that a
 # crosscheck imports on stderr, and the step fails if that names
-# numpy, fractions, decimal or a weightdist module other than the
-# package, cli, codes, errors, fileio and moments; the same holds for
-# mds, which adds closed_forms
+# numpy, fractions, decimal, dataclasses, inspect or a weightdist
+# module other than the package, cli, codes, errors, fileio and
+# moments; the same holds for mds, which adds closed_forms.  An
+# enumerate of RS [8,4]_9 loads fields, matrices and enumeration
+# besides, with numpy, and neither dataclasses nor any inspect but
+# the one that numpy imports itself
 python -c "import json, weightdist as wd; A = wd.mds_distribution(48, 24, 49); print(json.dumps({str(i): str(A.counts[i]) for i in range(1, 48, 2)}))" > "$RUNNER_TEMP/mds48.json"
 python -c "import json, weightdist as wd; A = wd.mds_distribution(48, 24, 49); k = {str(i): str(A.counts[i]) for i in range(1, 48, 2)}; k['25'] = str(A.counts[25] + 1); print(json.dumps(k))" > "$RUNNER_TEMP/mds48_bad.json"
 weightdist crosscheck --n 48 --k 24 --q 49 --d 25 --dperp 25 --knowns "$RUNNER_TEMP/mds48.json"
 python -X importtime -m weightdist.cli crosscheck --n 48 --k 24 --q 49 --d 25 --dperp 25 --knowns "$RUNNER_TEMP/mds48.json" > /dev/null 2> "$RUNNER_TEMP/importtime.txt"
 grep -qE '\| +weightdist\.moments$' "$RUNNER_TEMP/importtime.txt"
-if grep -E '\| +numpy|\| +(fractions|decimal)$|\| +weightdist\.' "$RUNNER_TEMP/importtime.txt" | grep -vE '\| +weightdist\.(cli|codes|errors|fileio|moments)$'; then exit 1; fi
+if grep -E '\| +numpy|\| +(fractions|decimal|dataclasses|inspect)$|\| +weightdist\.' "$RUNNER_TEMP/importtime.txt" | grep -vE '\| +weightdist\.(cli|codes|errors|fileio|moments)$'; then exit 1; fi
 python -X importtime -m weightdist.cli mds 48 24 49 > /dev/null 2> "$RUNNER_TEMP/importtime_mds.txt"
 grep -qE '\| +weightdist\.closed_forms$' "$RUNNER_TEMP/importtime_mds.txt"
-if grep -E '\| +numpy|\| +(fractions|decimal)$|\| +weightdist\.' "$RUNNER_TEMP/importtime_mds.txt" | grep -vE '\| +weightdist\.(cli|closed_forms|codes|errors|fileio|moments)$'; then exit 1; fi
+if grep -E '\| +numpy|\| +(fractions|decimal|dataclasses|inspect)$|\| +weightdist\.' "$RUNNER_TEMP/importtime_mds.txt" | grep -vE '\| +weightdist\.(cli|closed_forms|codes|errors|fileio|moments)$'; then exit 1; fi
 weightdist solve --n 48 --k 24 --q 49 --d 25 --dperp 25 --knowns "$RUNNER_TEMP/mds48.json" --system pless
 rc=0; weightdist crosscheck --n 48 --k 24 --q 49 --d 25 --dperp 25 --knowns "$RUNNER_TEMP/mds48_bad.json" || rc=$?
 test "$rc" = 1
@@ -70,6 +73,22 @@ for system in pascal pless; do
 done
 python -c "import weightdist as wd; print(wd.format_code_file(wd.reed_solomon_code(wd.GF(9), 8, 4)), end='')" > "$RUNNER_TEMP/rs89.code"
 weightdist verify "$RUNNER_TEMP/rs89.code" --which crosscheck
+python -X importtime -m weightdist.cli enumerate "$RUNNER_TEMP/rs89.code" > /dev/null 2> "$RUNNER_TEMP/importtime_enumerate.txt"
+grep -qE '\| +numpy$' "$RUNNER_TEMP/importtime_enumerate.txt"
+if grep -E '\| +dataclasses$|\| +weightdist\.' "$RUNNER_TEMP/importtime_enumerate.txt" | grep -vE '\| +weightdist\.(cli|codes|enumeration|errors|fields|fileio|matrices)$'; then exit 1; fi
+python - "$RUNNER_TEMP/importtime_enumerate.txt" <<'EOF'
+import sys
+# -X importtime prints each module after the modules it imports, which are
+# indented further, so a module's importer is the next line indented less
+names = [line.split("|")[2].rstrip("\n") for line in open(sys.argv[1])
+         if line.startswith("import time:") and line.split("|")[0][12:].strip().isdigit()]
+rows = [(len(name) - len(name.lstrip()), name.strip()) for name in names]
+for i, (depth, name) in enumerate(rows):
+    if name == "inspect":
+        importer = next((n for d, n in rows[i + 1:] if d < depth), "__main__")
+        if not importer.startswith("numpy."):
+            sys.exit(f"inspect is imported by {importer}")
+EOF
 weightdist extremal 8
 python -c "import weightdist as wd; print(wd.format_code_file(wd.reed_solomon_code(wd.GF(27), 27, 5)), end='')" > "$RUNNER_TEMP/rs27.code"
 diff <(weightdist enumerate "$RUNNER_TEMP/rs27.code" --format csv) <(weightdist mds 27 5 27 --format csv)

@@ -20,7 +20,6 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .codes import CodeParameters, WeightDistribution, macwilliams_transform
@@ -331,7 +330,8 @@ def cmd_extremal(args) -> int:
 def cmd_pless_report(args) -> int:
     from .moments import rank_relationship_report
 
-    obj = asdict(rank_relationship_report(_params_from_args(args)))
+    report = rank_relationship_report(_params_from_args(args))
+    obj = {name: getattr(report, name) for name in report._fields}
     _emit(args, dumps(obj) if args.format == "json" else
           f"{','.join(obj)}\n{','.join(map(str, obj.values()))}\n" if args.format == "csv" else
           "".join(f"{k} = {v}\n" for k, v in obj.items()))

@@ -28,17 +28,18 @@ matrix, so no closed form loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .codes import CodeParameters, LinearCode, WeightDistribution, require_ints
+from .codes import CodeParameters, LinearCode, WeightDistribution
 from .errors import (
     DEFAULT_BUDGET,
     InconsistentKnownsError,
     NegativeEntryError,
     NonIntegralSolutionError,
     RangeViolationError,
+    Value,
     cheapest_route,
+    require_ints,
 )
 from .moments import _solve_counts, build_pascal_system
 
@@ -92,29 +93,33 @@ def check_nonnegative(counts: Sequence[int], reason: str) -> None:
             raise NegativeEntryError(f"A_{i} = {c} is negative; {reason}")
 
 
-@dataclass(frozen=True)
-class AmdsInput:
+class AmdsInput(Value):
     """Parameters of an almost-MDS [n, k, n-k]_q code whose dual has
     distance k - sigma + 2, plus the sigma-1 seed counts
     A_{n-k}, ..., A_{n-k+sigma-2} that pin the distribution."""
 
+    __slots__ = ("n", "k", "q", "sigma", "seed_weights")
     n: int
     k: int
     q: int
     sigma: int
     seed_weights: tuple[int, ...]
 
-    def __post_init__(self):
-        require_ints(n=self.n, k=self.k, sigma=self.sigma)  # before params computes with them
-        for w in self.seed_weights:
+    def __init__(self, n: int, k: int, q: int, sigma: int, seed_weights: tuple[int, ...]):
+        require_ints(n=n, k=k, sigma=sigma)  # before params computes with them
+        for w in seed_weights:
             require_ints(seed_weight=w)
-        if self.sigma < 2:
-            raise ValueError(f"need 2 <= sigma <= k+1, got sigma={self.sigma}")
-        if len(self.seed_weights) != self.sigma - 1:
-            raise ValueError(
-                f"need {self.sigma - 1} seed weights, got {len(self.seed_weights)}")
-        if any(w < 0 for w in self.seed_weights):
+        if sigma < 2:
+            raise ValueError(f"need 2 <= sigma <= k+1, got sigma={sigma}")
+        if len(seed_weights) != sigma - 1:
+            raise ValueError(f"need {sigma - 1} seed weights, got {len(seed_weights)}")
+        if any(w < 0 for w in seed_weights):
             raise ValueError("seed weights must be >= 0")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "seed_weights", seed_weights)
         self.params  # CodeParameters checks n, k, q and sigma <= k+1
 
     @property

@@ -13,14 +13,15 @@ and closed forms read load neither.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .errors import (
     DEFAULT_BUDGET,
     NonIntegralResultError,
     RankDeficientGeneratorError,
+    Value,
     ZeroCodeError,
+    require_ints,
 )
 
 if TYPE_CHECKING:
@@ -30,46 +31,41 @@ if TYPE_CHECKING:
 enumeration = None  # bound on first use, so that solving moment systems never loads it
 
 
-def require_ints(**values) -> None:
-    """Raise ValueError naming the first value that is not an int.  A bool is
-    refused although it is one, so that True is never taken for the count 1."""
-    for name, v in values.items():
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
-@dataclass(frozen=True)
-class CodeParameters:
+class CodeParameters(Value):
     """The scalar invariants [n, k, d]_q plus the dual distance and the sum
     of the two Singleton defects.  Construction checks the Singleton bounds
     d <= n-k+1 and d_perp <= k+1, which also make every moment-system
     right-hand side an integer."""
 
+    __slots__ = ("n", "k", "d", "d_perp", "q")
     n: int
     k: int
     d: int
     d_perp: int
     q: int
 
-    def __post_init__(self):
-        require_ints(n=self.n, k=self.k, d=self.d, d_perp=self.d_perp, q=self.q)
-        n, k, d, dp = self.n, self.k, self.d, self.d_perp
+    def __init__(self, n: int, k: int, d: int, d_perp: int, q: int):
+        require_ints(n=n, k=k, d=d, d_perp=d_perp, q=q)
         if not 1 <= k <= n:
             raise ValueError(f"need 1 <= k <= n, got n={n}, k={k}")
         if not 1 <= d <= n - k + 1:
             raise ValueError(f"need 1 <= d <= n-k+1 = {n - k + 1}, got d={d}")
-        if not 1 <= dp <= k + 1:
-            raise ValueError(f"need 1 <= d_perp <= k+1 = {k + 1}, got d_perp={dp}")
-        if self.q < 2:
-            raise ValueError(f"field order must be >= 2, got q={self.q}")
+        if not 1 <= d_perp <= k + 1:
+            raise ValueError(f"need 1 <= d_perp <= k+1 = {k + 1}, got d_perp={d_perp}")
+        if q < 2:
+            raise ValueError(f"field order must be >= 2, got q={q}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d_perp", d_perp)
+        object.__setattr__(self, "q", q)
 
     @property
     def sigma(self) -> int:
         return self.n + 2 - self.d - self.d_perp
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
+class WeightDistribution(Value):
     """Counts A_0..A_n of codewords per Hamming weight, as exact integers.
 
     Closed-form constructors may produce negative entries for unrealizable
@@ -77,9 +73,15 @@ class WeightDistribution:
     by validate() rather than at construction.
     """
 
+    __slots__ = ("counts", "q", "k")
     counts: tuple[int, ...]
     q: int
     k: int
+
+    def __init__(self, counts: tuple[int, ...], q: int, k: int):
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:

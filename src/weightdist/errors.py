@@ -1,11 +1,65 @@
-"""Exception hierarchy shared by all weightdist modules.
+"""Exception hierarchy shared by all weightdist modules, and the rules they
+all apply: the budget of every exact count, the integer rule for counts and
+entries, and the base of the immutable value types.
 
 Everything derives from WeightDistError; errors that correspond to a
 builtin failure mode also subclass the builtin so generic handlers keep
-working (e.g. ``except ZeroDivisionError``).
+working (e.g. ``except ZeroDivisionError``).  Every module of the package
+imports this one when it loads, and it imports none of them.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
+
+
+def require_ints(**values) -> None:
+    """Raise ValueError naming the first value that is not an int.  A bool is
+    refused although it is one, so that True is never taken for the count 1."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+class Value:
+    """Base of the package's immutable value types.  A subclass lists its
+    fields, in order, in `__slots__` (a name with a leading underscore is a
+    cache, not a field) and sets each once in its own `__init__` through
+    `object.__setattr__`.  Assignment and deletion raise AttributeError;
+    equality and the hash are over the fields in order, and an instance
+    equals only instances of its own type; the repr names every field."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        cls._values = attrgetter(*cls._fields)  # a tuple: every type has two fields or more
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        """Rebuilt by `__init__` from the fields, so pickling and copying
+        neither assign a field nor carry a cache."""
+        return self.__class__, self._values(self)
 
 
 class WeightDistError(Exception):

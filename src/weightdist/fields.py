@@ -6,14 +6,15 @@ additive and multiplicative identities; for GF(4) with modulus x^2+x+1 the
 encodings 0,1,2,3 are 0, 1, a, a^2 for a primitive element a.
 
 Extension fields of order up to 2^16 get log/antilog tables at construction
-time; larger orders (with a caller-supplied modulus) fall back to polynomial
-arithmetic.  For odd p with m > 1, `Field.add`, `neg` and `sub` and
-`array_sub` sum digit by digit in one helper, `_digitwise`.  Fields are
-immutable after construction and safe to share across workers.  `array_mul`
-and `array_sub` do the same arithmetic element by element on numpy arrays,
-and `array_ops` gives the census and the enumeration those operations in
-the narrowest dtype, read from q x q tables for small fields, so no other
-module tabulates a field; numpy is imported only when they run.
+time; larger orders (with a caller-supplied modulus) fall back to table-free
+products: shifts and XORs of the encodings for p = 2, polynomial arithmetic
+on base-p digits otherwise.  For odd p with m > 1, `Field.add`, `neg` and
+`sub` and `array_sub` sum digit by digit in one helper, `_digitwise`.
+Fields are immutable after construction and safe to share across workers.
+`array_mul` and `array_sub` do the same arithmetic element by element on
+numpy arrays, and `array_ops` gives the census and the enumeration those
+operations in the narrowest dtype, read from q x q tables for small fields,
+so no other module tabulates a field; numpy is imported only when they run.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     NotPrimeError,
     ReduciblePolynomialError,
     UnsupportedOrderError,
+    require_ints,
 )
 
 TABLE_ORDER_LIMIT = 1 << 16
@@ -146,7 +148,7 @@ class Field:
     matrices and codes over structurally different fields never silently mix.
     """
 
-    __slots__ = ("p", "m", "q", "modulus_poly", "_powers", "_exp", "_log", "_hash")
+    __slots__ = ("p", "m", "q", "modulus_poly", "_powers", "_bits", "_exp", "_log", "_hash")
 
     def __init__(self, p: int, m: int = 1, modulus_poly: Optional[Sequence[int]] = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -166,7 +168,11 @@ class Field:
                         f"(order {TABLE_ORDER_LIMIT}); supply modulus_poly")
                 modulus = default_modulus(p, m)
             else:
-                modulus = tuple(int(c) % p for c in modulus_poly)
+                modulus = tuple(modulus_poly)
+                for c in modulus:
+                    require_ints(modulus_coefficient=c)
+                    if not 0 <= c < p:
+                        raise ValueError(f"modulus coefficient {c} outside [0, {p})")
                 if len(modulus) != m + 1 or modulus[-1] != 1:
                     raise ReduciblePolynomialError(
                         f"modulus must be monic of degree {m}, got {tuple(modulus_poly)}")
@@ -178,6 +184,9 @@ class Field:
         self.q = q
         self.modulus_poly = modulus
         self._powers = tuple(p ** i for i in range(1, m))
+        # for p = 2 the bits of an encoding are its polynomial's coefficients;
+        # these are the modulus's
+        self._bits = sum(c << i for i, c in enumerate(modulus)) if p == 2 else None
         self._hash = hash((p, m, modulus))
         self._exp: Optional[list[int]] = None
         self._log: Optional[list[int]] = None
@@ -188,7 +197,20 @@ class Field:
 
     def _raw_mul(self, a: int, b: int) -> int:
         """Table-free product in an extension field: it builds the log
-        tables, and serves every product of a field too large for them."""
+        tables, and serves every product of a field too large for them.
+        For p = 2 it multiplies the encodings as bit polynomials, shifting
+        a by x and clearing its degree-m bit by the modulus as it goes, and
+        adding each shift that a set bit of b selects, all by XOR."""
+        if self.p == 2:
+            top, mod, r = 1 << self.m, self._bits, 0
+            while b:
+                if b & 1:
+                    r ^= a
+                b >>= 1
+                a <<= 1
+                if a & top:
+                    a ^= mod
+            return r
         pa = _digits(a, self.p, self.m)
         pb = _digits(b, self.p, self.m)
         digits = _poly_mulmod(pa, pb, self.modulus_poly, self.p)

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import SingularMatrixError
+from .errors import SingularMatrixError, Value
 
 if TYPE_CHECKING:
     from .fields import Field
@@ -44,25 +43,41 @@ def binom(a: int, b: int) -> int:
 # matrices over GF(q)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GFMatrix:
+def _width(tup: tuple[tuple, ...], cols: int | None) -> int:
+    """The column count of the rows `tup`, which a given `cols` must equal,
+    or of a 0-row matrix, which `cols` must give."""
+    if not tup:
+        if cols is None:
+            raise ValueError("column count required for a 0-row matrix")
+        return cols
+    width = len(tup[0])
+    if any(len(r) != width for r in tup):
+        raise ValueError("ragged rows")
+    if cols is not None and cols != width:
+        raise ValueError(f"cols={cols} given for rows of length {width}")
+    return width
+
+
+class GFMatrix(Value):
     """Immutable matrix over a finite field; entries are canonical encodings."""
 
+    __slots__ = ("field", "entries", "cols", "_hash")
     field: Field
     entries: tuple[tuple[int, ...], ...]
     cols: int  # kept explicit so 0-row matrices keep their width
 
+    def __init__(self, field: Field, entries: tuple[tuple[int, ...], ...], cols: int):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "cols", cols)
+
     @classmethod
     def from_rows(cls, field: Field, rows: Iterable[Iterable[int]], cols: int | None = None) -> "GFMatrix":
         """The matrix of `rows`, each entry an int in [0, q); a bool is
-        refused although it is one, as by `codes.require_ints`."""
+        refused although it is one, as by `errors.require_ints`.  A `cols`
+        given with rows must be their length."""
         tup = tuple(tuple(r) for r in rows)
-        if tup:
-            cols = len(tup[0])
-            if any(len(r) != cols for r in tup):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            raise ValueError("column count required for a 0-row matrix")
+        cols = _width(tup, cols)
         for r in tup:
             for x in r:
                 if isinstance(x, bool) or not isinstance(x, int):
@@ -79,14 +94,14 @@ class GFMatrix:
         return tuple(r[j] for r in self.entries)
 
     def __hash__(self) -> int:
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
         """The hash of every field, computed on first use and kept: each memo
-        lookup hashes its matrix, and the generated hash would walk every
-        entry each time."""
-        return hash((self.field, self.entries, self.cols))
+        lookup hashes its matrix, and hashing the fields walks every entry."""
+        try:
+            return self._hash
+        except AttributeError:
+            h = super().__hash__()
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         return f"GFMatrix({self.rows}x{self.cols} over {self.field!r})"
@@ -180,24 +195,23 @@ def _rational(x) -> int | Fraction:
     return x if type(x) is int or type(x) is Fraction else Fraction(x)
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(Value):
     """Immutable dense matrix with arbitrary-precision rational entries.
     Each entry is an int or a Fraction: integral systems stay in ints."""
 
+    __slots__ = ("entries", "cols")
     entries: tuple[tuple[int | Fraction, ...], ...]
     cols: int
 
+    def __init__(self, entries: tuple[tuple[int | Fraction, ...], ...], cols: int):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "cols", cols)
+
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], cols: int | None = None) -> "RationalMatrix":
+        """The matrix of `rows`; a `cols` given with rows must be their length."""
         tup = tuple(tuple(_rational(x) for x in r) for r in rows)
-        if tup:
-            cols = len(tup[0])
-            if any(len(r) != cols for r in tup):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            raise ValueError("column count required for a 0-row matrix")
-        return cls(tup, cols)
+        return cls(tup, _width(tup, cols))
 
     @property
     def rows(self) -> int:

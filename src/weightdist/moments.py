@@ -37,16 +37,16 @@ solve with an integral solution loads either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .codes import CodeParameters, WeightDistribution, require_ints
+from .codes import CodeParameters, WeightDistribution
 from .errors import (
     InconsistentKnownsError,
     NegativeSolutionError,
     NonIntegralSolutionError,
     TooFewKnownsError,
+    Value,
+    require_ints,
 )
 
 if TYPE_CHECKING:
@@ -55,8 +55,7 @@ if TYPE_CHECKING:
     from .matrices import RationalMatrix
 
 
-@dataclass(frozen=True)
-class MomentSystem:
+class MomentSystem(Value):
     """An exact linear system rows x unknowns on the weight counts of a code
     with parameters `params`, given by its structure alone: its entry at row
     i and column s is binom(nodes[s], degrees[i]), the degrees are
@@ -66,6 +65,8 @@ class MomentSystem:
     each column stands for.
     """
 
+    __slots__ = ("kind", "rhs", "row_labels", "col_labels", "params", "degrees", "nodes",
+                 "_matrix")
     kind: str  # "pascal" | "pless"
     rhs: tuple[int, ...]
     row_labels: tuple[int, ...]
@@ -74,21 +75,34 @@ class MomentSystem:
     degrees: tuple[int, ...]
     nodes: tuple[int, ...]
 
-    def __post_init__(self):
-        if sorted(self.degrees) != list(range(len(self.rhs))):
-            raise ValueError(f"row degrees {self.degrees} are not 0..{len(self.rhs) - 1}")
-        if len(self.nodes) != len(self.col_labels) or len(set(self.nodes)) != len(self.nodes):
-            raise ValueError(f"need {len(self.col_labels)} distinct column nodes, "
-                             f"got {self.nodes}")
+    def __init__(self, kind: str, rhs: tuple[int, ...], row_labels: tuple[int, ...],
+                 col_labels: tuple[int, ...], params: CodeParameters,
+                 degrees: tuple[int, ...], nodes: tuple[int, ...]):
+        if sorted(degrees) != list(range(len(rhs))):
+            raise ValueError(f"row degrees {degrees} are not 0..{len(rhs) - 1}")
+        if len(nodes) != len(col_labels) or len(set(nodes)) != len(nodes):
+            raise ValueError(f"need {len(col_labels)} distinct column nodes, got {nodes}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "row_labels", row_labels)
+        object.__setattr__(self, "col_labels", col_labels)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "nodes", nodes)
 
-    @cached_property
+    @property
     def matrix(self) -> RationalMatrix:
         """The coefficient matrix, the binomials of the structure, built on
-        first use; no solve reads it."""
-        from .matrices import RationalMatrix
+        first use and kept; no solve reads it."""
+        try:
+            return self._matrix
+        except AttributeError:
+            from .matrices import RationalMatrix
 
-        return RationalMatrix(tuple(tuple(math.comb(x, j) for x in self.nodes)
-                                    for j in self.degrees), len(self.nodes))
+            M = RationalMatrix(tuple(tuple(math.comb(x, j) for x in self.nodes)
+                                     for j in self.degrees), len(self.nodes))
+            object.__setattr__(self, "_matrix", M)
+            return M
 
 
 def build_pascal_system(params: CodeParameters) -> MomentSystem:
@@ -257,18 +271,26 @@ def cross_check_systems(params: CodeParameters, knowns: Mapping[int, int]
     return A_pascal, A_pless, A_pascal.counts == A_pless.counts
 
 
-@dataclass(frozen=True)
-class RankRelationshipReport:
+class RankRelationshipReport(Value):
     """Observed ranks of the two systems and of their stack.
 
     Purely experimental evidence about how the two constraint families
     overlap; nothing is asserted beyond the numbers."""
 
+    __slots__ = ("pascal_rank", "pless_rank", "joint_rank", "rows_each", "n_unknowns")
     pascal_rank: int
     pless_rank: int
     joint_rank: int
     rows_each: int
     n_unknowns: int
+
+    def __init__(self, pascal_rank: int, pless_rank: int, joint_rank: int, rows_each: int,
+                 n_unknowns: int):
+        object.__setattr__(self, "pascal_rank", pascal_rank)
+        object.__setattr__(self, "pless_rank", pless_rank)
+        object.__setattr__(self, "joint_rank", joint_rank)
+        object.__setattr__(self, "rows_each", rows_each)
+        object.__setattr__(self, "n_unknowns", n_unknowns)
 
 
 def rank_relationship_report(params: CodeParameters) -> RankRelationshipReport:

@@ -12,10 +12,15 @@ basis read from the memoised `matrices.gf_row_reduce`; numpy loads with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .codes import LinearCode, WeightDistribution, require_ints
-from .errors import DEFAULT_BUDGET, BudgetExceededError, RegimeViolationError, cheapest_route
+from .codes import LinearCode, WeightDistribution
+from .errors import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    RegimeViolationError,
+    Value,
+    cheapest_route,
+    require_ints,
+)
 from .fields import array_ops
 from .matrices import GFMatrix, _elimination, binom, gf_kernel_basis, gf_rank, gf_row_reduce
 
@@ -26,14 +31,19 @@ from .matrices import GFMatrix, _elimination, binom, gf_kernel_basis, gf_rank, g
 _CHUNK = 2048
 
 
-@dataclass(frozen=True)
-class RankCensus:
+class RankCensus(Value):
     """Counts, for one submatrix width nu, of how many nu-column selections
     of a matrix have each possible rank."""
 
+    __slots__ = ("nu", "counts", "source_dims")
     nu: int
     counts: dict[int, int]
     source_dims: tuple[int, int]
+
+    def __init__(self, nu: int, counts: dict[int, int], source_dims: tuple[int, int]):
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "source_dims", source_dims)
 
     def total(self) -> int:
         return sum(self.counts.values())

@@ -404,11 +404,14 @@ READS_CODE = READ_WRITE | {"fields", "matrices"}
 ENUMERATES = READS_CODE | {"enumeration"}
 # matrices imports fractions, which imports decimal
 RATIONALS = ["decimal", "fractions"]
+# what generating methods at start-up loads; numpy's own import loads inspect too
+START_UP = ("dataclasses", "inspect")
 
 
 def loaded_by(argv) -> tuple[list[str], list[str]]:
-    """The modules of the package, and of numpy, the process pool, fractions
-    and decimal, that one command loads in a new interpreter; it must exit 0."""
+    """The modules of the package, and of numpy, the process pool, fractions,
+    decimal, dataclasses and inspect, that one command loads in a new
+    interpreter; it must exit 0."""
     script = f"""
 import contextlib, io, json, sys
 from weightdist.cli import main
@@ -416,8 +419,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main({[str(a) for a in argv]!r}) == 0
 print(json.dumps([sorted(m[len("weightdist."):] for m in sys.modules
                          if m.startswith("weightdist.")),
-                  sorted(m for m in ("numpy", "concurrent.futures.process", "fractions", "decimal")
-                         if m in sys.modules)]))
+                  sorted(m for m in ("numpy", "concurrent.futures.process", "fractions", "decimal",
+                                     *{START_UP!r}) if m in sys.modules)]))
 """
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -429,7 +432,8 @@ print(json.dumps([sorted(m[len("weightdist."):] for m in sys.modules
 
 def test_commands_that_do_not_enumerate_never_load_numpy():
     """Nor do the moment-system and closed-form commands load matrices or
-    fractions: only pless-report, which ranks the systems' matrices."""
+    fractions: only pless-report, which ranks the systems' matrices.  None
+    loads dataclasses or inspect."""
     for argv, modules, others in (
             (["crosscheck", *PARAMS_844, "--knowns", KNOWNS_844], SOLVES, []),
             (["solve", *PARAMS_844, "--knowns", KNOWNS_844], SOLVES, []),
@@ -448,7 +452,11 @@ def test_enumerating_commands_load_only_what_they_run(code_files):
             (["dual", fa], READS_CODE),
             (["census", fa, "--nu", "4"], READS_CODE | {"rank_census"}),
             (["verify", fa], ENUMERATES | {"rank_census", "moments"})):
-        assert loaded_by(argv)[0] == sorted(modules), argv[0]
+        loaded, others = loaded_by(argv)
+        assert loaded == sorted(modules), argv[0]
+        # inspect only under numpy, which imports it itself
+        assert "dataclasses" not in others, argv[0]
+        assert "inspect" not in others or "numpy" in others, argv[0]
 
 
 def test_closed_form_commands(capsys):

@@ -10,9 +10,10 @@ from weightdist.errors import (
     ReduciblePolynomialError,
     UnsupportedOrderError,
 )
+from weightdist import fields
 from weightdist.fields import (
-    GF, Field, _digitwise, array_mul, array_ops, array_sub, default_modulus, is_irreducible,
-    is_prime,
+    GF, Field, _digits, _digitwise, _poly_mulmod, array_mul, array_ops, array_sub,
+    default_modulus, is_irreducible, is_prime,
 )
 
 from gf_oracle import digitwise_oracle
@@ -86,6 +87,50 @@ def test_large_prime_field_builds_at_once():
     assert time.perf_counter() - start <= 0.01
     assert (f.p, f.m) == (2 ** 61 - 1, 1)
     assert f.mul(f.inv(12345), 12345) == 1
+
+
+def test_gf_2_16_builds_at_once():
+    # its log tables took about 1 s by polynomial products on base-2 digits
+    start = time.perf_counter()
+    GF(2 ** 16)
+    assert time.perf_counter() - start <= 0.5
+
+
+def _poly_product(f, a, b):
+    """a * b over GF(p^m) by polynomial products on base-p digits."""
+    digits = _poly_mulmod(_digits(a, f.p, f.m), _digits(b, f.p, f.m), f.modulus_poly, f.p)
+    return sum(c * f.p ** i for i, c in enumerate(digits))
+
+
+# GF(4), GF(2^8) and GF(2^16) with tables; above them x^17 + x^3 + 1 and
+# x^33 + x^13 + 1, both irreducible
+@pytest.mark.parametrize("m, modulus", [
+    (2, None), (8, None), (16, None), (17, [1, 0, 0, 1] + [0] * 13 + [1]),
+    (33, [1] + [0] * 12 + [1] + [0] * 19 + [1]),
+])
+def test_binary_products_match_polynomial_products(m, modulus, monkeypatch):
+    """The carry-less product of two encodings, which builds the tables and
+    serves every product past them, against polynomial products on base-2
+    digits, on random and extreme pairs."""
+    if m == 33:
+        # trial division takes seconds to prove this modulus irreducible
+        monkeypatch.setattr(fields, "is_irreducible", lambda poly, p: True)
+    f = Field(2, m, modulus)
+    rng = random.Random(m)
+    elems = [0, 1, 2, f.q // 2, f.q - 2, f.q - 1] + [rng.randrange(f.q) for _ in range(44)]
+    for a in elems:
+        for b in elems[::5]:
+            expected = _poly_product(f, a, b)
+            assert f._raw_mul(a, b) == f.mul(a, b) == expected, (a, b)
+
+
+def test_binary_exp_table_is_a_chain_of_polynomial_products():
+    f = GF(2 ** 10)
+    x, gen = 1, f._exp[1]
+    for i, e in enumerate(f._exp):
+        assert e == x and f._log[e] == i
+        x = _poly_product(f, x, gen)
+    assert x == 1 and len(set(f._exp)) == f.q - 1
 
 
 def test_orders_past_the_prime_test_are_refused():

@@ -345,8 +345,15 @@ def _rs_4_2():
     (lambda: GF(4.0), "field order must be an integer, got 4.0"),
     (lambda: GF("4"), "field order must be an integer, got '4'"),
     (lambda: GF(1), "field order must be >= 2, got 1"),
+    (lambda: GF(4, [1, 1.0, True]), "modulus_coefficient must be an integer, got 1.0"),
+    (lambda: GF(4, [1, True, 1]), "modulus_coefficient must be an integer, got True"),
+    (lambda: GF(4, ['1', '1', '1']), "modulus_coefficient must be an integer, got '1'"),
+    (lambda: GF(4, [4, 1, 1]), "modulus coefficient 4 outside [0, 2)"),
+    (lambda: GF(9, [2, -1, 1]), "modulus coefficient -1 outside [0, 3)"),
     (lambda: GFMatrix.from_rows(GF(2), [[1], [1, 1]]), "ragged rows"),
     (lambda: GFMatrix.from_rows(GF(2), []), "column count required for a 0-row matrix"),
+    (lambda: GFMatrix.from_rows(GF(2), [[1, 0]], cols=3), "cols=3 given for rows of length 2"),
+    (lambda: RationalMatrix.from_rows([[1, 2]], cols=5), "cols=5 given for rows of length 2"),
     (lambda: GFMatrix.from_rows(GF(2), [[2]]), "entry 2 outside [0, 2)"),
     (lambda: GFMatrix.from_rows(GF(3), [[1.7, True, '2']]), "entry 1.7 is not an integer"),
     (lambda: GFMatrix.from_rows(GF(3), [[1, True, 2]]), "entry True is not an integer"),
@@ -361,7 +368,9 @@ def _rs_4_2():
         "amds-negative-seed", "rs-n-past-q", "pless-nu-past-n", "census-nu0",
         "census-nu-past-n", "solve-not-square", "solve-rhs-length", "field-degree-bool",
         "field-degree0", "field-degree-float", "field-prime-modulus", "gf-order-float",
-        "gf-order-str", "gf-order1", "matrix-ragged", "matrix-no-rows-no-cols",
+        "gf-order-str", "gf-order1", "modulus-float", "modulus-bool", "modulus-str",
+        "modulus-past-p", "modulus-negative", "matrix-ragged", "matrix-no-rows-no-cols",
+        "matrix-cols-mismatch", "rational-cols-mismatch",
         "matrix-entry-past-q", "matrix-entry-float", "matrix-entry-bool",
         "matrix-entry-str", "matrix-entry-integral-float", "codefile-poly", "codefile-sizes",
         "knowns-not-object", "random-code-k0", "random-code-k-n"])

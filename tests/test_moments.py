@@ -252,6 +252,7 @@ def test_moment_system_checks_recorded_structure():
     args = ("pless", (0,) * 4, (0, 1, 2, 3), tuple(range(9)), REF_PARAMS)
     S = MomentSystem(*args, degrees=(3, 1, 0, 2), nodes=tuple(range(9)))
     assert S.matrix.entries == tuple(rows.entries[j] for j in (3, 1, 0, 2))
+    assert S.matrix is S.matrix  # built once
     with pytest.raises(ValueError):
         MomentSystem(*args, degrees=(0, 1, 2, 4), nodes=tuple(range(9)))
     with pytest.raises(ValueError):

@@ -1,13 +1,19 @@
 """The package namespace: `import weightdist` loads no module, and the first
 read of a public name loads them all and binds every name at once."""
 
+import copy
+import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from importlib import import_module
 from pathlib import Path
+
+import pytest
 
 import weightdist
 
@@ -107,3 +113,55 @@ def test_all_is_the_public_names_and_each_resolves():
     errors = import_module("weightdist.errors")
     assert {n for n, v in vars(errors).items()
             if isinstance(v, type) and issubclass(v, errors.WeightDistError)} <= PUBLIC_NAMES
+
+
+# Each value type with its fields, in the order its dataclass declared them,
+# and the field values of one instance.
+VALUE_TYPES = {
+    "CodeParameters": (("n", "k", "d", "d_perp", "q"), lambda wd: (48, 24, 25, 25, 49)),
+    "WeightDistribution": (("counts", "q", "k"), lambda wd: ((1, 2, 3), 2, 1)),
+    "GFMatrix": (("field", "entries", "cols"), lambda wd: (wd.GF(3), ((1, 0, 2), (0, 1, 1)), 3)),
+    "RationalMatrix": (("entries", "cols"), lambda wd: (((1, Fraction(1, 2)), (0, 3)), 2)),
+    "MomentSystem": (("kind", "rhs", "row_labels", "col_labels", "params", "degrees", "nodes"),
+                     lambda wd: ("pless", (1, 6), (0, 1), (0, 1, 2),
+                                 wd.CodeParameters(2, 1, 2, 2, 3), (1, 0), (0, 1, 2))),
+    "RankRelationshipReport": (("pascal_rank", "pless_rank", "joint_rank", "rows_each",
+                                "n_unknowns"), lambda wd: (4, 4, 5, 4, 9)),
+    "RankCensus": (("nu", "counts", "source_dims"), lambda wd: (2, {1: 3, 2: 3}, (2, 4))),
+    "AmdsInput": (("n", "k", "q", "sigma", "seed_weights"), lambda wd: (8, 4, 4, 2, (27,))),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_behave_as_their_frozen_dataclasses(name):
+    """Each value type against a frozen dataclass of the same fields: built
+    by position or keyword, equal and hashed as it is (a census holds a dict
+    and hashes as the dataclass did not), equal to no other type with the
+    same values, with its repr unless the type writes its own, refusing
+    assignment and deletion, and rebuilt by pickle and copy."""
+    cls = getattr(weightdist, name)
+    names, make = VALUE_TYPES[name]
+    values = make(weightdist)
+    oracle = dataclasses.make_dataclass(name, names, frozen=True)(*values)
+    obj, twin = cls(*values), cls(**dict(zip(names, values)))
+    assert twin is not obj and twin == obj and not twin != obj
+    assert tuple(getattr(obj, n) for n in names) == values
+    sub = type(name, (cls,), {})(*values)
+    for other in (values, oracle, sub):
+        assert obj != other and other != obj
+    if "__repr__" not in vars(cls):
+        assert repr(obj) == repr(oracle)
+    try:
+        expected = hash(oracle)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(obj)
+    else:
+        assert hash(obj) == hash(twin) == expected
+    for n in names + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(obj, n, 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, n)
+    assert tuple(getattr(obj, n) for n in names) == values
+    assert pickle.loads(pickle.dumps(obj)) == copy.copy(obj) == copy.deepcopy(obj) == obj
